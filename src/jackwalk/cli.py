@@ -20,16 +20,13 @@ import argparse
 import csv
 import hashlib
 import json
-import random
 import sys
 from fractions import Fraction
 
 from . import __version__
 from .asymptotics import (build_U, build_V, default_order, limit_covariance,
                           limit_moment, packed_limit_moments, walk_limit_data)
-from .dynamics import (DEFAULT_DEFICIT_BOUND, PathStats, WalkConfig,
-                       path_seed, path_statistics, sample_path, scaled_moment,
-                       _RowCache)
+from .dynamics import WalkConfig, path_statistics
 from .errors import (DeficitError, ResourceLimitError, ShapeError,
                      StabilityError)
 from .jack import jack_polynomial, lr_expand, skew_jack
@@ -260,26 +257,16 @@ def cmd_walk_sample(args):
     params = {"config": cfg.to_json(), "steps": args.steps,
               "samples": args.samples, "k": ks, "times": times}
 
+    method = None if args.method == "auto" else args.method
     if args.paths:
-        wanted = sorted(set(times if times is not None
-                            else range(args.steps + 1)))
-        if wanted and (wanted[0] < 0 or wanted[-1] > args.steps):
-            raise ValueError("requested times fall outside the walk")
-        stats = PathStats([(t, k) for t in wanted for k in ks])
-        cache = _RowCache(cfg, DEFAULT_DEFICIT_BOUND)
         with open(args.paths, "w") as jsonl:
-            for index in range(args.samples):
-                rng = random.Random(path_seed(cfg.seed, index))
-                path = sample_path(cfg, args.steps, _cache=cache, _rng=rng)
+            def write_path(path):
                 jsonl.write(json.dumps(
                     {"path": [list(lam) for lam in path]}) + "\n")
-                values = {}
-                for (t, k) in stats.keys:
-                    values[(t, k)] = float(
-                        scaled_moment(path[t], cfg.n, cfg.theta, k))
-                stats.add_sample(values)
+            stats = path_statistics(cfg, args.steps, args.samples, ks,
+                                    times=times, method=method,
+                                    on_path=write_path)
     else:
-        method = None if args.method == "auto" else args.method
         stats = path_statistics(cfg, args.steps, args.samples, ks,
                                 times=times, method=method)
 

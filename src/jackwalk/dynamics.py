@@ -12,20 +12,27 @@ far (each beta atom contributes at most one vertical strip), so their
 rows carry no truncation deficit; other steps are truncated at a
 configurable mass and the lost tail is recorded.
 
-Sampling draws a uniform dyadic rational at 64-bit resolution and walks
-the exact cumulative row, refining the resolution whenever a comparison
-ties, so path laws inherit the rows' exactness.  At theta = 1 a
-single-beta row is a conditioned ensemble of N Bernoulli moves whose
-total displacement is Binomial(N, theta*b/(1+theta*b)) regardless of the
-current diagram; `step_mass_law` exposes that marginal and
-`path_statistics` uses it to sample first-moment functionals of large
-walks that per-row enumeration could never reach.
+The row cache keeps each row as its sorted support and integer
+cumulative numerators over one common denominator (the lcm of the row's
+weight denominators).  Sampling draws a uniform dyadic rational r / 2^64
+and finds its cell by bisection, comparing r * denom with c_i * 2^64 in
+integers and appending 64 more bits whenever a comparison ties, so path
+laws inherit the rows' exactness.  At theta = 1 a single-beta row is a
+conditioned ensemble of N Bernoulli moves whose total displacement is
+Binomial(N, theta*b/(1+theta*b)) regardless of the current diagram;
+`step_mass_law` exposes that marginal and `path_statistics` uses it to
+sample first-moment functionals of large walks that per-row enumeration
+could never reach.  That route works on blocks of samples with numpy
+integer cumulative sums; each statistic is one correctly rounded division
+of integers below 2^53, and the blocks are accumulated in sample order,
+so its output matches a per-sample exact loop bit for bit.
 """
 
 import hashlib
 import math
 import os
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,6 +55,7 @@ DEFAULT_DEFICIT_BOUND = Fraction(1, 2 ** 32)
 
 _MAX_ROW_STATES = 200000
 _MAX_EVOLVE_STATES = 20000
+_MAX_CACHED_ENTRIES = 10 * _MAX_ROW_STATES
 
 
 @dataclass(frozen=True)
@@ -253,12 +261,16 @@ def path_seed(seed, index):
 
 
 class _RowCache:
-    """Transition rows keyed by diagram, with cumulative sums for sampling."""
+    """Transition rows keyed by diagram, as (mus, cums, denom): the sorted
+    support, and integer cumulative weights over their common denominator
+    (mus[i] holds the cell [cums[i-1], cums[i]) / denom).  Raises
+    ResourceLimitError once more than _MAX_CACHED_ENTRIES cells are held."""
 
     def __init__(self, cfg, deficit_bound):
         self.cfg = cfg
         self.deficit_bound = deficit_bound
         self.rows = {}
+        self.entries = 0
 
     def cumulative(self, lam):
         entry = self.rows.get(lam)
@@ -268,29 +280,40 @@ class _RowCache:
                 raise DeficitError(
                     "row deficit %s exceeds bound %s at %r"
                     % (row.tail_deficit, self.deficit_bound, lam))
+            self.entries += len(row.support)
+            if self.entries > _MAX_CACHED_ENTRIES:
+                raise ResourceLimitError(
+                    "row cache would hold more than %d entries"
+                    % _MAX_CACHED_ENTRIES)
             mus = sorted(row.support)
+            weights = [as_fraction(row.support[mu]) for mu in mus]
+            denom = math.lcm(*(w.denominator for w in weights))
             cums = []
-            acc = Fraction(0)
-            for mu in mus:
-                acc = acc + as_fraction(row.weight(mu))
+            acc = 0
+            for w in weights:
+                acc += w.numerator * (denom // w.denominator)
                 cums.append(acc)
-            entry = self.rows[lam] = (mus, cums)
+            entry = self.rows[lam] = (mus, cums, denom)
         return entry
 
 
-def _draw_index(rng, cums):
-    """Pick the cumulative cell containing a uniform variate, comparing a
-    64-bit dyadic draw exactly and appending bits on the rare tie."""
+def _draw_index(rng, cums, denom):
+    """Pick the cell of a uniform variate u = r / 2^bits: the first i with
+    u * denom < cums[i], found by bisection on floor(u * denom).  While
+    u * denom equals some cums[i] exactly (a tie), 64 more random bits are
+    appended to r, so the cell is the one an exact uniform variate picks.
+    Returns None when u falls past the last cell, into a truncated tail."""
     bits = 64
-    u = Fraction(rng.getrandbits(bits), 2 ** bits)
-    while any(c == u for c in cums):
-        extra = rng.getrandbits(64)
-        u = Fraction(u.numerator * 2 ** 64 + extra, 2 ** (bits + 64))
+    scaled = rng.getrandbits(bits) * denom  # u * denom * 2^bits
+    while True:
+        floor = scaled >> bits
+        i = bisect_right(cums, floor)
+        tie = i > 0 and cums[i - 1] == floor \
+            and scaled & ((1 << bits) - 1) == 0
+        if not tie:
+            return i if i < len(cums) else None
+        scaled = (scaled << 64) + rng.getrandbits(64) * denom
         bits += 64
-    for i, c in enumerate(cums):
-        if u < c:
-            return i
-    return None  # fell into the truncated tail
 
 
 def sample_path(cfg, steps, deficit_bound=DEFAULT_DEFICIT_BOUND, _cache=None,
@@ -303,8 +326,8 @@ def sample_path(cfg, steps, deficit_bound=DEFAULT_DEFICIT_BOUND, _cache=None,
     state = cfg.initial
     path = [state]
     for _ in range(steps):
-        mus, cums = cache.cumulative(state)
-        idx = _draw_index(rng, cums)
+        mus, cums, denom = cache.cumulative(state)
+        idx = _draw_index(rng, cums, denom)
         if idx is None:
             raise DeficitError("draw landed in the truncated tail of a row")
         state = mus[idx]
@@ -377,6 +400,35 @@ class PathStats:
         for a, b in self.cross:
             self.cross[(a, b)] += values[a] * values[b]
 
+    def add_batch(self, values):
+        """Record a block of paths: `values` is a 2-D float64 numpy array
+        with one row per path and one column per key, in self.keys order.
+        Every sum is accumulated in path order, so the result is bit for
+        bit that of add_sample on each row in turn."""
+        import numpy
+
+        def running(total, terms):
+            # add.accumulate adds left to right; add.reduce and sum add
+            # pairwise and round differently
+            return float(numpy.add.accumulate(
+                numpy.concatenate(([total], terms)))[-1])
+
+        columns = {}
+        for j, key in enumerate(self.keys):
+            x = columns[key] = values[:, j]
+            # Python's float ** (libm pow) and numpy.power can differ in
+            # the last bit, so the third and fourth powers are taken here
+            xs = x.tolist()
+            s = self.sums[key]
+            s[0] = running(s[0], x)
+            s[1] = running(s[1], x * x)
+            s[2] = running(s[2], [v ** 3 for v in xs])
+            s[3] = running(s[3], [v ** 4 for v in xs])
+        for a, b in self.cross:
+            self.cross[(a, b)] = running(self.cross[(a, b)],
+                                         columns[a] * columns[b])
+        self.count += len(values)
+
     def merge(self, other):
         if self.keys != other.keys:
             raise ValueError("cannot merge statistics with different keys")
@@ -446,32 +498,39 @@ def scaled_moment(lam, n, theta, k):
 def _mass_marginal_stats(cfg, steps, samples, times):
     """Sample k = 1 statistics of the theta = 1 single-beta walk through
     the exact Binomial step-mass marginal (state-independent), instead of
-    per-row enumeration.  Law-equal to the rows; see step_mass_law."""
+    per-row enumeration.  Law-equal to the rows; see step_mass_law.
+
+    The statistic after `added` boxes is (2|lam0| - n(n-1) + 2 added) / 2n:
+    numerator and denominator are integers below 2^53, so one float64
+    division gives the correctly rounded value of the exact quotient."""
     import numpy
 
+    n = cfg.n
     b = _components(cfg.rho)[0].betas[0]
     q = float(b / (1 + b))
-    offset = Fraction(weight(cfg.initial), cfg.n) - Fraction(cfg.n - 1, 2)
+    base = 2 * weight(cfg.initial) - n * (n - 1)
+    if abs(base) + 2 * n * steps >= 2 ** 53:
+        raise ResourceLimitError("walk too large for exact float statistics")
     stats = PathStats([(t, 1) for t in times], method="mass-marginal")
     rng = numpy.random.Generator(numpy.random.PCG64(cfg.seed))
     block = 20000
     done = 0
     while done < samples:
         m = min(block, samples - done)
-        masses = rng.binomial(cfg.n, q, size=(m, steps))
-        totals = numpy.cumsum(masses, axis=1)
-        for row in range(m):
-            values = {}
-            for t in times:
-                added = 0 if t == 0 else int(totals[row, t - 1])
-                values[(t, 1)] = float(offset + Fraction(added, cfg.n))
-            stats.add_sample(values)
+        masses = rng.binomial(n, q, size=(m, steps))
+        numpy.cumsum(masses, axis=1, out=masses)
+        added = numpy.zeros((m, len(times)), dtype=masses.dtype)
+        for j, t in enumerate(times):
+            if t:
+                added[:, j] = masses[:, t - 1]
+        stats.add_batch((base + 2 * added) / (2 * n))
         done += m
     return stats
 
 
 def path_statistics(cfg, steps, samples, ks, times=None,
-                    deficit_bound=DEFAULT_DEFICIT_BOUND, method=None):
+                    deficit_bound=DEFAULT_DEFICIT_BOUND, method=None,
+                    on_path=None):
     """Monte Carlo means/variances/covariances of the scaled moments
     n * integral x^k at the requested times (default: every time), over
     `samples` independent paths seeded from (cfg.seed, path index).
@@ -479,6 +538,8 @@ def path_statistics(cfg, steps, samples, ks, times=None,
     ``method`` forces the sampling route: "rows" walks exact transition
     rows; "mass-marginal" draws the Binomial step masses (first moments
     of theta = 1 single-beta walks only).  None picks automatically.
+    ``on_path``, if given, is called with each full path
+    [lam^(0), ..., lam^(steps)] in sample order; it needs the rows route.
     """
     if times is None:
         times = list(range(steps + 1))
@@ -493,29 +554,20 @@ def path_statistics(cfg, steps, samples, ks, times=None,
     if method == "mass-marginal" and not marginal_ok:
         raise ValueError("mass-marginal sampling needs theta = 1, a single "
                          "unit-scale beta step, and ks == [1]")
-    if marginal_ok and method != "rows":
+    if method == "mass-marginal" and on_path is not None:
+        raise ValueError("per-path output needs the rows sampling method")
+    if marginal_ok and method != "rows" and on_path is None:
         return _mass_marginal_stats(cfg, steps, samples, times)
 
     keys = [(t, k) for t in times for k in ks]
     stats = PathStats(keys)
     cache = _RowCache(cfg, deficit_bound)
-    wanted = set(times)
     for index in range(samples):
         rng = random.Random(path_seed(cfg.seed, index))
-        state = cfg.initial
-        values = {}
-        if 0 in wanted:
-            for k in ks:
-                values[(0, k)] = float(scaled_moment(state, cfg.n, cfg.theta, k))
-        for t in range(1, steps + 1):
-            mus, cums = cache.cumulative(state)
-            idx = _draw_index(rng, cums)
-            if idx is None:
-                raise DeficitError("draw landed in the truncated tail of a row")
-            state = mus[idx]
-            if t in wanted:
-                for k in ks:
-                    values[(t, k)] = float(
-                        scaled_moment(state, cfg.n, cfg.theta, k))
-        stats.add_sample(values)
+        path = sample_path(cfg, steps, _cache=cache, _rng=rng)
+        if on_path is not None:
+            on_path(path)
+        stats.add_sample({(t, k): float(scaled_moment(path[t], cfg.n,
+                                                      cfg.theta, k))
+                          for t, k in keys})
     return stats

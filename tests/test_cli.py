@@ -1,5 +1,6 @@
 """Command-line surface: JSON dumps, verify suites, walk experiments."""
 
+import hashlib
 import json
 import re
 from fractions import Fraction
@@ -185,6 +186,56 @@ def test_walk_sample_paths_file(tmp_path):
         assert rec["path"][0] == []
 
 
+#: sha256 of `walk sample` outputs below the provenance line: the samplers
+#: promise identical bytes for identical invocations, so a faster sampler
+#: must reproduce these exactly.  Cases: (config overrides, argv, digest
+#: of the stats CSV, digest of the --paths file or None).
+_ROWS_STATS = \
+    "6d7e39c31efe8df2b9fd02d63f49b6db37c7a810f5441b4173cc108915e065d5"
+GOLDEN_WALKS = {
+    # two blocks of the Binomial marginal, the second one partial
+    "mass-marginal": (
+        {"n": 8}, ["--steps", "8", "--times", "0,2,4,6,8",
+                   "--samples", "25000"],
+        "323d6d82197c1f7257162eafb338ae975436b3677d59e9f341fd336aad6dbaec",
+        None),
+    "rows": (
+        {"n": 4}, ["--steps", "4", "--k", "1,2", "--samples", "40"],
+        _ROWS_STATS, None),
+    "rows-paths": (
+        {"n": 4}, ["--steps", "4", "--k", "1,2", "--samples", "40",
+                   "--paths", "paths.jsonl"],
+        _ROWS_STATS,
+        "2bfa841efa0cc7dd635a3190178389507a72c4c13175768ddd3f001d3ce6f027"),
+    "theta-half": (
+        {"n": 2, "theta": Fraction(1, 2)},
+        ["--steps", "2", "--k", "1,2", "--samples", "30"],
+        "4517d74b3e2dc04da2eea5f7c70b8546f504fe69da32458bb72ff14a6e3c1738",
+        None),
+}
+
+
+def _body_digest(path):
+    data = path.read_bytes()
+    if path.suffix == ".csv":
+        assert PROVENANCE.match(data.partition(b"\r\n")[0].decode())
+        data = data.partition(b"\r\n")[2]
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_WALKS))
+def test_walk_sample_golden_bytes(tmp_path, monkeypatch, case):
+    overrides, argv, stats_digest, paths_digest = GOLDEN_WALKS[case]
+    config = beta_config(tmp_path, **overrides)
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main(["walk", "sample", "--config", config, "--out", "stats.csv"]
+                  + argv)
+    assert rc == 0
+    assert _body_digest(tmp_path / "stats.csv") == stats_digest
+    if paths_digest is not None:
+        assert _body_digest(tmp_path / "paths.jsonl") == paths_digest
+
+
 def test_walk_sample_method_validation(tmp_path, capsys):
     config = beta_config(tmp_path, theta=Fraction(2),
                          rho=Specialization.single_beta(Fraction(2, 3)))
@@ -194,6 +245,13 @@ def test_walk_sample_method_validation(tmp_path, capsys):
                    "--out", str(out)])
     assert rc == 2
     assert "mass-marginal" in capsys.readouterr().err
+    # writing every path needs the exact rows, not the marginal
+    rc = cli.main(["walk", "sample", "--config", beta_config(tmp_path),
+                   "--steps", "1", "--samples", "3", "--method",
+                   "mass-marginal", "--paths", str(tmp_path / "p.jsonl"),
+                   "--out", str(out)])
+    assert rc == 2
+    assert "rows" in capsys.readouterr().err
 
 
 def test_walk_sample_deficit_exit_code(tmp_path, capsys):

@@ -1,10 +1,13 @@
 """Markov growth dynamics: rows, sampling, exact evolution, statistics."""
 
 import io
+import math
 import random
 from fractions import Fraction
 
+import numpy
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jackwalk import dynamics
 from jackwalk.dynamics import (
@@ -158,6 +161,15 @@ def test_exact_evolve_semigroup():
     assert after_two.support == one_big.support
 
 
+def test_row_cache_resource_guard(monkeypatch):
+    cfg = WalkConfig(3, one, Specialization.single_beta(one), seed=2)
+    assert path_statistics(cfg, 4, 3, [1, 2]).count == 3
+    # the row out of the empty diagram alone has four entries
+    monkeypatch.setattr(dynamics, "_MAX_CACHED_ENTRIES", 5)
+    with pytest.raises(ResourceLimitError):
+        path_statistics(cfg, 4, 3, [1, 2])
+
+
 def test_exact_evolve_resource_guard(monkeypatch):
     monkeypatch.setattr(dynamics, "_MAX_EVOLVE_STATES", 3)
     cfg = WalkConfig(2, one, b23)
@@ -229,6 +241,22 @@ def test_path_statistics_two_routes_agree():
     assert rows.count == marg.count == 4000
 
 
+def test_path_statistics_on_path():
+    b1 = Specialization.single_beta(one)
+    cfg = WalkConfig(3, one, b1, seed=4)
+    seen = []
+    stats = path_statistics(cfg, 3, 5, [1], on_path=seen.append)
+    # a callback needs whole paths, so the marginal shortcut is skipped
+    assert stats.method == "rows"
+    assert seen == [sample_path(WalkConfig(3, one, b1, seed=path_seed(4, i)), 3)
+                    for i in range(5)]
+    plain = path_statistics(cfg, 3, 5, [1], method="rows")
+    assert stats.sums == plain.sums and stats.count == plain.count
+    with pytest.raises(ValueError):
+        path_statistics(cfg, 3, 5, [1], method="mass-marginal",
+                        on_path=seen.append)
+
+
 def test_path_statistics_validation():
     cfg = WalkConfig(2, one, Specialization.single_beta(one), seed=1)
     with pytest.raises(ValueError):
@@ -259,3 +287,190 @@ def test_kernel_twins_agree():
         lam = tuple(lam)
         args = (lam, n, rng.randint(1, 5), rng.randint(1, 5))
         assert _steppure.bernoulli_row(*args) == _stepkernel.bernoulli_row(*args)
+
+
+# -- exact draws ---------------------------------------------------------------
+
+
+def _old_draw_index(rng, cums):
+    """The Fraction-based draw that the integer `_draw_index` replaced,
+    verbatim.  Its tie refinement restarts from the reduced numerator of
+    the variate, which drops the draw's trailing zero bits."""
+    bits = 64
+    u = Fraction(rng.getrandbits(bits), 2 ** bits)
+    while any(c == u for c in cums):
+        extra = rng.getrandbits(64)
+        u = Fraction(u.numerator * 2 ** 64 + extra, 2 ** (bits + 64))
+        bits += 64
+    for i, c in enumerate(cums):
+        if u < c:
+            return i
+    return None
+
+
+def _fraction_draw_index(rng, cums):
+    """`_old_draw_index` with the tie refinement appending to the draw
+    itself: the exact semantics `_draw_index` implements in integers."""
+    bits = 64
+    r = rng.getrandbits(bits)
+    while any(c == Fraction(r, 2 ** bits) for c in cums):
+        r = r * 2 ** 64 + rng.getrandbits(64)
+        bits += 64
+    u = Fraction(r, 2 ** bits)
+    for i, c in enumerate(cums):
+        if u < c:
+            return i
+    return None
+
+
+class StubRandom:
+    """Hands out the given words (then 1s) and counts the bits taken."""
+
+    def __init__(self, words):
+        self.words = list(words)
+        self.bits = 0
+
+    def getrandbits(self, k):
+        assert k == 64
+        self.bits += k
+        return self.words.pop(0) if self.words else 1
+
+
+def _integer_cums(cums):
+    denom = math.lcm(*(c.denominator for c in cums))
+    return [int(c * denom) for c in cums], denom
+
+
+WORD = st.integers(0, 2 ** 64 - 1)
+
+
+@st.composite
+def rows_and_words(draw):
+    """Cumulative Fraction sums of a random row (some with a tail deficit),
+    and RNG words whose first one often lands exactly on a cell boundary."""
+    parts = draw(st.lists(
+        st.builds(Fraction, st.integers(1, 40),
+                  st.sampled_from([1, 2, 3, 4, 7, 8, 64, 1024, 2 ** 40])),
+        min_size=1, max_size=10))
+    deficit = draw(st.sampled_from(
+        [Fraction(0), Fraction(1, 2 ** 20), Fraction(1, 3), Fraction(1, 2)]))
+    scale = (1 - deficit) / sum(parts)
+    cums, acc = [], Fraction(0)
+    for w in parts:
+        acc += w * scale
+        cums.append(acc)
+    boundaries = [int(c * 2 ** 64) for c in cums
+                  if (c * 2 ** 64).denominator == 1 and c < 1]
+    on_boundary = boundaries and draw(st.booleans())
+    first = draw(st.sampled_from(boundaries) if on_boundary else WORD)
+    extras = draw(st.lists(st.one_of(st.just(0), WORD), max_size=3))
+    return cums, [first] + extras
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows_and_words())
+def test_draw_matches_fraction_oracle(case):
+    cums, words = case
+    int_cums, denom = _integer_cums(cums)
+    new, oracle, old = StubRandom(words), StubRandom(words), StubRandom(words)
+    got = dynamics._draw_index(new, int_cums, denom)
+    assert got == _fraction_draw_index(oracle, cums)
+    assert new.bits == oracle.bits
+    # the old refinement differs only after a tie at an even first word
+    first_ties = any(c == Fraction(words[0], 2 ** 64) for c in cums)
+    if not first_ties or words[0] % 2:
+        assert got == _old_draw_index(old, cums)
+        assert new.bits == old.bits
+
+
+def test_draw_tie_refinement():
+    # the first word lands on 1/2, the boundary of a fair coin; 64 more
+    # bits place the variate just above it, in the second cell
+    cums, denom = [1, 2], 2
+    rng = StubRandom([2 ** 63, 5])
+    assert dynamics._draw_index(rng, cums, denom) == 1
+    assert rng.bits == 128
+    # a zero extension ties again and takes another 64 bits
+    rng = StubRandom([2 ** 63, 0, 7])
+    assert dynamics._draw_index(rng, cums, denom) == 1
+    assert rng.bits == 192
+    # the old refinement put the variate near 2^-64, in the first cell
+    assert _old_draw_index(StubRandom([2 ** 63, 5]),
+                           [Fraction(1, 2), Fraction(1)]) == 0
+    # past the last cell of a deficient row: the truncated tail
+    rng = StubRandom([2 ** 64 - 1])
+    assert dynamics._draw_index(rng, [1, 2], 3) is None
+    assert rng.bits == 64
+
+
+def test_row_cache_integer_cumulative_sums():
+    for cfg, lam in ((WalkConfig(4, one, Specialization.single_beta(one)),
+                      (2, 1)),
+                     (WalkConfig(2, two, b23), (1,))):
+        row = transition_row(lam, cfg)
+        mus, cums, denom = dynamics._RowCache(cfg, Fraction(0)) \
+            .cumulative(lam)
+        assert mus == sorted(row.support)
+        acc = Fraction(0)
+        for mu, c in zip(mus, cums):
+            acc += row.support[mu]
+            assert Fraction(c, denom) == acc
+        assert cums[-1] == denom  # pure-beta rows carry no deficit
+
+
+# -- batched statistics --------------------------------------------------------
+
+
+def _bits(stats):
+    return (stats.count,
+            {key: [x.hex() for x in s] for key, s in stats.sums.items()},
+            {pair: x.hex() for pair, x in stats.cross.items()})
+
+
+@pytest.mark.parametrize("blocks", [[7], [5, 5, 5], [6, 6, 2], [0], [1],
+                                    [0, 3, 1, 0]])
+def test_add_batch_matches_add_sample(blocks):
+    keys = [(0, 1), (4, 1), (4, 2)]
+    rng = random.Random(sum(blocks) * 31 + len(blocks))
+    batched, single = PathStats(keys), PathStats(keys)
+    for m in blocks:
+        # mixed signs and magnitudes around a large mean, where the order
+        # and rounding of every addition show in the last bits
+        values = numpy.array([[rng.choice([-1, 1]) * rng.uniform(0, 10)
+                               * 10 ** rng.randint(-3, 4) + 1e4
+                               for _ in keys] for _ in range(m)])
+        values = values.reshape(m, len(keys))
+        batched.add_batch(values)
+        for row in values.tolist():
+            single.add_sample(dict(zip(keys, row)))
+    assert _bits(batched) == _bits(single)
+
+
+def _per_sample_marginal_stats(cfg, steps, samples, times):
+    """The per-sample Fraction loop of the mass-marginal route, before it
+    was batched."""
+    b = cfg.rho.betas[0]
+    q = float(b / (1 + b))
+    offset = Fraction(sum(cfg.initial), cfg.n) - Fraction(cfg.n - 1, 2)
+    stats = PathStats([(t, 1) for t in times], method="mass-marginal")
+    rng = numpy.random.Generator(numpy.random.PCG64(cfg.seed))
+    done = 0
+    while done < samples:
+        m = min(20000, samples - done)
+        totals = numpy.cumsum(rng.binomial(cfg.n, q, size=(m, steps)), axis=1)
+        for row in range(m):
+            stats.add_sample({(t, 1): float(offset + Fraction(
+                0 if t == 0 else int(totals[row, t - 1]), cfg.n))
+                for t in times})
+        done += m
+    return stats
+
+
+def test_mass_marginal_matches_per_sample_loop():
+    cfg = WalkConfig(5, one, Specialization.single_beta(Fraction(2, 3)),
+                     initial=(3, 1), seed=11)
+    times = [0, 1, 3, 6]
+    batched = path_statistics(cfg, 6, 20003, [1], times=times)
+    assert batched.method == "mass-marginal"
+    assert _bits(batched) == _bits(
+        _per_sample_marginal_stats(cfg, 6, 20003, times))
