@@ -1,9 +1,7 @@
-"""Pure-Python twin of the compiled step kernel.
+"""The theta = 1 step kernel.
 
 Enumerates the vertical-strip successors of a diagram and their relative
-transition weights for the theta = 1 single-beta walk.  The compiled
-extension (jackwalk._stepkernel) implements the same contract; importers
-pick whichever is available, so keep the two implementations in lockstep.
+transition weights for the theta = 1 single-beta walk, in integers only.
 """
 
 __all__ = ["bernoulli_row"]

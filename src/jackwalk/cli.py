@@ -24,8 +24,9 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .asymptotics import (build_U, build_V, default_order, limit_covariance,
-                          limit_moment, packed_limit_moments, walk_limit_data)
+from .asymptotics import (build_V, default_order, limit_covariance,
+                          limit_moment, packed_limit_moments,
+                          walk_drift_series, walk_limit_data)
 from .dynamics import WalkConfig, path_statistics
 from .errors import (DeficitError, ResourceLimitError, ShapeError,
                      StabilityError)
@@ -218,12 +219,12 @@ def _limit_predictions(cfg, taus, ks, pairs_only_diagonal=True):
     order = default_order(ks)
     moments = packed_limit_moments(2 * order + 1)
     rows = []
-    v_kernel = None
+    if taus:
+        # the covariance kernel does not depend on tau: build it once
+        v_kernel = build_V(walk_limit_data(cfg.rho, theta, taus[0], moments,
+                                           order))
     for tau in taus:
-        data = walk_limit_data(cfg.rho, theta, tau, moments, order)
-        u_series = build_U(data)
-        if v_kernel is None:
-            v_kernel = build_V(data)
+        u_series = walk_drift_series(cfg.rho, theta, tau, moments, order)
         for k in ks:
             rows.append((tau, k, "", "mean",
                          limit_moment(k, u_series, theta)))

@@ -30,26 +30,18 @@ so its output matches a per-sample exact loop bit for bit.
 
 import hashlib
 import math
-import os
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import _steppure as _stepimpl
 from .errors import DeficitError, ResourceLimitError, ShapeError
 from .jack import basis_for, principal_value, reproducing_kernel, skew_jack
 from .measures import MeasureOnYoung, particle_locations
 from .partitions import length, make_partition, weight
 from .scalars import as_exact, as_fraction, is_zero
 from .specializations import Specialization, SpecializationUnion, specialize
-
-if os.environ.get("JACKWALK_FORCE_PY"):  # force the pure twin (benchmarks)
-    from . import _steppure as _stepimpl
-else:
-    try:  # compiled kernel if built, pure twin otherwise
-        from . import _stepkernel as _stepimpl
-    except ImportError:  # pragma: no cover - depends on build environment
-        from . import _steppure as _stepimpl
 
 DEFAULT_DEFICIT_BOUND = Fraction(1, 2 ** 32)
 
@@ -187,7 +179,7 @@ def _is_unit_beta_step(cfg):
 
 
 def _bernoulli_row(lam, n, b):
-    """Exact theta = 1 single-beta row via the compiled/pure step kernel."""
+    """Exact theta = 1 single-beta row via the step kernel."""
     b = Fraction(b)
     raw = _stepimpl.bernoulli_row(tuple(lam), n, b.numerator, b.denominator)
     norm_num = b.denominator ** n

@@ -9,9 +9,9 @@ basis uniquely, and at theta = 1 it reduces to the Schur functions.
 Construction is Gram-Schmidt over a size class processed along a linear
 extension of dominance order (least dominant first), starting each row from
 the monomial symmetric function and subtracting projections onto the rows
-already built.  Tables are memoized per theta; the symbolic table doubles as
-a source for every fixed theta by substitution, so the expensive elimination
-runs at most once per size class.
+already built.  Tables are memoized per theta, and each theta (symbolic or
+fixed) runs its own elimination: at a fixed theta the arithmetic stays in
+Q, which is far cheaper than building over Q(theta) and substituting.
 
 Everything here is exact.  The only operation that ever approximates is
 :func:`reproducing_kernel` on inputs whose closed form is irrational, and
@@ -29,8 +29,7 @@ from .partitions import (arm, boxes, conjugate, contains, dominance_leq,
                          weight)
 from .psum import (CONVERSION_SIZE_CUTOFF, PSumPoly, monomial_expansion,
                    monomial_to_psum, scalar_product)
-from .scalars import (THETA, RationalFunction, as_exact, is_zero,
-                      substitute_theta)
+from .scalars import THETA, RationalFunction, as_exact, is_zero
 
 __all__ = [
     "JackBasis", "basis_for", "jack_polynomial", "jack_norm",
@@ -52,9 +51,8 @@ class JackBasis:
     exactly once.
     """
 
-    def __init__(self, theta=THETA, _source=None):
+    def __init__(self, theta=THETA):
         self.theta = as_exact(theta)
-        self._source = _source          # symbolic basis to substitute from
         self._lock = threading.Lock()
         self._table = {}                # partition -> PSumPoly
         self._norms = {}                # partition -> <J, J>
@@ -91,10 +89,7 @@ class JackBasis:
                 raise ResourceLimitError(
                     "Jack table refused at size %d (cutoff %d)"
                     % (size, CONVERSION_SIZE_CUTOFF))
-            if self._source is not None:
-                self._build_by_substitution(size)
-            else:
-                self._build_by_elimination(size)
+            self._build_by_elimination(size)
             self._done.add(size)
 
     def _build_by_elimination(self, size):
@@ -121,19 +116,6 @@ class JackBasis:
                 assert expansion.get(lam) == 1
                 assert all(dominance_leq(mu, lam) for mu in expansion)
 
-    def _build_by_substitution(self, size):
-        self._source.ensure_size(size)
-        th = self.theta
-        for lam in enumerate_partitions(size):
-            poly = self._source._table[lam]
-            self._table[lam] = PSumPoly(
-                {key: substitute_theta(c, th) for key, c in poly.terms.items()})
-            nrm = substitute_theta(self._source._norms[lam], th)
-            if is_zero(nrm):
-                raise ZeroDivisionError(
-                    "squared norm of J_%s vanishes at theta=%r" % (lam, th))
-            self._norms[lam] = nrm
-
 
 _BASES = {}
 _BASES_LOCK = threading.Lock()
@@ -147,14 +129,7 @@ def basis_for(theta=THETA):
     with _BASES_LOCK:
         found = _BASES.get(key)
         if found is None:
-            if _is_symbolic(key):
-                found = JackBasis(key)
-            else:
-                sym = _BASES.get(THETA)
-                if sym is None:
-                    sym = _BASES[THETA] = JackBasis(THETA)
-                found = JackBasis(key, _source=sym)
-            _BASES[key] = found
+            found = _BASES[key] = JackBasis(key)
     return found
 
 

@@ -189,29 +189,35 @@ def test_walk_sample_paths_file(tmp_path):
 #: sha256 of `walk sample` outputs below the provenance line: the samplers
 #: promise identical bytes for identical invocations, so a faster sampler
 #: must reproduce these exactly.  Cases: (config overrides, argv, digest
-#: of the stats CSV, digest of the --paths file or None).
+#: of the stats CSV, digest of the --paths file or None, digest of the
+#: exact limit predictions written next to the stats).
 _ROWS_STATS = \
     "6d7e39c31efe8df2b9fd02d63f49b6db37c7a810f5441b4173cc108915e065d5"
+_ROWS_PREDICTIONS = \
+    "03e4122db3da050a980d50057512e17946120d5342c01aec98f91fc634f8ea19"
 GOLDEN_WALKS = {
     # two blocks of the Binomial marginal, the second one partial
     "mass-marginal": (
         {"n": 8}, ["--steps", "8", "--times", "0,2,4,6,8",
                    "--samples", "25000"],
         "323d6d82197c1f7257162eafb338ae975436b3677d59e9f341fd336aad6dbaec",
-        None),
+        None,
+        "39e2d7145731a704fe74499ab9435a38ddee01c1af54e0169c30de190ccc11b9"),
     "rows": (
         {"n": 4}, ["--steps", "4", "--k", "1,2", "--samples", "40"],
-        _ROWS_STATS, None),
+        _ROWS_STATS, None, _ROWS_PREDICTIONS),
     "rows-paths": (
         {"n": 4}, ["--steps", "4", "--k", "1,2", "--samples", "40",
                    "--paths", "paths.jsonl"],
         _ROWS_STATS,
-        "2bfa841efa0cc7dd635a3190178389507a72c4c13175768ddd3f001d3ce6f027"),
+        "2bfa841efa0cc7dd635a3190178389507a72c4c13175768ddd3f001d3ce6f027",
+        _ROWS_PREDICTIONS),
     "theta-half": (
         {"n": 2, "theta": Fraction(1, 2)},
         ["--steps", "2", "--k", "1,2", "--samples", "30"],
         "4517d74b3e2dc04da2eea5f7c70b8546f504fe69da32458bb72ff14a6e3c1738",
-        None),
+        None,
+        "c2fcfb83c27a672832a04d4549771475c4e31e024724560c3e1bb1adc4fb17cd"),
 }
 
 
@@ -225,13 +231,16 @@ def _body_digest(path):
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_WALKS))
 def test_walk_sample_golden_bytes(tmp_path, monkeypatch, case):
-    overrides, argv, stats_digest, paths_digest = GOLDEN_WALKS[case]
+    overrides, argv, stats_digest, paths_digest, predictions_digest = \
+        GOLDEN_WALKS[case]
     config = beta_config(tmp_path, **overrides)
     monkeypatch.chdir(tmp_path)
     rc = cli.main(["walk", "sample", "--config", config, "--out", "stats.csv"]
                   + argv)
     assert rc == 0
     assert _body_digest(tmp_path / "stats.csv") == stats_digest
+    assert _body_digest(tmp_path / "stats.csv.predictions.csv") == \
+        predictions_digest
     if paths_digest is not None:
         assert _body_digest(tmp_path / "paths.jsonl") == paths_digest
 

@@ -1,6 +1,7 @@
 """Markov growth dynamics: rows, sampling, exact evolution, statistics."""
 
 import io
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -101,13 +102,46 @@ def test_steps_add_vertical_strips():
         assert length(mu) <= 3
 
 
-def test_fast_row_matches_general_route(monkeypatch):
-    cfg = WalkConfig(2, one, b23)
-    fast = transition_row((2, 1), cfg)
+@pytest.mark.parametrize("b", [Fraction(2, 3), one], ids=["b2_3", "b1"])
+@pytest.mark.parametrize("lam", [(), (1,), (2, 1), (3, 1), (2, 2, 1)],
+                         ids=["empty", "1", "2.1", "3.1", "2.2.1"])
+def test_fast_row_matches_general_route(monkeypatch, lam, b):
+    # the table route (skew Jack functions at theta = 1) is the exact oracle
+    # for the step kernel
+    cfg = WalkConfig(3, one, Specialization.single_beta(b))
+    fast = transition_row(lam, cfg)
     monkeypatch.setattr(dynamics, "_is_unit_beta_step", lambda c: False)
-    general = transition_row((2, 1), cfg)
+    general = transition_row(lam, cfg)
     assert fast.support == general.support
     assert fast.tail_deficit == general.tail_deficit == 0
+
+
+@st.composite
+def unit_beta_rows(draw):
+    n = draw(st.integers(0, 6))
+    parts = draw(st.lists(st.integers(1, 5), max_size=n))
+    b = Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    return n, tuple(sorted(parts, reverse=True)), b
+
+
+def _vertical_strips(lam, n):
+    padded = lam + (0,) * (n - len(lam))
+    out = set()
+    for added in itertools.product((0, 1), repeat=n):
+        mu = [p + a for p, a in zip(padded, added)]
+        if all(mu[i] >= mu[i + 1] for i in range(n - 1)):
+            out.add(tuple(p for p in mu if p))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_beta_rows())
+def test_unit_beta_row_is_vertical_strips(case):
+    n, lam, b = case
+    row = transition_row(lam, WalkConfig(n, one, Specialization.single_beta(b)))
+    assert set(row.support) == _vertical_strips(lam, n)
+    assert sum(row.support.values()) == 1
+    assert row.tail_deficit == 0
 
 
 def test_step_mass_law_binomial():
@@ -257,6 +291,20 @@ def test_path_statistics_on_path():
                         on_path=seen.append)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 3), st.integers(0, 6),
+       st.integers(0, 2 ** 64 - 1))
+def test_on_path_follows_seed_derivation(n, steps, samples, seed):
+    # path i depends only on (seed, i), not on how many paths are drawn
+    b1 = Specialization.single_beta(one)
+    seen = []
+    path_statistics(WalkConfig(n, one, b1, seed=seed), steps, samples, [1],
+                    on_path=seen.append)
+    assert seen == [sample_path(WalkConfig(n, one, b1,
+                                           seed=path_seed(seed, i)), steps)
+                    for i in range(samples)]
+
+
 def test_path_statistics_validation():
     cfg = WalkConfig(2, one, Specialization.single_beta(one), seed=1)
     with pytest.raises(ValueError):
@@ -267,26 +315,6 @@ def test_path_statistics_validation():
     slow = WalkConfig(2, two, b23, seed=1)
     with pytest.raises(ValueError):
         path_statistics(slow, 1, 10, [1], method="mass-marginal")
-
-
-def test_kernel_twins_agree():
-    from jackwalk import _steppure
-    try:
-        from jackwalk import _stepkernel
-    except ImportError:
-        pytest.skip("compiled step kernel not built")
-    rng = random.Random(3)
-    for _ in range(10):
-        n = rng.randint(1, 6)
-        lam = []
-        top = rng.randint(0, 5)
-        for _ in range(rng.randint(0, n)):
-            top = rng.randint(0, top)
-            if top:
-                lam.append(top)
-        lam = tuple(lam)
-        args = (lam, n, rng.randint(1, 5), rng.randint(1, 5))
-        assert _steppure.bernoulli_row(*args) == _stepkernel.bernoulli_row(*args)
 
 
 # -- exact draws ---------------------------------------------------------------

@@ -26,8 +26,9 @@ from jackwalk.partitions import (
     length,
     weight,
 )
-from jackwalk.psum import monomial_expansion, psum_multiply, scalar_product
-from jackwalk.scalars import THETA
+from jackwalk.psum import (PSumPoly, monomial_expansion, psum_multiply,
+                           scalar_product)
+from jackwalk.scalars import THETA, substitute_theta
 from jackwalk.specializations import (
     Specialization,
     SpecializationUnion,
@@ -243,4 +244,30 @@ def test_basis_cache():
     assert basis_for(one) is b1
     assert basis_for(THETA) is not b1
     b1.ensure_size(4)
-    assert (2, 1) in b1.size_table(3) if hasattr(b1, "size_table") else True
+    assert (2, 1) in b1.size_table(3)
+
+
+@pytest.mark.parametrize("th", [half, one, two, Fraction(3, 7)])
+def test_fixed_theta_tables_match_substitution(th):
+    # a fixed theta eliminates over Q; the symbolic table evaluated at the
+    # same theta is the exact oracle for its tables and norms
+    sym = basis_for(THETA)
+    fixed = basis_for(th)
+    for size in range(8):
+        table = fixed.size_table(size)
+        for lam, poly in sym.size_table(size).items():
+            oracle = PSumPoly({key: substitute_theta(c, th)
+                               for key, c in poly.terms.items()})
+            assert table[lam].terms == oracle.terms, (th, lam)
+            assert fixed.norm(lam) == substitute_theta(sym.norm(lam), th)
+
+
+@pytest.mark.parametrize("th, size", [(Fraction(-1), 2), (Fraction(-1, 2), 3),
+                                      (Fraction(-2), 3), (Fraction(-1, 3), 4)])
+def test_singular_theta_raises_at_its_size(th, size):
+    # a squared norm vanishes first at this size class; smaller ones build
+    basis = basis_for(th)
+    for smaller in range(size):
+        basis.ensure_size(smaller)
+    with pytest.raises(ZeroDivisionError):
+        basis.ensure_size(size)
