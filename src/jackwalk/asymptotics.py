@@ -104,7 +104,7 @@ class LimitData:
             order=obj["order"])
 
 
-def build_U(data, var=SHIFT_VAR):
+def build_U(data):
     """Reassemble the drift series about 1: sum of ck (z-1)^(k-1)/(k-1)!."""
     fact = 1
     coeffs = []
@@ -112,10 +112,10 @@ def build_U(data, var=SHIFT_VAR):
         if k > 1:
             fact *= k - 1
         coeffs.append(c * Fraction(1, fact))
-    return TruncSeries(var, 0, coeffs, data.order)
+    return TruncSeries(SHIFT_VAR, 0, coeffs, data.order)
 
 
-def build_V(data, zvar="z", wvar="w"):
+def build_V(data):
     """Reassemble the shifted covariance kernel as a nested series."""
     fact = [1]
     for k in range(1, data.order + 1):
@@ -124,8 +124,8 @@ def build_V(data, zvar="z", wvar="w"):
     for j in range(data.order):
         inner = [data.dkl(i + 1, j + 1) * Fraction(1, fact[i] * fact[j])
                  for i in range(data.order)]
-        outer.append(TruncSeries(zvar, 0, inner, data.order))
-    return TruncSeries(wvar, 0, outer, data.order)
+        outer.append(TruncSeries("z", 0, inner, data.order))
+    return TruncSeries("w", 0, outer, data.order)
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +248,9 @@ def toeplitz_wienerhopf_check(symbol, max_power):
 # ---------------------------------------------------------------------------
 
 
-def moments_to_stieltjes(moments, var="1/z"):
+def moments_to_stieltjes(moments):
     """Series sum m_k z^(-k-1) with mass m_0 = 1 prepended."""
-    return TruncSeries(var, 1, [1] + list(moments), len(moments) + 2)
+    return TruncSeries("1/z", 1, [1] + list(moments), len(moments) + 2)
 
 
 def stieltjes_moments(m, count):
@@ -264,9 +264,9 @@ def stieltjes_inverse(m, var="z"):
         raise ValueError("expected a Stieltjes series with leading mass 1")
     return revert(m, var).reciprocal()
 
-def stieltjes_from_inverse(k_series, var="1/z"):
+def stieltjes_from_inverse(k_series):
     """Recover the Stieltjes series from its functional inverse."""
-    return revert(k_series.reciprocal(), var)
+    return revert(k_series.reciprocal(), "1/z")
 
 
 def stieltjes_R_H(moments, order):
@@ -298,22 +298,13 @@ def stieltjes_R_H(moments, order):
 # ---------------------------------------------------------------------------
 
 
-def _require_stable(rho, theta):
-    if not rho.is_stable(theta):
-        raise StabilityError("specialization radius must exceed 1")
-
-
-def _components(rho):
-    return getattr(rho, "components", (rho,))
-
-
 def _require_regular_at_one(rho):
     """Expansions about z = 1 need every alpha-pole 1/alpha_i beyond 1.
 
     Beta-poles sit at negative locations and never obstruct; this admits
     boundary cases like a single beta = 1 whose radius is exactly 1.
     """
-    for part in _components(rho):
+    for part in rho.components:
         if any(a >= 1 for a in part.alphas):
             raise StabilityError(
                 "alpha parameters must stay below 1 for expansions about 1")
@@ -329,7 +320,7 @@ def w_prime_of(rho, theta, arg, order):
     0 or 1.
     """
     acc = TruncSeries.zero(arg.var, order)
-    for part in _components(rho):
+    for part in rho.components:
         piece = TruncSeries.constant(arg.var, part.gamma)
         for a in part.alphas:
             if a:
@@ -347,20 +338,13 @@ def t_rho_of(rho, theta, arg, order):
     return (arg * w_prime_of(rho, theta, arg, order)).truncate(order)
 
 
-def w_prime_series(rho, theta, var, order):
-    """W' as a series about 0 straight from induced power-sum values."""
-    return TruncSeries(var, 0,
-                       [rho.p_value(n, theta) for n in range(1, order + 1)],
-                       order)
-
-
 def burgers_evolve(m0, rho, tau, theta, order):
     """Evolve a Stieltjes series for time tau under a stable specialization.
 
     The evolved series is defined through its functional inverse:
     m_tau^(-1)(u) = tau * T(e^u) + m0^(-1)(u).
     """
-    _require_stable(rho, theta)
+    rho.require_stable(theta)
     tau = Fraction(tau)
     if m0.valuation() != 1 or m0.coefficient(1) != 1:
         raise ValueError("expected a Stieltjes series with leading mass 1")
@@ -388,7 +372,7 @@ def packed_limit_moments(order):
     return [Fraction((-1) ** k, k + 1) for k in range(1, order + 1)]
 
 
-def walk_drift_series(rho, theta, tau, initial_moments, order, var=SHIFT_VAR):
+def walk_drift_series(rho, theta, tau, initial_moments, order):
     """Drift series about 1 of the time-tau evolved shape.
 
     U^(tau) = theta * (tau W'(z) + H'(z)) where H is the profile integral of
@@ -396,14 +380,13 @@ def walk_drift_series(rho, theta, tau, initial_moments, order, var=SHIFT_VAR):
     """
     _require_regular_at_one(rho)
     _, _, h_series = stieltjes_R_H(initial_moments, order)
-    h_prime = h_series.derivative().retag(var)
-    one_plus = TruncSeries.polynomial(var, [1, 1])
+    h_prime = h_series.derivative().retag(SHIFT_VAR)
+    one_plus = TruncSeries.polynomial(SHIFT_VAR, [1, 1])
     w_prime = w_prime_of(rho, theta, one_plus, order)
     return ((w_prime * Fraction(tau) + h_prime) * theta).truncate(order)
 
 
-def walk_covariance_kernel(initial_moments, order, zvar="z", wvar="w",
-                           theta=1):
+def walk_covariance_kernel(initial_moments, order, theta=1):
     """Shifted covariance kernel of the evolved shape (time independent).
 
     V(z,w) = theta d_z d_w log(1 + (z-1)(w-1) D(z,w)) where D is the divided
@@ -416,10 +399,10 @@ def walk_covariance_kernel(initial_moments, order, zvar="z", wvar="w",
     outer = []
     for j in range(order):
         inner = [p_series.coefficient(i + j + 1) for i in range(order)]
-        outer.append(TruncSeries(zvar, 0, inner, order))
-    dd = TruncSeries(wvar, 0, outer, order)
-    zmon = TruncSeries.monomial(zvar, 1, 1)
-    wmon = TruncSeries.monomial(wvar, 1, 1)
+        outer.append(TruncSeries("z", 0, inner, order))
+    dd = TruncSeries("w", 0, outer, order)
+    zmon = TruncSeries.monomial("z", 1, 1)
+    wmon = TruncSeries.monomial("w", 1, 1)
     g = 1 + dd * zmon * wmon
     lng = g.log()
 

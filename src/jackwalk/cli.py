@@ -21,6 +21,7 @@ import csv
 import hashlib
 import json
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 from . import __version__
@@ -28,8 +29,8 @@ from .asymptotics import (build_V, default_order, limit_covariance,
                           limit_moment, packed_limit_moments,
                           walk_drift_series, walk_limit_data)
 from .dynamics import WalkConfig, path_statistics
-from .errors import (DeficitError, ResourceLimitError, ShapeError,
-                     StabilityError)
+from .errors import (DeficitError, DivergenceError, ResourceLimitError,
+                     ShapeError, StabilityError)
 from .jack import jack_polynomial, lr_expand, skew_jack
 from .partitions import make_partition
 from .scalars import as_fraction, parse_theta, scalar_to_json
@@ -119,12 +120,11 @@ def cmd_jack(args):
         table = [("c[%s]" % ",".join(str(p) for p in lam), str(value))
                  for lam, value in sorted(coeffs.items())]
     blob = json.dumps(payload, indent=2, sort_keys=True)
+    _write_table(table, sys.stdout)
     if args.out:
-        _write_table(table, sys.stdout)
         with open(args.out, "w") as handle:
             handle.write(blob + "\n")
     else:
-        _write_table(table, sys.stdout)
         sys.stdout.write(blob + "\n")
     return 0
 
@@ -134,41 +134,42 @@ def cmd_jack(args):
 # ---------------------------------------------------------------------------
 
 
-def _resolve_seed(args, needed):
+def _resolve_seed(args):
     if args.seed is not None:
         return args.seed
-    if args.strict and needed:
+    if args.strict:
         raise ValueError("--strict requires an explicit --seed")
-    if needed:
-        sys.stderr.write("no --seed given; using default seed 0\n")
+    sys.stderr.write("no --seed given; using default seed 0\n")
     return 0
 
 
 def cmd_verify(args):
     suite = args.suite
-    theta = parse_theta(args.theta)
     if suite == "ns":
         cases = verify_suites.eigenrelation_cases(
-            args.max_size, args.max_rows, args.max_order, theta)
+            args.max_size, args.max_rows, args.max_order,
+            parse_theta(args.theta))
         params = {"suite": suite, "max_size": args.max_size,
                   "max_rows": args.max_rows, "max_order": args.max_order,
                   "theta": args.theta}
     elif suite == "cauchy":
-        cases = verify_suites.cauchy_cases(args.degree, theta)
+        cases = verify_suites.cauchy_cases(args.degree,
+                                           parse_theta(args.theta))
         params = {"suite": suite, "degree": args.degree, "theta": args.theta}
     elif suite == "stochastic":
         cases = verify_suites.stochasticity_cases(
-            args.max_rows, args.max_size, theta, beta=Fraction(args.beta))
+            args.max_rows, args.max_size, parse_theta(args.theta),
+            beta=Fraction(args.beta))
         params = {"suite": suite, "max_rows": args.max_rows,
                   "max_size": args.max_size, "theta": args.theta,
                   "beta": args.beta}
     elif suite == "toeplitz":
-        seed = _resolve_seed(args, needed=True)
+        seed = _resolve_seed(args)
         cases = verify_suites.toeplitz_cases(args.symbols, args.order, seed)
         params = {"suite": suite, "symbols": args.symbols,
                   "order": args.order, "seed": seed}
     else:  # moments
-        seed = _resolve_seed(args, needed=True)
+        seed = _resolve_seed(args)
         cases = verify_suites.moment_roundtrip_cases(
             args.count, args.max_index, seed)
         params = {"suite": suite, "count": args.count,
@@ -259,17 +260,13 @@ def cmd_walk_sample(args):
               "samples": args.samples, "k": ks, "times": times}
 
     method = None if args.method == "auto" else args.method
-    if args.paths:
-        with open(args.paths, "w") as jsonl:
-            def write_path(path):
-                jsonl.write(json.dumps(
-                    {"path": [list(lam) for lam in path]}) + "\n")
-            stats = path_statistics(cfg, args.steps, args.samples, ks,
-                                    times=times, method=method,
-                                    on_path=write_path)
-    else:
+    with (open(args.paths, "w") if args.paths else nullcontext()) as jsonl:
+        def write_path(path):
+            jsonl.write(json.dumps(
+                {"path": [list(lam) for lam in path]}) + "\n")
         stats = path_statistics(cfg, args.steps, args.samples, ks,
-                                times=times, method=method)
+                                times=times, method=method,
+                                on_path=write_path if jsonl else None)
 
     stream, close = _open_out(args.out)
     try:
@@ -341,48 +338,39 @@ def _build_parser():
     lr.add_argument("--theta", default="symbolic")
     lr.add_argument("--out")
 
-    def add_verify(sub_parser):
-        v_sub = sub_parser.add_subparsers(dest="suite", required=True)
-        ns = v_sub.add_parser("ns", help="operator eigenrelations")
+    verify = sub.add_parser("verify", help="run identity suites")
+    v_sub = verify.add_subparsers(dest="suite", required=True)
+    ns_alias = sub.add_parser("ns", help="operator commands")
+    ns_alias_sub = ns_alias.add_subparsers(dest="ns_action", required=True)
+    # `ns verify` is `verify ns` under another name: one declaration
+    for ns in (v_sub.add_parser("ns", help="operator eigenrelations"),
+               ns_alias_sub.add_parser("verify",
+                                       help="alias for `verify ns`")):
         ns.add_argument("--max-size", type=int, default=4)
         ns.add_argument("--max-rows", type=int, default=4)
         ns.add_argument("--max-order", type=int, default=4)
         ns.add_argument("--theta", default="1")
-        cauchy = v_sub.add_parser("cauchy", help="kernel expansion")
-        cauchy.add_argument("--degree", type=int, default=6)
-        cauchy.add_argument("--theta", default="symbolic")
-        stoch = v_sub.add_parser("stochastic", help="row sums")
-        stoch.add_argument("--max-rows", type=int, default=3)
-        stoch.add_argument("--max-size", type=int, default=4)
-        stoch.add_argument("--theta", default="1")
-        stoch.add_argument("--beta", default="2/3")
-        toep = v_sub.add_parser("toeplitz", help="resolvent factorization")
-        toep.add_argument("--symbols", type=int, default=20)
-        toep.add_argument("--order", type=int, default=6)
-        toep.add_argument("--theta", default="1")
-        mom = v_sub.add_parser("moments", help="moment round trips")
-        mom.add_argument("--count", type=int, default=20)
-        mom.add_argument("--max-index", type=int, default=6)
-        mom.add_argument("--theta", default="1")
-        for p in (ns, cauchy, stoch, toep, mom):
-            p.add_argument("--seed", type=int)
-            p.add_argument("--strict", action="store_true")
-            p.add_argument("--out")
-
-    verify_parser = sub.add_parser("verify", help="run identity suites")
-    add_verify(verify_parser)
-
-    ns_alias = sub.add_parser("ns", help="operator commands")
-    ns_alias_sub = ns_alias.add_subparsers(dest="ns_action", required=True)
-    ns_verify = ns_alias_sub.add_parser("verify",
-                                        help="alias for `verify ns`")
-    ns_verify.add_argument("--max-size", type=int, default=4)
-    ns_verify.add_argument("--max-rows", type=int, default=4)
-    ns_verify.add_argument("--max-order", type=int, default=4)
-    ns_verify.add_argument("--theta", default="1")
-    ns_verify.add_argument("--seed", type=int)
-    ns_verify.add_argument("--strict", action="store_true")
-    ns_verify.add_argument("--out")
+        ns.add_argument("--out")
+    cauchy = v_sub.add_parser("cauchy", help="kernel expansion")
+    cauchy.add_argument("--degree", type=int, default=6)
+    cauchy.add_argument("--theta", default="symbolic")
+    stoch = v_sub.add_parser("stochastic", help="row sums")
+    stoch.add_argument("--max-rows", type=int, default=3)
+    stoch.add_argument("--max-size", type=int, default=4)
+    stoch.add_argument("--theta", default="1")
+    stoch.add_argument("--beta", default="2/3")
+    # only the randomized suites read a seed
+    toep = v_sub.add_parser("toeplitz", help="resolvent factorization")
+    toep.add_argument("--symbols", type=int, default=20)
+    toep.add_argument("--order", type=int, default=6)
+    mom = v_sub.add_parser("moments", help="moment round trips")
+    mom.add_argument("--count", type=int, default=20)
+    mom.add_argument("--max-index", type=int, default=6)
+    for p in (toep, mom):
+        p.add_argument("--seed", type=int)
+        p.add_argument("--strict", action="store_true")
+    for p in (cauchy, stoch, toep, mom):
+        p.add_argument("--out")
 
     walk = sub.add_parser("walk", help="walk experiments")
     walk_sub = walk.add_subparsers(dest="action", required=True)
@@ -424,7 +412,7 @@ def main(argv=None):
                 return cmd_walk_sample(args)
             return cmd_walk_predict(args)
         parser.error("unknown command %r" % args.command)
-    except (ValueError, ShapeError) as exc:
+    except (ValueError, ShapeError, DivergenceError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
     except DeficitError as exc:

@@ -40,7 +40,7 @@ from .errors import DeficitError, ResourceLimitError, ShapeError
 from .jack import basis_for, principal_value, reproducing_kernel, skew_jack
 from .measures import MeasureOnYoung, particle_locations
 from .partitions import length, make_partition, weight
-from .scalars import as_exact, as_fraction, is_zero
+from .scalars import RationalFunction, as_exact, as_fraction, is_zero
 from .specializations import Specialization, SpecializationUnion, specialize
 
 DEFAULT_DEFICIT_BOUND = Fraction(1, 2 ** 32)
@@ -55,7 +55,12 @@ class WalkConfig:
     """Immutable description of a walk: alphabet size, deformation, step
     data, start diagram, seed, and the per-step mass cutoff (None = pick
     a default: exact reach for pure-beta steps, four times the expected
-    step mass otherwise)."""
+    step mass otherwise).
+
+    The step data must be a positive specialization: an alpha or beta
+    atom may only be repeated a whole number of times, so a component
+    with atoms needs an integer scale (a fractional copy of an atom gives
+    rows with negative weights).  A numeric theta must be positive."""
 
     n: int
     theta: object
@@ -72,6 +77,14 @@ class WalkConfig:
             raise ShapeError("initial diagram has more than %d rows" % self.n)
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
+        theta = as_exact(self.theta)
+        if isinstance(theta, Fraction) and theta <= 0:
+            raise ValueError("theta must be positive, got %s" % theta)
+        for comp in self.rho.components:
+            if (comp.alphas or comp.betas) and comp.scale.denominator != 1:
+                raise ValueError(
+                    "a step with alpha or beta atoms needs an integer "
+                    "scale, got %s" % comp.scale)
 
     def to_json(self):
         from .scalars import scalar_to_json
@@ -103,25 +116,15 @@ class WalkConfig:
                           step_truncation=obj.get("step_truncation"))
 
 
-def _components(rho):
-    if isinstance(rho, SpecializationUnion):
-        return rho.components
-    return (rho,)
-
-
 def _finite_reach(rho, n):
     """Max step mass for pure-beta data (None when unbounded).
 
-    Each beta atom contributes a vertical strip of at most n boxes; an
-    integer scale repeats the atom list that many times.
+    Each beta atom contributes a vertical strip of at most n boxes; the
+    (integer, see WalkConfig) scale repeats the atom list that many times.
     """
     total = 0
-    for comp in _components(rho):
+    for comp in rho.components:
         if comp.gamma != 0 or comp.alphas:
-            return None
-        if not comp.betas or comp.scale == 0:
-            continue
-        if comp.scale.denominator != 1:
             return None
         total += n * len(comp.betas) * int(comp.scale)
     return total
@@ -170,7 +173,7 @@ def _is_unit_beta_step(cfg):
     """True when the theta = 1 single-atom fast row applies."""
     if as_exact(cfg.theta) != 1:
         return False
-    comps = _components(cfg.rho)
+    comps = cfg.rho.components
     if len(comps) != 1:
         return False
     comp = comps[0]
@@ -200,12 +203,12 @@ def transition_row(lam, cfg):
     if length(lam) > cfg.n:
         raise ShapeError("diagram has more than %d rows" % cfg.n)
     if _is_unit_beta_step(cfg):
-        return _bernoulli_row(lam, cfg.n, _components(cfg.rho)[0].betas[0])
+        return _bernoulli_row(lam, cfg.n, cfg.rho.components[0].betas[0])
 
     theta = cfg.theta
     ones = Specialization.ones(cfg.n)
     kernel = Fraction(1)
-    for comp in _components(cfg.rho):
+    for comp in cfg.rho.components:
         kernel = kernel * reproducing_kernel(comp, ones, theta)
     cap = _step_cap(cfg)
     basis = basis_for(theta)
@@ -256,11 +259,12 @@ class _RowCache:
     """Transition rows keyed by diagram, as (mus, cums, denom): the sorted
     support, and integer cumulative weights over their common denominator
     (mus[i] holds the cell [cums[i-1], cums[i]) / denom).  Raises
-    ResourceLimitError once more than _MAX_CACHED_ENTRIES cells are held."""
+    DeficitError for a row whose truncated tail exceeds
+    DEFAULT_DEFICIT_BOUND, and ResourceLimitError once more than
+    _MAX_CACHED_ENTRIES cells are held."""
 
-    def __init__(self, cfg, deficit_bound):
+    def __init__(self, cfg):
         self.cfg = cfg
-        self.deficit_bound = deficit_bound
         self.rows = {}
         self.entries = 0
 
@@ -268,10 +272,10 @@ class _RowCache:
         entry = self.rows.get(lam)
         if entry is None:
             row = transition_row(lam, self.cfg)
-            if row.tail_deficit > self.deficit_bound:
+            if row.tail_deficit > DEFAULT_DEFICIT_BOUND:
                 raise DeficitError(
                     "row deficit %s exceeds bound %s at %r"
-                    % (row.tail_deficit, self.deficit_bound, lam))
+                    % (row.tail_deficit, DEFAULT_DEFICIT_BOUND, lam))
             self.entries += len(row.support)
             if self.entries > _MAX_CACHED_ENTRIES:
                 raise ResourceLimitError(
@@ -308,12 +312,14 @@ def _draw_index(rng, cums, denom):
         bits += 64
 
 
-def sample_path(cfg, steps, deficit_bound=DEFAULT_DEFICIT_BOUND, _cache=None,
-                _rng=None):
+def sample_path(cfg, steps, _cache=None, _rng=None):
     """One trajectory [lam^(0), ..., lam^(steps)], reproducible from
     cfg.seed.  Raises DeficitError if a row's truncated tail exceeds
-    `deficit_bound` (or if a draw lands inside the tail)."""
-    cache = _cache if _cache is not None else _RowCache(cfg, deficit_bound)
+    DEFAULT_DEFICIT_BOUND (or if a draw lands inside the tail), and
+    ValueError for a symbolic theta."""
+    if isinstance(as_exact(cfg.theta), RationalFunction):
+        raise ValueError("sampling needs a numeric theta, not a symbolic one")
+    cache = _cache if _cache is not None else _RowCache(cfg)
     rng = _rng if _rng is not None else random.Random(cfg.seed)
     state = cfg.initial
     path = [state]
@@ -498,7 +504,7 @@ def _mass_marginal_stats(cfg, steps, samples, times):
     import numpy
 
     n = cfg.n
-    b = _components(cfg.rho)[0].betas[0]
+    b = cfg.rho.components[0].betas[0]
     q = float(b / (1 + b))
     base = 2 * weight(cfg.initial) - n * (n - 1)
     if abs(base) + 2 * n * steps >= 2 ** 53:
@@ -520,8 +526,7 @@ def _mass_marginal_stats(cfg, steps, samples, times):
     return stats
 
 
-def path_statistics(cfg, steps, samples, ks, times=None,
-                    deficit_bound=DEFAULT_DEFICIT_BOUND, method=None,
+def path_statistics(cfg, steps, samples, ks, times=None, method=None,
                     on_path=None):
     """Monte Carlo means/variances/covariances of the scaled moments
     n * integral x^k at the requested times (default: every time), over
@@ -532,6 +537,8 @@ def path_statistics(cfg, steps, samples, ks, times=None,
     of theta = 1 single-beta walks only).  None picks automatically.
     ``on_path``, if given, is called with each full path
     [lam^(0), ..., lam^(steps)] in sample order; it needs the rows route.
+    Fewer than one sample, a negative k and a symbolic theta raise
+    ValueError.
     """
     if times is None:
         times = list(range(steps + 1))
@@ -539,6 +546,10 @@ def path_statistics(cfg, steps, samples, ks, times=None,
     if times and (times[0] < 0 or times[-1] > steps):
         raise ValueError("requested times fall outside the walk")
     ks = [int(k) for k in ks]
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    if any(k < 0 for k in ks):
+        raise ValueError("moment indices k must be nonnegative")
 
     marginal_ok = ks == [1] and _is_unit_beta_step(cfg) and cfg.n > 0
     if method not in (None, "rows", "mass-marginal"):
@@ -553,7 +564,7 @@ def path_statistics(cfg, steps, samples, ks, times=None,
 
     keys = [(t, k) for t in times for k in ks]
     stats = PathStats(keys)
-    cache = _RowCache(cfg, deficit_bound)
+    cache = _RowCache(cfg)
     for index in range(samples):
         rng = random.Random(path_seed(cfg.seed, index))
         path = sample_path(cfg, steps, _cache=cache, _rng=rng)

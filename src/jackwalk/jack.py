@@ -224,14 +224,10 @@ def lr_expand(mu, eta, theta=THETA):
 # reproducing kernel
 # ---------------------------------------------------------------------------
 
-#: default absolute tolerance for irrational kernel values
+#: absolute tolerance for irrational kernel values
 KERNEL_TOLERANCE = Fraction(1, 2 ** 64)
 
 _DENOM_GUARD = 2 ** 192
-
-
-def _components(rho):
-    return getattr(rho, "components", (rho,))
 
 
 def _ln2(eps):
@@ -301,8 +297,8 @@ def _kernel_factors(rho, sigma, theta):
     """
     factors = []
     linear = 0
-    for ca in _components(rho):
-        for cb in _components(sigma):
+    for ca in rho.components:
+        for cb in sigma.components:
             m = ca.scale * cb.scale
             if m == 0:
                 continue
@@ -341,8 +337,8 @@ def _kernel_factors(rho, sigma, theta):
 
 def _symbolic_kernel(rho, sigma, theta):
     value = 1
-    for ca in _components(rho):
-        for cb in _components(sigma):
+    for ca in rho.components:
+        for cb in sigma.components:
             m = ca.scale * cb.scale
             if m == 0:
                 continue
@@ -368,14 +364,15 @@ def _symbolic_kernel(rho, sigma, theta):
     return value
 
 
-def reproducing_kernel(rho, sigma, theta=THETA, tolerance=KERNEL_TOLERANCE):
+def reproducing_kernel(rho, sigma, theta=THETA):
     """H(rho, sigma; theta) = exp(theta * sum_n p_n(rho) p_n(sigma) / n).
 
     The sum telescopes into a product of binomial factors plus one genuinely
     exponential piece from the degree-one cross terms.  When every factor is
     rational (integer exponents, vanishing exponential piece) the value is
     exact; otherwise it is approximated by elementary series whose remainders
-    are driven below ``tolerance`` (absolute, for values of moderate size).
+    are driven below ``KERNEL_TOLERANCE`` (absolute, for values of moderate
+    size).
 
     Raises DivergenceError when the defining sum does not converge (an
     alpha-alpha or beta-beta pair at or beyond the unit radius); alpha-beta
@@ -391,12 +388,12 @@ def reproducing_kernel(rho, sigma, theta=THETA, tolerance=KERNEL_TOLERANCE):
         for base, e in factors:
             value = value * base ** int(e)
         return value
-    work = tolerance / (8 * (len(factors) + 2))
+    work = KERNEL_TOLERANCE / (8 * (len(factors) + 2))
     exponent = Fraction(linear)
     for base, e in factors:
         scale = max(1, math.ceil(abs(e)))
         exponent = exponent + e * _ln_fraction(base, work / scale)
-    return _exp_fraction(exponent, tolerance / 4)
+    return _exp_fraction(exponent, KERNEL_TOLERANCE / 4)
 
 
 # ---------------------------------------------------------------------------

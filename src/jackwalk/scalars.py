@@ -48,12 +48,6 @@ def _pmul(a, b):
     return _ptrim(out)
 
 
-def _pscale(a, k):
-    if k == 0:
-        return ()
-    return tuple(x * k for x in a)
-
-
 def _pcontent(a):
     g = 0
     for x in a:

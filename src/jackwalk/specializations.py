@@ -68,6 +68,11 @@ class Specialization:
         return Specialization(self.gamma, self.alphas, self.betas,
                               self.scale * Fraction(factor))
 
+    @property
+    def components(self):
+        """The blocks whose p_k values add up: just this one."""
+        return (self,)
+
     # -- induced values ------------------------------------------------------
 
     def p_value(self, k, theta):
@@ -135,9 +140,9 @@ class SpecializationUnion:
         radii = [r for r in radii if r is not None]
         return min(radii) if radii else None
 
-    def is_stable(self, theta):
-        r = self.radius(theta)
-        return r is None or r > 1
+    # both checks read only radius(), which the union defines
+    is_stable = Specialization.is_stable
+    require_stable = Specialization.require_stable
 
     def to_json(self):
         return {"union": [c.to_json() for c in self.components]}

@@ -138,6 +138,58 @@ def test_verify_moments(tmp_path):
     assert rc == 0
 
 
+#: sha256 of whole verify outputs, provenance line included (the line
+#: hashes the suite's parameters), recorded before the options that no
+#: suite read were removed; `ns verify` writes the same bytes as `verify ns`
+_NS_DIGEST = "bd7b7838c1901d7657943668fd5c1a70d7c37ed01b15e23ed1acfe1b61372845"
+GOLDEN_VERIFY = {
+    "ns": (["verify", "ns", "--max-size", "3", "--max-rows", "3",
+            "--max-order", "3"], _NS_DIGEST),
+    "ns-alias": (["ns", "verify", "--max-size", "3", "--max-rows", "3",
+                  "--max-order", "3"], _NS_DIGEST),
+    "cauchy": (["verify", "cauchy", "--degree", "4"],
+               "88ce5a41c56f934f4d1d630ec82b36f9e0f430d155dde9edb4c6dd569aa7c7f4"),
+    "stochastic": (
+        ["verify", "stochastic", "--max-rows", "2", "--max-size", "3",
+         "--theta", "2"],
+        "23b5d732409d1fe002b04b491f68c14b64e6e3c1488b277d97ac9bc300a62d59"),
+    "toeplitz": (
+        ["verify", "toeplitz", "--symbols", "5", "--order", "4", "--seed", "3"],
+        "d0f5d8328854a32350f8c6640ebeb49c017af34b927ff646b917ea565d5fbf57"),
+    "moments": (
+        ["verify", "moments", "--count", "5", "--max-index", "4",
+         "--seed", "3"],
+        "0f6f168832a321b6fbc524d075347cbc2ace5d0be26ace7ee4a63971d19a470e"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_VERIFY))
+def test_verify_golden_bytes(tmp_path, case):
+    argv, digest = GOLDEN_VERIFY[case]
+    out = tmp_path / "out.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "ns", "--seed", "1"],
+    ["verify", "ns", "--strict"],
+    ["verify", "cauchy", "--seed", "1"],
+    ["verify", "cauchy", "--strict"],
+    ["verify", "stochastic", "--seed", "1"],
+    ["verify", "stochastic", "--strict"],
+    ["ns", "verify", "--seed", "1"],
+    ["ns", "verify", "--strict"],
+    ["verify", "toeplitz", "--theta", "1"],
+    ["verify", "moments", "--theta", "1"],
+], ids=" ".join)
+def test_verify_rejects_options_no_suite_reads(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_verify_failure_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli.verify_suites, "cauchy_cases",
                         lambda degree, theta: [("forced", False)])
@@ -261,6 +313,33 @@ def test_walk_sample_method_validation(tmp_path, capsys):
                    "--out", str(out)])
     assert rc == 2
     assert "rows" in capsys.readouterr().err
+
+
+BETA_ONE = {"betas": ["1"], "alphas": [], "gamma": "0", "scale": "1"}
+
+
+@pytest.mark.parametrize("theta, rho, argv", [
+    # half a copy of a beta atom: the row from () weighs (2,) at -1/16
+    ("1", {"betas": ["1/2"], "scale": "1/2"}, []),
+    ("symbolic", BETA_ONE, []),
+    ("-1", BETA_ONE, []),
+    ("1", {"alphas": ["1"]}, []),  # the step kernel H(rho; 1^N) diverges
+    ("1", BETA_ONE, ["--samples", "0"]),
+    ("1", BETA_ONE, ["--k", "-1"]),
+], ids=["fractional-beta-scale", "symbolic-theta", "negative-theta",
+        "divergent-alpha", "no-samples", "negative-k"])
+def test_walk_sample_bad_input_exits_2(tmp_path, capsys, theta, rho, argv):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"N": 2, "theta": theta, "rho": rho,
+                                  "seed": 1}))
+    rc = cli.main(["walk", "sample", "--config", str(config), "--steps", "2",
+                   "--samples", "3", "--out", str(tmp_path / "s.csv")]
+                  + argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len([line for line in err.splitlines()
+                if line.startswith("error:")]) == 1
+    assert "Traceback" not in err
 
 
 def test_walk_sample_deficit_exit_code(tmp_path, capsys):

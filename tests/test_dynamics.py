@@ -25,7 +25,7 @@ from jackwalk.dynamics import (
 )
 from jackwalk.errors import DeficitError, ResourceLimitError, ShapeError
 from jackwalk.measures import MeasureOnYoung
-from jackwalk.partitions import contains, length
+from jackwalk.partitions import contains, enumerate_all_partitions, length
 from jackwalk.scalars import THETA
 from jackwalk.specializations import Specialization, SpecializationUnion
 from jackwalk.verify import stochasticity_cases
@@ -45,6 +45,24 @@ def test_config_validation():
         WalkConfig(2, one, b23, seed=-1)
     with pytest.raises(ValueError):
         WalkConfig(2, one, b23, seed=2 ** 64)
+    for theta in (Fraction(0), Fraction(-1)):
+        with pytest.raises(ValueError):
+            WalkConfig(2, theta, b23)
+    # a fractional copy of an atom is not a positive specialization: at
+    # N = 2 the beta = 1/2, scale = 1/2 row from () gives (2,) weight -1/16
+    for rho in (b23.scaled(half), Specialization.ones(1).scaled(half),
+                SpecializationUnion([b23, b23.scaled(Fraction(3, 2))])):
+        with pytest.raises(ValueError):
+            WalkConfig(2, one, rho)
+    WalkConfig(2, one, b23.scaled(3))
+    WalkConfig(2, THETA, b23)
+
+
+def test_fractional_gamma_scale_still_samples():
+    rho = Specialization.plancherel(Fraction(1, 64)).scaled(half)
+    cfg = WalkConfig(1, one, rho, seed=3, step_truncation=5)
+    stats = path_statistics(cfg, 2, 4, [1])
+    assert stats.count == 4
 
 
 def test_config_json_round_trip():
@@ -134,14 +152,39 @@ def _vertical_strips(lam, n):
     return out
 
 
+def _assert_strip_row(row, lam, n):
+    """A single-beta row: exactly the vertical strips of lam within n rows,
+    each with positive weight, summing to exactly 1 with no deficit."""
+    assert set(row.support) == _vertical_strips(lam, n)
+    assert all(w > 0 for w in row.support.values())
+    assert sum(row.support.values()) == 1
+    assert row.tail_deficit == 0
+
+
 @settings(max_examples=60, deadline=None)
 @given(unit_beta_rows())
 def test_unit_beta_row_is_vertical_strips(case):
     n, lam, b = case
     row = transition_row(lam, WalkConfig(n, one, Specialization.single_beta(b)))
-    assert set(row.support) == _vertical_strips(lam, n)
-    assert sum(row.support.values()) == 1
-    assert row.tail_deficit == 0
+    _assert_strip_row(row, lam, n)
+
+
+@st.composite
+def general_theta_beta_rows(draw):
+    theta = draw(st.sampled_from([half, two, Fraction(3, 7)]))
+    n = draw(st.integers(0, 3))
+    lam = draw(st.sampled_from(list(enumerate_all_partitions(4, n))))
+    b = Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    return theta, n, lam, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(general_theta_beta_rows())
+def test_beta_row_is_vertical_strips_at_general_theta(case):
+    # the table route, which builds these rows from skew Jack functions
+    theta, n, lam, b = case
+    cfg = WalkConfig(n, theta, Specialization.single_beta(b))
+    _assert_strip_row(transition_row(lam, cfg), lam, n)
 
 
 def test_step_mass_law_binomial():
@@ -292,7 +335,7 @@ def test_path_statistics_on_path():
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(1, 3), st.integers(0, 3), st.integers(0, 6),
+@given(st.integers(1, 3), st.integers(0, 3), st.integers(1, 6),
        st.integers(0, 2 ** 64 - 1))
 def test_on_path_follows_seed_derivation(n, steps, samples, seed):
     # path i depends only on (seed, i), not on how many paths are drawn
@@ -315,6 +358,15 @@ def test_path_statistics_validation():
     slow = WalkConfig(2, two, b23, seed=1)
     with pytest.raises(ValueError):
         path_statistics(slow, 1, 10, [1], method="mass-marginal")
+    with pytest.raises(ValueError):
+        path_statistics(cfg, 2, 0, [1])
+    with pytest.raises(ValueError):
+        path_statistics(cfg, 2, 10, [1, -1])
+    symbolic = WalkConfig(2, THETA, b23, seed=1)
+    with pytest.raises(ValueError):
+        path_statistics(symbolic, 2, 10, [1])
+    with pytest.raises(ValueError):
+        sample_path(symbolic, 2)
 
 
 # -- exact draws ---------------------------------------------------------------
@@ -436,8 +488,7 @@ def test_row_cache_integer_cumulative_sums():
                       (2, 1)),
                      (WalkConfig(2, two, b23), (1,))):
         row = transition_row(lam, cfg)
-        mus, cums, denom = dynamics._RowCache(cfg, Fraction(0)) \
-            .cumulative(lam)
+        mus, cums, denom = dynamics._RowCache(cfg).cumulative(lam)
         assert mus == sorted(row.support)
         acc = Fraction(0)
         for mu, c in zip(mus, cums):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from jackwalk.errors import StabilityError
 from jackwalk.psum import PSumPoly
 from jackwalk.scalars import THETA
 from jackwalk.specializations import (
@@ -73,11 +74,22 @@ def test_radius_and_stability():
     # theta enters the beta radius
     assert Specialization.single_beta(half).radius(Fraction(4)) == \
         Fraction(1, 2)
+    # a union shares the checks and is stable only if every block is
+    stable = SpecializationUnion([Specialization.single_beta(half)])
+    assert stable.is_stable(one)
+    stable.require_stable(one)
+    unstable = SpecializationUnion([Specialization.single_beta(half),
+                                    Specialization.single_beta(one)])
+    for rho in (Specialization.single_beta(one), unstable):
+        assert not rho.is_stable(one)
+        with pytest.raises(StabilityError):
+            rho.require_stable(one)
 
 
 def test_union_adds_p_values():
     b = Specialization.single_beta(half)
     a = Specialization.single_alpha(Fraction(1, 3))
+    assert b.components == (b,)
     u = SpecializationUnion([b, a])
     for k in (1, 2, 3):
         assert u.p_value(k, THETA) == b.p_value(k, THETA) + a.p_value(k, THETA)
