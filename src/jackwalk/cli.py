@@ -215,7 +215,12 @@ def _load_walk_config(args):
 
 
 def _limit_predictions(cfg, taus, ks, pairs_only_diagonal=True):
-    """Rows (tau, k, l, statistic, value) of the limiting mean/covariance."""
+    """Rows (tau, k, l, statistic, value) of the limiting mean/covariance.
+    A negative k or tau raises ValueError."""
+    if any(k < 0 for k in ks):
+        raise ValueError("moment indices k must be nonnegative")
+    if any(tau < 0 for tau in taus):
+        raise ValueError("times tau must be nonnegative")
     theta = as_fraction(cfg.theta)
     order = default_order(ks)
     moments = packed_limit_moments(2 * order + 1)

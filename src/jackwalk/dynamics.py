@@ -12,6 +12,15 @@ far (each beta atom contributes at most one vertical strip), so their
 rows carry no truncation deficit; other steps are truncated at a
 configurable mass and the lost tail is recorded.
 
+At theta = 1 a single-beta row comes from the integer step kernel in
+`_steppure`, which lists each vertical strip once, as a canonical
+partition within N rows, with a positive numerator over one common
+denominator.  The row's measure is built through the trusted
+`MeasureOnYoung._trusted` constructor, which relies on exactly that
+invariant and skips the per-key canonicalization of the public one;
+`exact_evolve` builds its pushforwards the same way, since their keys
+come from rows.
+
 The row cache keeps each row as its sorted support and integer
 cumulative numerators over one common denominator (the lcm of the row's
 weight denominators).  Sampling draws a uniform dyadic rational r / 2^64
@@ -34,11 +43,12 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from . import _steppure as _stepimpl
 from .errors import DeficitError, ResourceLimitError, ShapeError
 from .jack import basis_for, principal_value, reproducing_kernel, skew_jack
-from .measures import MeasureOnYoung, particle_locations
+from .measures import MeasureOnYoung, particle_locations, particle_numerators
 from .partitions import length, make_partition, weight
 from .scalars import RationalFunction, as_exact, as_fraction, is_zero
 from .specializations import Specialization, SpecializationUnion, specialize
@@ -182,17 +192,13 @@ def _is_unit_beta_step(cfg):
 
 
 def _bernoulli_row(lam, n, b):
-    """Exact theta = 1 single-beta row via the step kernel."""
+    """Exact theta = 1 single-beta row via the step kernel, whose keys are
+    canonical and whose numerators are positive (see `_steppure`)."""
     b = Fraction(b)
-    raw = _stepimpl.bernoulli_row(tuple(lam), n, b.numerator, b.denominator)
-    norm_num = b.denominator ** n
-    norm_den = (b.numerator + b.denominator) ** n
-    weights = {}
-    for mu, num, den in raw:
-        w = Fraction(num * norm_num, den * norm_den)
-        if w:
-            weights[mu] = w
-    return MeasureOnYoung(n, weights)
+    entries, den = _stepimpl.bernoulli_row(tuple(lam), n, b.numerator,
+                                           b.denominator)
+    return MeasureOnYoung._trusted(
+        n, {mu: Fraction(num, den) for mu, num in entries})
 
 
 def transition_row(lam, cfg):
@@ -281,14 +287,12 @@ class _RowCache:
                 raise ResourceLimitError(
                     "row cache would hold more than %d entries"
                     % _MAX_CACHED_ENTRIES)
-            mus = sorted(row.support)
-            weights = [as_fraction(row.support[mu]) for mu in mus]
+            support = row.support
+            mus = sorted(support)
+            weights = [support[mu] for mu in mus]
             denom = math.lcm(*(w.denominator for w in weights))
-            cums = []
-            acc = 0
-            for w in weights:
-                acc += w.numerator * (denom // w.denominator)
-                cums.append(acc)
+            cums = list(accumulate(w.numerator * (denom // w.denominator)
+                                   for w in weights))
             entry = self.rows[lam] = (mus, cums, denom)
         return entry
 
@@ -344,15 +348,17 @@ def exact_evolve(measure, cfg, steps):
     for _ in range(steps):
         weights = {}
         deficit = current.tail_deficit
-        for lam in current.support:
-            mass = current.weight(lam)
+        for lam, mass in current.support.items():
             row = transition_row(lam, cfg)
             deficit = deficit + mass * row.tail_deficit
-            for mu in row.support:
-                weights[mu] = weights.get(mu, 0) + mass * row.weight(mu)
+            for mu, w in row.support.items():
+                weights[mu] = weights.get(mu, 0) + mass * w
             if len(weights) > _MAX_EVOLVE_STATES:
                 raise ResourceLimitError("evolved support too large")
-        current = MeasureOnYoung(cfg.n, weights, tail_deficit=deficit)
+        # keys come from rows; a signed start measure may cancel a weight
+        current = MeasureOnYoung._trusted(
+            cfg.n, {mu: w for mu, w in weights.items() if not is_zero(w)},
+            deficit)
         out.append(current)
     return out
 
@@ -489,8 +495,12 @@ class PathStats:
 
 
 def scaled_moment(lam, n, theta, k):
-    """The functional n * integral x^k d(empirical law) = sum of y_i^k."""
-    return sum(y ** k for y in particle_locations(lam, n, theta))
+    """The functional n * integral x^k d(empirical law) = sum of y_i^k,
+    exactly, summed in integers over the locations' common denominator."""
+    nums, den = particle_numerators(lam, n, theta)
+    if not nums:  # N = 0: no particles, and den = 0
+        return Fraction(0)
+    return Fraction(sum(a ** k for a in nums), den ** k)
 
 
 def _mass_marginal_stats(cfg, steps, samples, times):

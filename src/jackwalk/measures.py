@@ -75,8 +75,10 @@ class AtomicMeasure:
         return "AtomicMeasure(%r)" % (list(self.atoms),)
 
 
-def particle_locations(lam, n, theta):
-    """y_i = lam_i/(theta n) - (i-1)/n for i = 1..n, strictly decreasing."""
+def particle_numerators(lam, n, theta):
+    """The particle locations over one denominator: (nums, den) with
+    y_i = nums[i-1] / den, where nums[i-1] = q lam_i - p (i-1) and
+    den = p n for theta = p/q.  Integers only."""
     lam = make_partition(lam)
     if length(lam) > n:
         raise ShapeError("diagram has %d rows but only %d variables"
@@ -84,9 +86,15 @@ def particle_locations(lam, n, theta):
     th = as_fraction(theta)
     if th <= 0:
         raise ShapeError("particle locations need a positive rational theta")
+    p, q = th.numerator, th.denominator
     padded = lam + (0,) * (n - len(lam))
-    return [Fraction(padded[i - 1], 1) / (th * n) - Fraction(i - 1, n)
-            for i in range(1, n + 1)]
+    return [q * part - p * i for i, part in enumerate(padded)], p * n
+
+
+def particle_locations(lam, n, theta):
+    """y_i = lam_i/(theta n) - (i-1)/n for i = 1..n, strictly decreasing."""
+    nums, den = particle_numerators(lam, n, theta)
+    return [Fraction(a, den) for a in nums]
 
 
 def empirical_density(lam, n, theta=1):
@@ -183,6 +191,13 @@ class MeasureOnYoung:
     ``support`` maps partitions to weights; ``tail_deficit`` is the mass the
     truncation left out, kept explicit so downstream statistics can report
     contamination bounds instead of silently renormalizing.
+
+    The constructor canonicalizes every key, checks it fits in n rows and
+    drops zero weights.  `_trusted` skips all of that for callers whose
+    data already holds the invariant it establishes: keys are canonical
+    partitions with at most n rows and weights are nonzero exact scalars
+    (the theta = 1 step kernel's rows, and `exact_evolve`'s pushforwards,
+    whose keys come from transition rows).
     """
 
     __slots__ = ("n", "support", "tail_deficit")
@@ -198,6 +213,19 @@ class MeasureOnYoung:
             if not is_zero(w):
                 self.support[lam] = as_exact(w)
         self.tail_deficit = as_exact(tail_deficit)
+
+    @classmethod
+    def _trusted(cls, n, support, tail_deficit=Fraction(0)):
+        """A measure that adopts ``support`` as it is, without validation.
+
+        Every key must already be a canonical partition with at most n
+        rows, every weight a nonzero Fraction or RationalFunction, and
+        ``tail_deficit`` exact; the dict is not copied."""
+        self = object.__new__(cls)
+        self.n = n
+        self.support = support
+        self.tail_deficit = tail_deficit
+        return self
 
     def weight(self, lam):
         return self.support.get(make_partition(lam), Fraction(0))

@@ -264,6 +264,12 @@ GOLDEN_WALKS = {
         _ROWS_STATS,
         "2bfa841efa0cc7dd635a3190178389507a72c4c13175768ddd3f001d3ce6f027",
         _ROWS_PREDICTIONS),
+    # a deeper rows walk: rows of up to 2^8 strips, cached and revisited
+    "rows-deep": (
+        {"n": 8}, ["--steps", "8", "--k", "1,2", "--samples", "40"],
+        "8377e72a1b1cdd02d8fb28c3228704c2ffb3db02d946fd85185d3b9543304934",
+        None,
+        "39387aa34b09ad651d743734b57a366b9b68053bd4a89d9e871ae1f9595bbc25"),
     "theta-half": (
         {"n": 2, "theta": Fraction(1, 2)},
         ["--steps", "2", "--k", "1,2", "--samples", "30"],
@@ -408,6 +414,27 @@ def test_walk_predict_frozen_values(tmp_path):
                     ("1", "1", "covariance"): Fraction(1, 4),
                     ("1", "2", "covariance"): Fraction(0),
                     ("2", "2", "covariance"): Fraction(1, 8)}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--k", "-1"],
+    ["--k", "1,-2"],
+    ["--tau", "-1"],
+    ["--tau", "1/2,-1/3"],
+], ids=["negative-k", "one-negative-k", "negative-tau", "one-negative-tau"])
+def test_walk_predict_bad_input_exits_2(tmp_path, capsys, argv):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"N": 10, "theta": "1",
+                                  "rho": {"betas": ["1"]}}))
+    out = tmp_path / "pred.csv"
+    rc = cli.main(["walk", "predict", "--config", str(config),
+                   "--out", str(out)] + argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len([line for line in err.splitlines()
+                if line.startswith("error:")]) == 1
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_walk_predict_half_time(tmp_path):

@@ -24,8 +24,9 @@ from jackwalk.dynamics import (
     transition_row,
 )
 from jackwalk.errors import DeficitError, ResourceLimitError, ShapeError
-from jackwalk.measures import MeasureOnYoung
-from jackwalk.partitions import contains, enumerate_all_partitions, length
+from jackwalk.measures import MeasureOnYoung, particle_locations
+from jackwalk.partitions import (contains, enumerate_all_partitions, length,
+                                 make_partition)
 from jackwalk.scalars import THETA
 from jackwalk.specializations import Specialization, SpecializationUnion
 from jackwalk.verify import stochasticity_cases
@@ -169,6 +170,31 @@ def test_unit_beta_row_is_vertical_strips(case):
     _assert_strip_row(row, lam, n)
 
 
+@settings(max_examples=60, deadline=None)
+@given(unit_beta_rows())
+def test_kernel_rows_hold_the_trusted_invariant(case):
+    # theta = 1 rows reach MeasureOnYoung without its validation, so the
+    # validating constructor must find nothing to change
+    n, lam, b = case
+    row = transition_row(lam, WalkConfig(n, one, Specialization.single_beta(b)))
+    checked = MeasureOnYoung(n, dict(row.support))
+    assert checked.support == row.support
+    assert checked.tail_deficit == row.tail_deficit == 0
+    assert type(row.tail_deficit) is Fraction
+    for mu, w in row.support.items():
+        assert make_partition(mu) == mu and len(mu) <= n
+        assert type(w) is Fraction and w > 0
+    # the kernel lists the strips in increasing order
+    assert list(row.support) == sorted(row.support)
+
+
+def test_zero_beta_row_is_a_point_mass():
+    for lam in ((), (2, 1), (3, 3, 1)):
+        row = transition_row(lam, WalkConfig(3, one,
+                                             Specialization.single_beta(0)))
+        assert row.support == {lam: one}
+
+
 @st.composite
 def general_theta_beta_rows(draw):
     theta = draw(st.sampled_from([half, two, Fraction(3, 7)]))
@@ -230,6 +256,15 @@ def test_exact_evolve_two_steps():
                               (2,): Fraction(1, 4)}
 
 
+def test_exact_evolve_drops_cancelled_weights():
+    # a signed start: the two rows' mass on (1,) cancels exactly
+    cfg = WalkConfig(1, one, Specialization.single_beta(one))
+    start = MeasureOnYoung(1, {(): one, (1,): -one}, tail_deficit=half)
+    after = exact_evolve(start, cfg, 1)[1]
+    assert after.support == {(): half, (2,): -half}
+    assert after.tail_deficit == half
+
+
 def test_exact_evolve_semigroup():
     cfg = WalkConfig(2, one, b23)
     after_two = exact_evolve(MeasureOnYoung(2, {(1,): one}), cfg, 2)[2]
@@ -279,6 +314,29 @@ def test_scaled_moment():
         for k in (1, 2, 3):
             assert scaled_moment(lam, n, th, k) == \
                 n * empirical_density(lam, n, th).moment(k)
+
+
+@st.composite
+def scaled_moment_cases(draw):
+    theta = draw(st.sampled_from([half, one, two, Fraction(3, 7)]))
+    n = draw(st.integers(0, 6))
+    parts = draw(st.lists(st.integers(1, 9), max_size=n))
+    return theta, n, tuple(sorted(parts, reverse=True)), draw(st.integers(0, 4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(scaled_moment_cases())
+def test_scaled_moment_sums_the_particle_locations(case):
+    theta, n, lam, k = case
+    value = scaled_moment(lam, n, theta, k)
+    ys = particle_locations(lam, n, theta)
+    assert ys == [Fraction(p) / (theta * n) - Fraction(i, n)
+                  for i, p in enumerate(lam + (0,) * (n - len(lam)))]
+    assert value == sum(y ** k for y in ys)
+    assert type(value) is Fraction
+    tall = lam + (1,) * (n + 1 - len(lam))
+    with pytest.raises(ShapeError):
+        scaled_moment(tall, n, theta, k)
 
 
 def test_path_stats():
