@@ -31,14 +31,6 @@ def default_order(ks):
     return 2 * max(ks) + 4
 
 
-def with_order_retry(fn, order):
-    """Run fn(order); on an order error retry once at doubled order."""
-    try:
-        return fn(order)
-    except OrderError:
-        return fn(2 * order)
-
-
 # ---------------------------------------------------------------------------
 # Limit data
 # ---------------------------------------------------------------------------
@@ -372,18 +364,20 @@ def packed_limit_moments(order):
     return [Fraction((-1) ** k, k + 1) for k in range(1, order + 1)]
 
 
-def walk_drift_series(rho, theta, tau, initial_moments, order):
-    """Drift series about 1 of the time-tau evolved shape.
+def walk_drift_series(rho, theta, taus, initial_moments, order):
+    """Drift series about 1 of the evolved shape at each time tau in taus.
 
     U^(tau) = theta * (tau W'(z) + H'(z)) where H is the profile integral of
-    the initial shape and both factors are expanded about z = 1.
+    the initial shape and both factors are expanded about z = 1; they do
+    not depend on tau, so they are built once for all the times.
     """
     _require_regular_at_one(rho)
     _, _, h_series = stieltjes_R_H(initial_moments, order)
     h_prime = h_series.derivative().retag(SHIFT_VAR)
     one_plus = TruncSeries.polynomial(SHIFT_VAR, [1, 1])
     w_prime = w_prime_of(rho, theta, one_plus, order)
-    return ((w_prime * Fraction(tau) + h_prime) * theta).truncate(order)
+    return [((w_prime * Fraction(tau) + h_prime) * theta).truncate(order)
+            for tau in taus]
 
 
 def walk_covariance_kernel(initial_moments, order, theta=1):
@@ -414,7 +408,7 @@ def walk_covariance_kernel(initial_moments, order, theta=1):
 
 def walk_limit_data(rho, theta, tau, initial_moments, order):
     """Package drift and covariance coefficients of the evolved shape."""
-    u_series = walk_drift_series(rho, theta, tau, initial_moments, order)
+    u_series, = walk_drift_series(rho, theta, [tau], initial_moments, order)
     v_kernel = walk_covariance_kernel(initial_moments, order, theta=theta)
     fact = [1]
     for k in range(1, order + 1):

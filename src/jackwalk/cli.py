@@ -224,13 +224,14 @@ def _limit_predictions(cfg, taus, ks, pairs_only_diagonal=True):
     theta = as_fraction(cfg.theta)
     order = default_order(ks)
     moments = packed_limit_moments(2 * order + 1)
+    if not taus:
+        return []
+    # the covariance kernel does not depend on tau: build it once
+    v_kernel = build_V(walk_limit_data(cfg.rho, theta, taus[0], moments,
+                                       order))
     rows = []
-    if taus:
-        # the covariance kernel does not depend on tau: build it once
-        v_kernel = build_V(walk_limit_data(cfg.rho, theta, taus[0], moments,
-                                           order))
-    for tau in taus:
-        u_series = walk_drift_series(cfg.rho, theta, tau, moments, order)
+    drifts = walk_drift_series(cfg.rho, theta, taus, moments, order)
+    for tau, u_series in zip(taus, drifts):
         for k in ks:
             rows.append((tau, k, "", "mean",
                          limit_moment(k, u_series, theta)))

@@ -12,14 +12,23 @@ far (each beta atom contributes at most one vertical strip), so their
 rows carry no truncation deficit; other steps are truncated at a
 configurable mass and the lost tail is recorded.
 
-At theta = 1 a single-beta row comes from the integer step kernel in
-`_steppure`, which lists each vertical strip once, as a canonical
-partition within N rows, with a positive numerator over one common
-denominator.  The row's measure is built through the trusted
-`MeasureOnYoung._trusted` constructor, which relies on exactly that
-invariant and skips the per-key canonicalization of the public one;
-`exact_evolve` builds its pushforwards the same way, since their keys
-come from rows.
+A single unit-scale beta step at a numeric theta takes its row from the
+integer step kernel in `_steppure`, with no Jack table.  For mu = lam + e_S
+(S the rows that grow) and d_ij = lam_i - lam_j + theta (j - i), the Jack
+limit of Macdonald's psi' for e_r gives
+
+    p(lam -> mu) = (theta b)^|S| (1 + theta b)^(-N) * prod_{i<j} F_ij,
+
+with F_ij = 1 when both rows or neither grow, (d_ij + theta)/d_ij when
+only i grows and (d_ij - theta)/d_ij when only j grows.  The kernel lists
+each vertical strip once, as a canonical partition within N rows, with a
+positive numerator over one common denominator.  The row's measure is
+built through the trusted `MeasureOnYoung._trusted` constructor, which
+relies on exactly that invariant and skips the per-key canonicalization
+of the public one; `exact_evolve` builds its pushforwards the same way,
+since their keys come from rows.  Every other step (a symbolic theta,
+alpha atoms, gamma, several atoms or a larger scale) is built from skew
+Jack functions over a Jack table.
 
 The row cache keeps each row as its sorted support and integer
 cumulative numerators over one common denominator (the lcm of the row's
@@ -63,9 +72,12 @@ _MAX_CACHED_ENTRIES = 10 * _MAX_ROW_STATES
 @dataclass(frozen=True)
 class WalkConfig:
     """Immutable description of a walk: alphabet size, deformation, step
-    data, start diagram, seed, and the per-step mass cutoff (None = pick
-    a default: exact reach for pure-beta steps, four times the expected
-    step mass otherwise).
+    data, start diagram, seed, and the per-step mass cutoff.
+
+    The cutoff applies only to steps of unbounded reach (alpha atoms or
+    gamma), whose rows it truncates; None picks four times the expected
+    step mass.  Pure-beta steps ignore it: their rows always cover their
+    exact reach, so they never carry a deficit.
 
     The step data must be a positive specialization: an alpha or beta
     atom may only be repeated a whole number of times, so a component
@@ -142,12 +154,10 @@ def _finite_reach(rho, n):
 
 def _step_cap(cfg):
     reach = _finite_reach(cfg.rho, cfg.n)
-    if cfg.step_truncation is not None:
-        if reach is not None:
-            return min(cfg.step_truncation, reach)
-        return cfg.step_truncation
     if reach is not None:
         return reach
+    if cfg.step_truncation is not None:
+        return cfg.step_truncation
     theta = as_fraction(cfg.theta)
     expected = theta * cfg.n * cfg.rho.p_value(1, theta)
     return max(1, math.ceil(4 * expected))
@@ -179,26 +189,14 @@ def _superpartitions(lam, n, cap):
     return out
 
 
-def _is_unit_beta_step(cfg):
-    """True when the theta = 1 single-atom fast row applies."""
-    if as_exact(cfg.theta) != 1:
-        return False
+def _is_single_beta_step(cfg):
+    """True when the step kernel builds the rows: a numeric theta and a
+    single unit-scale beta atom."""
     comps = cfg.rho.components
-    if len(comps) != 1:
-        return False
-    comp = comps[0]
-    return (comp.gamma == 0 and not comp.alphas and len(comp.betas) == 1
-            and comp.scale == 1)
-
-
-def _bernoulli_row(lam, n, b):
-    """Exact theta = 1 single-beta row via the step kernel, whose keys are
-    canonical and whose numerators are positive (see `_steppure`)."""
-    b = Fraction(b)
-    entries, den = _stepimpl.bernoulli_row(tuple(lam), n, b.numerator,
-                                           b.denominator)
-    return MeasureOnYoung._trusted(
-        n, {mu: Fraction(num, den) for mu, num in entries})
+    return (not isinstance(as_exact(cfg.theta), RationalFunction)
+            and len(comps) == 1 and comps[0].gamma == 0
+            and not comps[0].alphas and len(comps[0].betas) == 1
+            and comps[0].scale == 1)
 
 
 def transition_row(lam, cfg):
@@ -208,8 +206,15 @@ def transition_row(lam, cfg):
     lam = make_partition(lam)
     if length(lam) > cfg.n:
         raise ShapeError("diagram has more than %d rows" % cfg.n)
-    if _is_unit_beta_step(cfg):
-        return _bernoulli_row(lam, cfg.n, cfg.rho.components[0].betas[0])
+    if _is_single_beta_step(cfg):
+        # the step kernel's keys are canonical and its numerators positive
+        theta = Fraction(cfg.theta)
+        b = Fraction(cfg.rho.components[0].betas[0])
+        entries, den = _stepimpl.bernoulli_row(
+            lam, cfg.n, b.numerator, b.denominator, theta.numerator,
+            theta.denominator)
+        return MeasureOnYoung._trusted(
+            cfg.n, {mu: Fraction(num, den) for mu, num in entries})
 
     theta = cfg.theta
     ones = Specialization.ones(cfg.n)
@@ -561,7 +566,8 @@ def path_statistics(cfg, steps, samples, ks, times=None, method=None,
     if any(k < 0 for k in ks):
         raise ValueError("moment indices k must be nonnegative")
 
-    marginal_ok = ks == [1] and _is_unit_beta_step(cfg) and cfg.n > 0
+    marginal_ok = (ks == [1] and _is_single_beta_step(cfg)
+                   and as_exact(cfg.theta) == 1 and cfg.n > 0)
     if method not in (None, "rows", "mass-marginal"):
         raise ValueError("unknown sampling method %r" % (method,))
     if method == "mass-marginal" and not marginal_ok:

@@ -196,7 +196,7 @@ class MeasureOnYoung:
     drops zero weights.  `_trusted` skips all of that for callers whose
     data already holds the invariant it establishes: keys are canonical
     partitions with at most n rows and weights are nonzero exact scalars
-    (the theta = 1 step kernel's rows, and `exact_evolve`'s pushforwards,
+    (the single-beta step kernel's rows, and `exact_evolve`'s pushforwards,
     whose keys come from transition rows).
     """
 

@@ -67,14 +67,6 @@ def z_lambda(lam):
     return out
 
 
-def multiplicities(lam):
-    """Part -> multiplicity map."""
-    out = {}
-    for p in lam:
-        out[p] = out.get(p, 0) + 1
-    return out
-
-
 def boxes(lam):
     """All boxes (i, j), 1-based, row by row."""
     for i, p in enumerate(lam, start=1):
@@ -90,11 +82,6 @@ def arm(lam, i, j):
 def leg(lam, i, j):
     """Number of boxes strictly below (i, j) in its column."""
     return sum(1 for p in lam[i:] if p >= j)
-
-
-def n_stat(lam):
-    """sum_i (i - 1) * lam_i."""
-    return sum(i * p for i, p in enumerate(lam))
 
 
 def enumerate_partitions(size, max_length=None):

@@ -22,9 +22,8 @@ from jackwalk.asymptotics import (
     toeplitz_wienerhopf_check,
     walk_covariance_kernel,
     walk_limit_data,
-    with_order_retry,
 )
-from jackwalk.errors import OrderError, StabilityError
+from jackwalk.errors import StabilityError
 from jackwalk.measures import AtomicMeasure
 from jackwalk.series import TruncSeries
 from jackwalk.specializations import Specialization
@@ -203,16 +202,6 @@ def test_toeplitz_random_suite():
     assert all(ok for _, ok in toeplitz_cases(10, 6, seed=7))
 
 
-def test_default_order_and_retry():
+def test_default_order():
     assert default_order([1, 3]) == 10
     assert default_order([2]) == 8
-    calls = []
-
-    def flaky(order):
-        calls.append(order)
-        if order < 8:
-            raise OrderError("too small")
-        return order
-
-    assert with_order_retry(flaky, 4) == 8
-    assert calls == [4, 8]

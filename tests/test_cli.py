@@ -276,6 +276,13 @@ GOLDEN_WALKS = {
         "4517d74b3e2dc04da2eea5f7c70b8546f504fe69da32458bb72ff14a6e3c1738",
         None,
         "c2fcfb83c27a672832a04d4549771475c4e31e024724560c3e1bb1adc4fb17cd"),
+    # a general-theta walk deep enough that Jack tables would dominate it
+    "theta-half-deep": (
+        {"n": 4, "theta": Fraction(1, 2)},
+        ["--steps", "4", "--k", "1,2", "--samples", "40"],
+        "7d6cef46b18960b02da43e3dc741bd70a3ae26ea9bcff46e4b36a94c5b9b27ce",
+        None,
+        "c5eb361ce0cb1d3ecef59a60880ab90e1d9f374fad8d536dc6b45800b3eff269"),
 }
 
 

@@ -1,5 +1,7 @@
 """Markov growth dynamics: rows, sampling, exact evolution, statistics."""
 
+import contextlib
+import hashlib
 import io
 import itertools
 import math
@@ -10,7 +12,8 @@ import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jackwalk import dynamics
+from jackwalk import dynamics, jack
+from jackwalk._steppure import bernoulli_row
 from jackwalk.dynamics import (
     PathStats,
     WalkConfig,
@@ -24,9 +27,9 @@ from jackwalk.dynamics import (
     transition_row,
 )
 from jackwalk.errors import DeficitError, ResourceLimitError, ShapeError
+from jackwalk.jack import skew_jack
 from jackwalk.measures import MeasureOnYoung, particle_locations
-from jackwalk.partitions import (contains, enumerate_all_partitions, length,
-                                 make_partition)
+from jackwalk.partitions import contains, length, make_partition
 from jackwalk.scalars import THETA
 from jackwalk.specializations import Specialization, SpecializationUnion
 from jackwalk.verify import stochasticity_cases
@@ -35,6 +38,7 @@ half = Fraction(1, 2)
 one = Fraction(1)
 two = Fraction(2)
 b23 = Specialization.single_beta(Fraction(2, 3))
+THETAS = [half, one, two, Fraction(3, 7)]
 
 
 def test_config_validation():
@@ -121,26 +125,114 @@ def test_steps_add_vertical_strips():
         assert length(mu) <= 3
 
 
-@pytest.mark.parametrize("b", [Fraction(2, 3), one], ids=["b2_3", "b1"])
+@contextlib.contextmanager
+def _table_route(monkeypatch):
+    """Send every row through the table route; yields its skew_jack calls."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return skew_jack(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "_is_single_beta_step", lambda cfg: False)
+        patch.setattr(dynamics, "skew_jack", counted)
+        yield calls
+
+
+@pytest.mark.parametrize("b", [Fraction(2, 3), one, Fraction(5, 2)],
+                         ids=["b2_3", "b1", "b5_2"])
 @pytest.mark.parametrize("lam", [(), (1,), (2, 1), (3, 1), (2, 2, 1)],
                          ids=["empty", "1", "2.1", "3.1", "2.2.1"])
 def test_fast_row_matches_general_route(monkeypatch, lam, b):
-    # the table route (skew Jack functions at theta = 1) is the exact oracle
-    # for the step kernel
-    cfg = WalkConfig(3, one, Specialization.single_beta(b))
-    fast = transition_row(lam, cfg)
-    monkeypatch.setattr(dynamics, "_is_unit_beta_step", lambda c: False)
-    general = transition_row(lam, cfg)
-    assert fast.support == general.support
-    assert fast.tail_deficit == general.tail_deficit == 0
+    # the table route (skew Jack functions) is the exact oracle for the step
+    # kernel, at each theta and N below
+    for theta, n in itertools.product(THETAS, (3, 4)):
+        cfg = WalkConfig(n, theta, Specialization.single_beta(b))
+        fast = transition_row(lam, cfg)
+        with _table_route(monkeypatch) as calls:
+            general = transition_row(lam, cfg)
+        assert calls, (theta, n)
+        assert fast.support == general.support, (theta, n)
+        assert fast.tail_deficit == general.tail_deficit == 0
+
+
+def test_exact_evolve_matches_table_route(monkeypatch):
+    cfg = WalkConfig(4, half, b23)
+    start = MeasureOnYoung(4, {(): one})
+    fast = exact_evolve(start, cfg, 2)
+    with _table_route(monkeypatch) as calls:
+        general = exact_evolve(start, cfg, 2)
+    assert calls
+    assert [m.support for m in fast] == [m.support for m in general]
+    assert [m.tail_deficit for m in fast] == \
+        [m.tail_deficit for m in general] == [0, 0, 0]
+
+
+def test_single_beta_walk_builds_no_jack_table(monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a Jack table was built")
+
+    for module in (dynamics, jack):
+        monkeypatch.setattr(module, "basis_for", no_table)
+    cfg = WalkConfig(4, half, Specialization.single_beta(one), seed=5)
+    stats = path_statistics(cfg, 4, 20, [1, 2])
+    assert stats.count == 20 and stats.method == "rows"
+
+
+#: sha256 of repr(bernoulli_row(lam, n, b_num, b_den)) at theta = 1,
+#: recorded before the kernel took a general theta = p/q
+THETA_ONE_KERNEL = {
+    ((), 1, 1, 1):
+        "09b189f11e6ac35766ac86fde2f71f5be7e06566aa415f94c54b08366f84efe4",
+    ((), 8, 1, 1):
+        "a96b948dcd855388aa2a30a1773a8ecf956ec4f03c1ed1e9b34733cb0c348a4d",
+    ((2, 1), 4, 1, 1):
+        "b73940e61d26e027fea1cb2b3b7974e270e19922366ff908adfc5ef15390f40a",
+    ((2, 2, 1), 6, 1, 1):
+        "30e7970b883a57a46d3761765e0d7b15658fc9d1ea8fecbb20fd30279707cd28",
+    ((4, 2, 2, 1), 7, 1, 1):
+        "42f6c1a0b96fd0a25f91d0b40f6847f6d4b103cf278ccaa14e70d092e90a73b0",
+    ((5, 3, 3, 1, 1), 8, 1, 1):
+        "05a00722147433966aa0b1edf21e625beed5cf2c57ed7fc70b2fbee4671040de",
+    ((3, 3, 3, 3, 3, 3, 3, 3), 8, 1, 1):
+        "3711af23558b18918066bd4a2a6c8fa7a7a085a6393be725219bbc3d2ac3441b",
+    ((6, 5, 4, 3, 2, 1), 8, 1, 1):
+        "dea91dca8ea99a47ec2da6822090d20d48a2adccdb56447a0e0f413e8aa86c93",
+    ((), 1, 2, 3):
+        "065758909eae8faa3d2051c2c2d3ed5461fd655c7a34fa2400ef53de90d13c99",
+    ((), 8, 2, 3):
+        "80b3661d4ff835a7e052b935a982fbc3715315dbad48870629a0fc9e5a92e420",
+    ((2, 1), 4, 2, 3):
+        "b1d6bd1460eee9c03fd005d4f3518b91f042dc222037a8ef811604d20932940f",
+    ((2, 2, 1), 6, 2, 3):
+        "5ddcff636de3d6fb71fb7db482e0502b9fbb37af7bce0dbf18b46cc3852050b9",
+    ((4, 2, 2, 1), 7, 2, 3):
+        "2d44a31a2405490d7f2f4665b4bd4ad9d250ab3acc776259ce93d95565d9eeb2",
+    ((5, 3, 3, 1, 1), 8, 2, 3):
+        "107a03ded7de945204624136e717d0ee105eb1d816254a5835164b1cf92b9ecb",
+    ((3, 3, 3, 3, 3, 3, 3, 3), 8, 2, 3):
+        "fb6d0f856893ccb8097cc5d4cdbfd7fb105780a831e6a75211074155efe55a55",
+    ((6, 5, 4, 3, 2, 1), 8, 2, 3):
+        "2b642b325d1e5aa7c0d4450f489da90702c8c7d65a3c180c01ffc9014303f075",
+}
+
+
+@pytest.mark.parametrize("case", sorted(THETA_ONE_KERNEL), ids=str)
+def test_theta_one_kernel_output_is_unchanged(case):
+    lam, n, b_num, b_den = case
+    out = bernoulli_row(lam, n, b_num, b_den)
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == \
+        THETA_ONE_KERNEL[case]
 
 
 @st.composite
-def unit_beta_rows(draw):
+def beta_rows(draw, thetas):
+    theta = draw(st.sampled_from(thetas))
     n = draw(st.integers(0, 6))
     parts = draw(st.lists(st.integers(1, 5), max_size=n))
     b = Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
-    return n, tuple(sorted(parts, reverse=True)), b
+    return theta, n, tuple(sorted(parts, reverse=True)), b
 
 
 def _vertical_strips(lam, n):
@@ -163,20 +255,22 @@ def _assert_strip_row(row, lam, n):
 
 
 @settings(max_examples=60, deadline=None)
-@given(unit_beta_rows())
+@given(beta_rows([one]))
 def test_unit_beta_row_is_vertical_strips(case):
-    n, lam, b = case
-    row = transition_row(lam, WalkConfig(n, one, Specialization.single_beta(b)))
+    theta, n, lam, b = case
+    row = transition_row(lam, WalkConfig(n, theta,
+                                         Specialization.single_beta(b)))
     _assert_strip_row(row, lam, n)
 
 
 @settings(max_examples=60, deadline=None)
-@given(unit_beta_rows())
+@given(beta_rows(THETAS))
 def test_kernel_rows_hold_the_trusted_invariant(case):
-    # theta = 1 rows reach MeasureOnYoung without its validation, so the
+    # kernel rows reach MeasureOnYoung without its validation, so the
     # validating constructor must find nothing to change
-    n, lam, b = case
-    row = transition_row(lam, WalkConfig(n, one, Specialization.single_beta(b)))
+    theta, n, lam, b = case
+    row = transition_row(lam, WalkConfig(n, theta,
+                                         Specialization.single_beta(b)))
     checked = MeasureOnYoung(n, dict(row.support))
     assert checked.support == row.support
     assert checked.tail_deficit == row.tail_deficit == 0
@@ -189,25 +283,15 @@ def test_kernel_rows_hold_the_trusted_invariant(case):
 
 
 def test_zero_beta_row_is_a_point_mass():
-    for lam in ((), (2, 1), (3, 3, 1)):
-        row = transition_row(lam, WalkConfig(3, one,
+    for theta, lam in itertools.product(THETAS, ((), (2, 1), (3, 3, 1))):
+        row = transition_row(lam, WalkConfig(3, theta,
                                              Specialization.single_beta(0)))
         assert row.support == {lam: one}
 
 
-@st.composite
-def general_theta_beta_rows(draw):
-    theta = draw(st.sampled_from([half, two, Fraction(3, 7)]))
-    n = draw(st.integers(0, 3))
-    lam = draw(st.sampled_from(list(enumerate_all_partitions(4, n))))
-    b = Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
-    return theta, n, lam, b
-
-
 @settings(max_examples=60, deadline=None)
-@given(general_theta_beta_rows())
+@given(beta_rows([half, two, Fraction(3, 7)]))
 def test_beta_row_is_vertical_strips_at_general_theta(case):
-    # the table route, which builds these rows from skew Jack functions
     theta, n, lam, b = case
     cfg = WalkConfig(n, theta, Specialization.single_beta(b))
     _assert_strip_row(transition_row(lam, cfg), lam, n)
@@ -287,6 +371,24 @@ def test_exact_evolve_resource_guard(monkeypatch):
     cfg = WalkConfig(2, one, b23)
     with pytest.raises(ResourceLimitError):
         exact_evolve(MeasureOnYoung(2, {(): one}), cfg, 4)
+
+
+def test_step_truncation_leaves_pure_beta_rows_whole(monkeypatch):
+    # the cutoff truncates only steps of unbounded reach; a pure-beta row
+    # covers its exact reach on either route, so sampling never hits a
+    # deficit
+    cut = WalkConfig(3, half, b23, seed=1, step_truncation=1)
+    full = transition_row((2, 1), WalkConfig(3, half, b23))
+    assert dynamics._step_cap(cut) == 3
+    assert transition_row((2, 1), cut).support == full.support
+    assert len(sample_path(cut, 4)) == 5
+    with _table_route(monkeypatch) as calls:
+        assert transition_row((2, 1), cut).support == full.support
+    assert calls
+    doubled = SpecializationUnion([b23, b23])
+    row = transition_row((1,), WalkConfig(2, half, doubled, step_truncation=1))
+    assert row.tail_deficit == 0 and sum(row.support.values()) == 1
+    assert max(sum(mu) for mu in row.support) == 1 + 4
 
 
 def test_deficit_error_on_truncated_rows():

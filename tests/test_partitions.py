@@ -16,8 +16,6 @@ from jackwalk.partitions import (
     leg,
     length,
     make_partition,
-    multiplicities,
-    n_stat,
     weight,
     z_lambda,
 )
@@ -90,11 +88,6 @@ def test_enumerate_partitions_counts():
     assert sum(1 for _ in enumerate_all_partitions(4)) == 1 + 1 + 2 + 3 + 5
 
 
-def test_multiplicities():
-    assert multiplicities((3, 2, 2, 1)) == {3: 1, 2: 2, 1: 1}
-    assert multiplicities(()) == {}
-
-
 def test_z_lambda():
     assert z_lambda(()) == 1
     assert z_lambda((1,)) == 1
@@ -106,11 +99,3 @@ def test_z_lambda():
     for n in range(1, 8):
         assert sum(Fraction(math.factorial(n), z_lambda(lam))
                    for lam in enumerate_partitions(n)) == math.factorial(n)
-
-
-def test_n_stat():
-    # sum of (i-1) * lam_i with rows indexed from 1
-    assert n_stat(()) == 0
-    assert n_stat((3,)) == 0
-    assert n_stat((2, 2, 1)) == 2 + 2
-    assert n_stat((1, 1, 1, 1)) == 0 + 1 + 2 + 3
