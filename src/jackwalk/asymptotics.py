@@ -62,14 +62,6 @@ class LimitData:
                 full[key] = v
         object.__setattr__(self, "dkls", full)
 
-    def ck(self, k):
-        if k - 1 < len(self.cks):
-            return self.cks[k - 1]
-        if k <= self.order:
-            return 0
-        raise OrderError("drift coefficient %d beyond order %d" %
-                         (k, self.order))
-
     def dkl(self, k, l):
         if (k, l) in self.dkls:
             return self.dkls[(k, l)]
@@ -77,23 +69,6 @@ class LimitData:
             return 0
         raise OrderError("covariance coefficient (%d,%d) beyond order %d" %
                          (k, l, self.order))
-
-    def to_json(self):
-        from .scalars import scalar_to_json
-        return {"cks": [scalar_to_json(c) for c in self.cks],
-                "dkls": [{"k": k, "l": l, "value": scalar_to_json(v)}
-                         for (k, l), v in sorted(self.dkls.items())
-                         if k <= l],
-                "order": self.order}
-
-    @staticmethod
-    def from_json(obj):
-        from .scalars import scalar_from_json
-        return LimitData(
-            cks=[scalar_from_json(c) for c in obj["cks"]],
-            dkls={(e["k"], e["l"]): scalar_from_json(e["value"])
-                  for e in obj["dkls"]},
-            order=obj["order"])
 
 
 def build_U(data):
@@ -245,20 +220,11 @@ def moments_to_stieltjes(moments):
     return TruncSeries("1/z", 1, [1] + list(moments), len(moments) + 2)
 
 
-def stieltjes_moments(m, count):
-    """First `count` moments encoded in a Stieltjes series."""
-    return [m.coefficient(k + 1) for k in range(1, count + 1)]
-
-
 def stieltjes_inverse(m, var="z"):
     """Functional inverse 1/u + k_0 + k_1 u + ... of a Stieltjes series."""
     if m.valuation() != 1 or m.coefficient(1) != 1:
         raise ValueError("expected a Stieltjes series with leading mass 1")
     return revert(m, var).reciprocal()
-
-def stieltjes_from_inverse(k_series):
-    """Recover the Stieltjes series from its functional inverse."""
-    return revert(k_series.reciprocal(), "1/z")
 
 
 def stieltjes_R_H(moments, order):
@@ -286,7 +252,7 @@ def stieltjes_R_H(moments, order):
 
 
 # ---------------------------------------------------------------------------
-# Specialization transforms and the evolved Stieltjes series
+# Specialization transforms
 # ---------------------------------------------------------------------------
 
 
@@ -323,35 +289,6 @@ def w_prime_of(rho, theta, arg, order):
                 piece = piece + den.reciprocal() * b
         acc = acc + piece * part.scale
     return acc.truncate(order)
-
-
-def t_rho_of(rho, theta, arg, order):
-    """Evaluate T(y) = y W'(y) at a series argument."""
-    return (arg * w_prime_of(rho, theta, arg, order)).truncate(order)
-
-
-def burgers_evolve(m0, rho, tau, theta, order):
-    """Evolve a Stieltjes series for time tau under a stable specialization.
-
-    The evolved series is defined through its functional inverse:
-    m_tau^(-1)(u) = tau * T(e^u) + m0^(-1)(u).
-    """
-    rho.require_stable(theta)
-    tau = Fraction(tau)
-    if m0.valuation() != 1 or m0.coefficient(1) != 1:
-        raise ValueError("expected a Stieltjes series with leading mass 1")
-    if not tau:
-        return m0.truncate(min(m0.order, order + 2))
-    k0 = stieltjes_inverse(m0, var="u")
-    work = int(k0.order) + 2
-    exp_u = TruncSeries.monomial("u", 1, 1, work).exp()
-    shift = t_rho_of(rho, theta, exp_u, work)
-    k_tau = k0 + shift * tau
-    m_tau = stieltjes_from_inverse(k_tau)
-    if m_tau.order < order + 2:
-        raise OrderError("initial data supports only %d moments, need %d" %
-                         (int(m_tau.order) - 2, order))
-    return m_tau.truncate(order + 2)
 
 
 # ---------------------------------------------------------------------------

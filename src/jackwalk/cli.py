@@ -216,7 +216,9 @@ def _load_walk_config(args):
 
 def _limit_predictions(cfg, taus, ks, pairs_only_diagonal=True):
     """Rows (tau, k, l, statistic, value) of the limiting mean/covariance.
-    A negative k or tau raises ValueError."""
+    No k, a negative k or a negative tau raises ValueError."""
+    if not ks:
+        raise ValueError("need at least one moment index k")
     if any(k < 0 for k in ks):
         raise ValueError("moment indices k must be nonnegative")
     if any(tau < 0 for tau in taus):
@@ -265,13 +267,12 @@ def cmd_walk_sample(args):
     params = {"config": cfg.to_json(), "steps": args.steps,
               "samples": args.samples, "k": ks, "times": times}
 
-    method = None if args.method == "auto" else args.method
     with (open(args.paths, "w") if args.paths else nullcontext()) as jsonl:
         def write_path(path):
             jsonl.write(json.dumps(
                 {"path": [list(lam) for lam in path]}) + "\n")
         stats = path_statistics(cfg, args.steps, args.samples, ks,
-                                times=times, method=method,
+                                times=times,
                                 on_path=write_path if jsonl else None)
 
     stream, close = _open_out(args.out)
@@ -388,8 +389,6 @@ def _build_parser():
     sample.add_argument("--times")
     sample.add_argument("--out", default="stats.csv")
     sample.add_argument("--paths", help="stream paths to this JSON-lines file")
-    sample.add_argument("--method", choices=["auto", "rows", "mass-marginal"],
-                        default="auto")
     sample.add_argument("--seed", type=int)
     sample.add_argument("--strict", action="store_true")
     predict = walk_sub.add_parser("predict", help="limiting moments")

@@ -35,15 +35,19 @@ cumulative numerators over one common denominator (the lcm of the row's
 weight denominators).  Sampling draws a uniform dyadic rational r / 2^64
 and finds its cell by bisection, comparing r * denom with c_i * 2^64 in
 integers and appending 64 more bits whenever a comparison ties, so path
-laws inherit the rows' exactness.  At theta = 1 a single-beta row is a
-conditioned ensemble of N Bernoulli moves whose total displacement is
-Binomial(N, theta*b/(1+theta*b)) regardless of the current diagram;
-`step_mass_law` exposes that marginal and `path_statistics` uses it to
-sample first-moment functionals of large walks that per-row enumeration
-could never reach.  That route works on blocks of samples with numpy
-integer cumulative sums; each statistic is one correctly rounded division
-of integers below 2^53, and the blocks are accumulated in sample order,
-so its output matches a per-sample exact loop bit for bit.
+laws inherit the rows' exactness.
+
+In a single-beta row the strips of size d together weigh
+C(N, d) q^d (1-q)^(N-d), q = theta*b/(1+theta*b), at every theta (Pieri,
+since e_d(1^N) = C(N, d)): the mass added per step is Binomial(N, q)
+regardless of the current diagram.  `step_mass_law` exposes that
+marginal.  When k = 1 alone is requested of a single-beta walk,
+`path_statistics` samples the first moment through it, which reaches
+walks that per-row enumeration never could.  That route works on blocks
+of samples with numpy integer cumulative sums; each statistic is one
+correctly rounded division of integers below 2^53, and the blocks are
+accumulated in sample order, so its output matches a per-sample exact
+loop bit for bit.
 """
 
 import hashlib
@@ -82,7 +86,8 @@ class WalkConfig:
     The step data must be a positive specialization: an alpha or beta
     atom may only be repeated a whole number of times, so a component
     with atoms needs an integer scale (a fractional copy of an atom gives
-    rows with negative weights).  A numeric theta must be positive."""
+    rows with negative weights).  A numeric theta must be positive, and a
+    cutoff, when given, a positive int."""
 
     n: int
     theta: object
@@ -99,6 +104,10 @@ class WalkConfig:
             raise ShapeError("initial diagram has more than %d rows" % self.n)
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
+        cap = self.step_truncation
+        if cap is not None and (type(cap) is not int or cap < 1):
+            raise ValueError("step_truncation must be a positive integer, "
+                             "got %r" % (cap,))
         theta = as_exact(self.theta)
         if isinstance(theta, Fraction) and theta <= 0:
             raise ValueError("theta must be positive, got %s" % theta)
@@ -243,15 +252,17 @@ def transition_row(lam, cfg):
     return MeasureOnYoung(cfg.n, weights, tail_deficit=1 - total)
 
 
-def step_mass_law(n, b):
-    """Exact law of the mass added by one theta = 1 single-beta step.
+def step_mass_law(n, b, theta=1):
+    """Exact law of the mass added by one single-beta step at a numeric
+    theta.
 
-    The row's Vandermonde ratio is harmonic for independent Bernoulli
-    moves, so the added mass is Binomial(n, q) with q = b/(1+b) no matter
-    the current diagram.  Returns [(d, probability)] for d = 0..n.
+    By Pieri (e_d(1^n) = C(n, d)) the strips of size d together weigh
+    C(n, d) q^d (1-q)^(n-d), q = theta b/(1 + theta b), whatever the
+    current diagram: the added mass is Binomial(n, q).  Returns
+    [(d, probability)] for d = 0..n.
     """
-    b = Fraction(b)
-    q = b / (1 + b)
+    tb = Fraction(theta) * Fraction(b)
+    q = tb / (1 + tb)
     return [(d, math.comb(n, d) * q ** d * (1 - q) ** (n - d))
             for d in range(n + 1)]
 
@@ -508,21 +519,31 @@ def scaled_moment(lam, n, theta, k):
     return Fraction(sum(a ** k for a in nums), den ** k)
 
 
-def _mass_marginal_stats(cfg, steps, samples, times):
-    """Sample k = 1 statistics of the theta = 1 single-beta walk through
-    the exact Binomial step-mass marginal (state-independent), instead of
-    per-row enumeration.  Law-equal to the rows; see step_mass_law.
+def _marginal_statistic(cfg):
+    """(base, step, den): at theta = p/r the k = 1 statistic of a state
+    with |lam0| + d boxes is (base + step d) / den, exactly, where
+    base = 2r|lam0| - p n(n-1), step = 2r and den = 2pn."""
+    theta = Fraction(cfg.theta)
+    p, r, n = theta.numerator, theta.denominator, cfg.n
+    return 2 * r * weight(cfg.initial) - p * n * (n - 1), 2 * r, 2 * p * n
 
-    The statistic after `added` boxes is (2|lam0| - n(n-1) + 2 added) / 2n:
-    numerator and denominator are integers below 2^53, so one float64
-    division gives the correctly rounded value of the exact quotient."""
+
+def _mass_marginal_stats(cfg, steps, samples, times):
+    """Sample k = 1 statistics of a single-beta walk through the exact
+    Binomial step-mass marginal (state-independent), instead of per-row
+    enumeration.  Law-equal to the rows; see step_mass_law.
+
+    Numerator and denominator of each statistic (see _marginal_statistic)
+    are integers below 2^53, so one float64 division gives the correctly
+    rounded value of the exact quotient."""
     import numpy
 
     n = cfg.n
     b = cfg.rho.components[0].betas[0]
-    q = float(b / (1 + b))
-    base = 2 * weight(cfg.initial) - n * (n - 1)
-    if abs(base) + 2 * n * steps >= 2 ** 53:
+    tb = Fraction(cfg.theta) * b
+    q = float(tb / (1 + tb))
+    base, step, den = _marginal_statistic(cfg)
+    if max(abs(base) + step * n * steps, step, den) >= 2 ** 53:
         raise ResourceLimitError("walk too large for exact float statistics")
     stats = PathStats([(t, 1) for t in times], method="mass-marginal")
     rng = numpy.random.Generator(numpy.random.PCG64(cfg.seed))
@@ -536,24 +557,23 @@ def _mass_marginal_stats(cfg, steps, samples, times):
         for j, t in enumerate(times):
             if t:
                 added[:, j] = masses[:, t - 1]
-        stats.add_batch((base + 2 * added) / (2 * n))
+        stats.add_batch((base + step * added) / den)
         done += m
     return stats
 
 
-def path_statistics(cfg, steps, samples, ks, times=None, method=None,
-                    on_path=None):
+def path_statistics(cfg, steps, samples, ks, times=None, on_path=None):
     """Monte Carlo means/variances/covariances of the scaled moments
     n * integral x^k at the requested times (default: every time), over
     `samples` independent paths seeded from (cfg.seed, path index).
 
-    ``method`` forces the sampling route: "rows" walks exact transition
-    rows; "mass-marginal" draws the Binomial step masses (first moments
-    of theta = 1 single-beta walks only).  None picks automatically.
+    The request picks the route, recorded as the result's ``method``:
+    "mass-marginal" draws the Binomial step masses (see step_mass_law)
+    when only k = 1 is asked of a single-beta walk with n > 0 and no
+    ``on_path``; "rows" walks exact transition rows otherwise.
     ``on_path``, if given, is called with each full path
-    [lam^(0), ..., lam^(steps)] in sample order; it needs the rows route.
-    Fewer than one sample, a negative k and a symbolic theta raise
-    ValueError.
+    [lam^(0), ..., lam^(steps)] in sample order.  No k, fewer than one
+    sample, a negative k and a symbolic theta raise ValueError.
     """
     if times is None:
         times = list(range(steps + 1))
@@ -561,21 +581,15 @@ def path_statistics(cfg, steps, samples, ks, times=None, method=None,
     if times and (times[0] < 0 or times[-1] > steps):
         raise ValueError("requested times fall outside the walk")
     ks = [int(k) for k in ks]
+    if not ks:
+        raise ValueError("need at least one moment index k")
     if samples < 1:
         raise ValueError("need at least one sample")
     if any(k < 0 for k in ks):
         raise ValueError("moment indices k must be nonnegative")
 
-    marginal_ok = (ks == [1] and _is_single_beta_step(cfg)
-                   and as_exact(cfg.theta) == 1 and cfg.n > 0)
-    if method not in (None, "rows", "mass-marginal"):
-        raise ValueError("unknown sampling method %r" % (method,))
-    if method == "mass-marginal" and not marginal_ok:
-        raise ValueError("mass-marginal sampling needs theta = 1, a single "
-                         "unit-scale beta step, and ks == [1]")
-    if method == "mass-marginal" and on_path is not None:
-        raise ValueError("per-path output needs the rows sampling method")
-    if marginal_ok and method != "rows" and on_path is None:
+    if (ks == [1] and _is_single_beta_step(cfg) and cfg.n > 0
+            and on_path is None):
         return _mass_marginal_stats(cfg, steps, samples, times)
 
     keys = [(t, k) for t in times for k in ks]

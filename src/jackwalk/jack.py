@@ -24,11 +24,11 @@ import threading
 from fractions import Fraction
 
 from .errors import DivergenceError, ResourceLimitError, ShapeError
-from .partitions import (arm, boxes, conjugate, contains, dominance_leq,
+from .partitions import (arm, boxes, conjugate, contains,
                          enumerate_partitions, leg, length, make_partition,
                          weight)
-from .psum import (CONVERSION_SIZE_CUTOFF, PSumPoly, monomial_expansion,
-                   monomial_to_psum, scalar_product)
+from .psum import (CONVERSION_SIZE_CUTOFF, PSumPoly, monomial_to_psum,
+                   scalar_product)
 from .scalars import THETA, RationalFunction, as_exact, is_zero
 
 __all__ = [
@@ -71,12 +71,6 @@ class JackBasis:
         self.ensure_size(weight(lam))
         return self._norms[lam]
 
-    def size_table(self, size):
-        """All expansions of one size class as {partition: PSumPoly}."""
-        self.ensure_size(size)
-        return {lam: self._table[lam]
-                for lam in enumerate_partitions(size)}
-
     # -- construction --------------------------------------------------------
 
     def ensure_size(self, size):
@@ -110,11 +104,6 @@ class JackBasis:
             self._table[lam] = f
             self._norms[lam] = nrm
             built.append(lam)
-        if __debug__ and size <= 8:
-            for lam in built:
-                expansion = monomial_expansion(self._table[lam])
-                assert expansion.get(lam) == 1
-                assert all(dominance_leq(mu, lam) for mu in expansion)
 
 
 _BASES = {}

@@ -25,8 +25,7 @@ from .jack import (basis_for, jack_polynomial, lr_expand, principal_value,
                    reproducing_kernel)
 from .partitions import enumerate_all_partitions, length, make_partition
 from .psum import PSumPoly
-from .scalars import (THETA, as_exact, as_fraction, is_zero, scalar_from_json,
-                      scalar_to_json)
+from .scalars import THETA, as_exact, as_fraction, is_zero
 from .series import ORDER_INF, TruncSeries
 from .specializations import specialize
 
@@ -239,21 +238,6 @@ class MeasureOnYoung:
         for lam, w in self.support.items():
             total = total + w * fn(lam)
         return total
-
-    def to_json(self):
-        return {
-            "N": self.n,
-            "atoms": [{"partition": list(lam), "weight": scalar_to_json(w)}
-                      for lam, w in sorted(self.support.items())],
-            "tail_deficit": scalar_to_json(self.tail_deficit),
-        }
-
-    @staticmethod
-    def from_json(obj):
-        support = {tuple(a["partition"]): scalar_from_json(a["weight"])
-                   for a in obj["atoms"]}
-        return MeasureOnYoung(obj["N"], support,
-                              scalar_from_json(obj["tail_deficit"]))
 
     def __repr__(self):
         return ("MeasureOnYoung(n=%d, %d atoms, deficit=%s)"

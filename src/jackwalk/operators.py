@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .partitions import length, make_partition
 from .psum import PSumPoly, d_dp
-from .scalars import THETA, as_exact, is_zero
+from .scalars import THETA, as_exact
 from .series import ORDER_INF, TruncSeries
 from .specializations import specialize_ones
 

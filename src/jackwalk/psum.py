@@ -72,9 +72,6 @@ class PSumPoly:
             return -1
         return max(sum(k) for k in self.terms)
 
-    def homogeneous_component(self, d):
-        return PSumPoly({k: v for k, v in self.terms.items() if sum(k) == d})
-
     def truncate(self, max_degree):
         """Drop all terms of total degree above max_degree."""
         return PSumPoly({k: v for k, v in self.terms.items()
@@ -179,29 +176,10 @@ class PSumPoly:
             bits.append("%r*p%s" % (self.terms[key], list(key)))
         return "PSumPoly(%s)" % " + ".join(bits)
 
-    # -- serialization -------------------------------------------------------
-
-    def to_json(self):
-        from .scalars import scalar_to_json
-        return [{"index": list(k), "coeff": scalar_to_json(v)}
-                for k, v in sorted(self.terms.items(),
-                                   key=lambda kv: (sum(kv[0]), kv[0]))]
-
-    @staticmethod
-    def from_json(items):
-        from .scalars import scalar_from_json
-        return PSumPoly({tuple(it["index"]): scalar_from_json(it["coeff"])
-                         for it in items})
-
 
 # ---------------------------------------------------------------------------
 # spec'd module-level operations
 # ---------------------------------------------------------------------------
-
-def psum_multiply(f, g):
-    """Product in the polynomial ring; key concatenation, re-sorted."""
-    return f * g
-
 
 def d_dp(f, k):
     """Formal partial derivative with respect to the variable p_k."""

@@ -20,7 +20,7 @@ caller is expected to rebuild inputs at a higher order and retry.
 from fractions import Fraction
 
 from .errors import OrderError
-from .scalars import RationalFunction, scalar_from_json, scalar_to_json
+from .scalars import RationalFunction
 
 ORDER_INF = float("inf")
 
@@ -337,28 +337,6 @@ class TruncSeries:
             acc = acc + power * Fraction(sign, k)
             sign = -sign
         return acc.truncate(n)
-
-    # -- serialization -------------------------------------------------------
-
-    def to_json(self):
-        def enc(c):
-            if isinstance(c, TruncSeries):
-                return c.to_json()
-            return scalar_to_json(c)
-
-        return {"var": self.var, "low": self.low,
-                "coeffs": [enc(c) for c in self.coeffs],
-                "order": None if self.order == ORDER_INF else self.order}
-
-    @staticmethod
-    def from_json(obj):
-        def dec(c):
-            if isinstance(c, dict) and "var" in c:
-                return TruncSeries.from_json(c)
-            return scalar_from_json(c)
-
-        return TruncSeries(obj["var"], obj["low"],
-                           [dec(c) for c in obj["coeffs"]], obj["order"])
 
 
 def revert(f, newvar):

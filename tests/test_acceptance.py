@@ -196,8 +196,8 @@ def test_criterion_09_variance_matches_limit_covariance():
     for n in (8, 16, 32):
         cfg = WalkConfig(n, one, Specialization.single_beta(1),
                          seed=SEED + n)
-        stats = path_statistics(cfg, n, samples, [1], times=[n],
-                                method="mass-marginal")
+        stats = path_statistics(cfg, n, samples, [1], times=[n])
+        assert stats.method == "mass-marginal"
         var = stats.variance((n, 1))
         se = stats.variance_stderr((n, 1))
         ok = ok and abs(var - float(limit)) < 4 * se

@@ -8,7 +8,6 @@ import pytest
 from jackwalk.asymptotics import (
     build_U,
     build_V,
-    burgers_evolve,
     default_order,
     limit_covariance,
     limit_covariance_two_times,
@@ -16,21 +15,54 @@ from jackwalk.asymptotics import (
     moments_to_stieltjes,
     packed_limit_moments,
     stieltjes_R_H,
-    stieltjes_from_inverse,
     stieltjes_inverse,
-    stieltjes_moments,
     toeplitz_wienerhopf_check,
+    w_prime_of,
     walk_covariance_kernel,
     walk_limit_data,
 )
-from jackwalk.errors import StabilityError
+from jackwalk.errors import OrderError, StabilityError
 from jackwalk.measures import AtomicMeasure
-from jackwalk.series import TruncSeries
+from jackwalk.series import TruncSeries, revert
 from jackwalk.specializations import Specialization
 from jackwalk.verify import toeplitz_cases
 
 half = Fraction(1, 2)
 one = Fraction(1)
+
+
+# -- the Burgers oracle: limit moments by evolving the Stieltjes series ---------
+
+
+def stieltjes_moments(m, count):
+    """First `count` moments encoded in a Stieltjes series."""
+    return [m.coefficient(k + 1) for k in range(1, count + 1)]
+
+
+def stieltjes_from_inverse(k_series):
+    """Recover the Stieltjes series from its functional inverse."""
+    return revert(k_series.reciprocal(), "1/z")
+
+
+def burgers_evolve(m0, rho, tau, theta, order):
+    """Evolve a Stieltjes series for time tau under a stable specialization,
+    through its functional inverse: m_tau^(-1)(u) = tau T(e^u) + m0^(-1)(u),
+    where T(y) = y W'(y)."""
+    rho.require_stable(theta)
+    tau = Fraction(tau)
+    if m0.valuation() != 1 or m0.coefficient(1) != 1:
+        raise ValueError("expected a Stieltjes series with leading mass 1")
+    if not tau:
+        return m0.truncate(min(m0.order, order + 2))
+    k0 = stieltjes_inverse(m0, var="u")
+    work = int(k0.order) + 2
+    exp_u = TruncSeries.monomial("u", 1, 1, work).exp()
+    shift = (exp_u * w_prime_of(rho, theta, exp_u, work)).truncate(work)
+    m_tau = stieltjes_from_inverse(k0 + shift * tau)
+    if m_tau.order < order + 2:
+        raise OrderError("initial data supports only %d moments, need %d" %
+                         (int(m_tau.order) - 2, order))
+    return m_tau.truncate(order + 2)
 
 
 def bernoulli_walk_frame(tau, order=8):

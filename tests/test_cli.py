@@ -2,13 +2,14 @@
 
 import hashlib
 import json
+import math
 import re
 from fractions import Fraction
 
 import pytest
 
 from jackwalk import __version__, cli
-from jackwalk.dynamics import WalkConfig
+from jackwalk.dynamics import WalkConfig, step_mass_law
 from jackwalk.errors import ResourceLimitError
 from jackwalk.scalars import as_fraction, scalar_from_json
 from jackwalk.specializations import Specialization
@@ -283,6 +284,13 @@ GOLDEN_WALKS = {
         "7d6cef46b18960b02da43e3dc741bd70a3ae26ea9bcff46e4b36a94c5b9b27ce",
         None,
         "c5eb361ce0cb1d3ecef59a60880ab90e1d9f374fad8d536dc6b45800b3eff269"),
+    # k = 1 alone at theta = 1/2: the Binomial marginal, not the rows
+    "theta-half-marginal": (
+        {"n": 4, "theta": Fraction(1, 2)},
+        ["--steps", "4", "--k", "1", "--samples", "2000"],
+        "b5a2b42dea3e5210e1ba9c9661b0133fae8df346dbb85741c0b13f83cd6f3c19",
+        None,
+        "c30396b2f3c4f3cbdac8e14a89a65f37925f4c28de996aeb0da796b07fce3abd"),
 }
 
 
@@ -310,41 +318,68 @@ def test_walk_sample_golden_bytes(tmp_path, monkeypatch, case):
         assert _body_digest(tmp_path / "paths.jsonl") == paths_digest
 
 
-def test_walk_sample_method_validation(tmp_path, capsys):
-    config = beta_config(tmp_path, theta=Fraction(2),
-                         rho=Specialization.single_beta(Fraction(2, 3)))
+def test_walk_sample_has_no_method_option(tmp_path, capsys):
+    # the request alone picks the sampling route
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["walk", "sample", "--config", beta_config(tmp_path),
+                  "--steps", "1", "--samples", "3", "--method", "rows"])
+    assert exc.value.code == 2
+    assert "--method" in capsys.readouterr().err
+
+
+def test_walk_sample_general_theta_marginal_within_4_se(tmp_path):
+    # theta = 1/2, N = 12: past the row cache's reach, so only the Binomial
+    # marginal samples it; every estimate within 4 SE of the exact law
+    n, theta, steps, m = 12, Fraction(1, 2), 12, 2000
+    config = beta_config(tmp_path, n=n, theta=theta, seed=7)
     out = tmp_path / "stats.csv"
-    rc = cli.main(["walk", "sample", "--config", config, "--steps", "1",
-                   "--samples", "3", "--method", "mass-marginal",
-                   "--out", str(out)])
-    assert rc == 2
-    assert "mass-marginal" in capsys.readouterr().err
-    # writing every path needs the exact rows, not the marginal
-    rc = cli.main(["walk", "sample", "--config", beta_config(tmp_path),
-                   "--steps", "1", "--samples", "3", "--method",
-                   "mass-marginal", "--paths", str(tmp_path / "p.jsonl"),
-                   "--out", str(out)])
-    assert rc == 2
-    assert "rows" in capsys.readouterr().err
+    assert cli.main(["walk", "sample", "--config", config, "--steps",
+                     str(steps), "--k", "1", "--samples", str(m),
+                     "--out", str(out)]) == 0
+    law = step_mass_law(n, 1, theta)
+    mean = sum(d * p for d, p in law)
+    mu2, mu4 = (sum((d - mean) ** j * p for d, p in law) for j in (2, 4))
+    scale = theta * n  # one added box moves the statistic by 1/(theta N)
+    for line in out.read_text().splitlines()[2:]:
+        t, _, est_mean, est_var, _ = line.split(",")
+        t = int(t)
+        var = t * mu2 / scale ** 2
+        fourth = (t * (mu4 - 3 * mu2 ** 2) + 3 * (t * mu2) ** 2) / scale ** 4
+        se_mean = math.sqrt(var / m)
+        se_var = math.sqrt(fourth / m - var * var * (m - 3) / (m * (m - 1)))
+        exact_mean = Fraction(-(n - 1), 2) + t * mean / scale
+        assert abs(float(est_mean) - exact_mean) <= 4 * se_mean + 1e-9, t
+        assert abs(float(est_var) - var) <= 4 * se_var + 1e-9, t
 
 
 BETA_ONE = {"betas": ["1"], "alphas": [], "gamma": "0", "scale": "1"}
 
 
-@pytest.mark.parametrize("theta, rho, argv", [
+GAMMA_ONE = {"gamma": "1"}
+
+
+@pytest.mark.parametrize("theta, rho, extra, argv", [
     # half a copy of a beta atom: the row from () weighs (2,) at -1/16
-    ("1", {"betas": ["1/2"], "scale": "1/2"}, []),
-    ("symbolic", BETA_ONE, []),
-    ("-1", BETA_ONE, []),
-    ("1", {"alphas": ["1"]}, []),  # the step kernel H(rho; 1^N) diverges
-    ("1", BETA_ONE, ["--samples", "0"]),
-    ("1", BETA_ONE, ["--k", "-1"]),
+    ("1", {"betas": ["1/2"], "scale": "1/2"}, {}, []),
+    ("symbolic", BETA_ONE, {}, []),
+    ("-1", BETA_ONE, {}, []),
+    ("1", {"alphas": ["1"]}, {}, []),  # the step kernel H(rho; 1^N) diverges
+    ("1", BETA_ONE, {}, ["--samples", "0"]),
+    ("1", BETA_ONE, {}, ["--k", "-1"]),
+    ("1", BETA_ONE, {}, ["--k", ""]),
+    ("1", GAMMA_ONE, {"step_truncation": "3"}, []),
+    ("1", GAMMA_ONE, {"step_truncation": 0}, []),
+    ("1", GAMMA_ONE, {"step_truncation": -1}, []),
+    ("1", GAMMA_ONE, {"step_truncation": True}, []),
 ], ids=["fractional-beta-scale", "symbolic-theta", "negative-theta",
-        "divergent-alpha", "no-samples", "negative-k"])
-def test_walk_sample_bad_input_exits_2(tmp_path, capsys, theta, rho, argv):
+        "divergent-alpha", "no-samples", "negative-k", "empty-k",
+        "string-truncation", "zero-truncation", "negative-truncation",
+        "bool-truncation"])
+def test_walk_sample_bad_input_exits_2(tmp_path, capsys, theta, rho, extra,
+                                       argv):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"N": 2, "theta": theta, "rho": rho,
-                                  "seed": 1}))
+    config.write_text(json.dumps(dict({"N": 2, "theta": theta, "rho": rho,
+                                       "seed": 1}, **extra)))
     rc = cli.main(["walk", "sample", "--config", str(config), "--steps", "2",
                    "--samples", "3", "--out", str(tmp_path / "s.csv")]
                   + argv)
@@ -428,7 +463,9 @@ def test_walk_predict_frozen_values(tmp_path):
     ["--k", "1,-2"],
     ["--tau", "-1"],
     ["--tau", "1/2,-1/3"],
-], ids=["negative-k", "one-negative-k", "negative-tau", "one-negative-tau"])
+    ["--k", ""],
+], ids=["negative-k", "one-negative-k", "negative-tau", "one-negative-tau",
+        "empty-k"])
 def test_walk_predict_bad_input_exits_2(tmp_path, capsys, argv):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"N": 10, "theta": "1",

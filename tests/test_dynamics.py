@@ -53,6 +53,10 @@ def test_config_validation():
     for theta in (Fraction(0), Fraction(-1)):
         with pytest.raises(ValueError):
             WalkConfig(2, theta, b23)
+    assert WalkConfig(2, one, b23, step_truncation=3).step_truncation == 3
+    for cap in ("3", 0, -1, True, 2.0):
+        with pytest.raises(ValueError):
+            WalkConfig(2, one, b23, step_truncation=cap)
     # a fractional copy of an atom is not a positive specialization: at
     # N = 2 the beta = 1/2, scale = 1/2 row from () gives (2,) weight -1/16
     for rho in (b23.scaled(half), Specialization.ones(1).scaled(half),
@@ -301,16 +305,75 @@ def test_step_mass_law_binomial():
     law = dict(step_mass_law(3, Fraction(2, 3)))
     assert law == {0: Fraction(27, 125), 1: Fraction(54, 125),
                    2: Fraction(36, 125), 3: Fraction(8, 125)}
-    # aggregated row mass by number of added boxes equals the binomial law,
-    # independently of the current state
-    for lam in ((), (2, 1), (3, 3, 1)):
-        cfg = WalkConfig(3, one, b23)
-        row = transition_row(lam, cfg)
-        agg = {}
-        for mu, w in row.support.items():
-            d = sum(mu) - sum(lam)
-            agg[d] = agg.get(d, Fraction(0)) + w
-        assert agg == law
+    # q = theta b / (1 + theta b) = 1/4
+    assert dict(step_mass_law(3, Fraction(2, 3), half)) == \
+        {0: Fraction(27, 64), 1: Fraction(27, 64), 2: Fraction(9, 64),
+         3: Fraction(1, 64)}
+
+
+@pytest.mark.parametrize("theta", THETAS, ids=str)
+def test_step_mass_law_is_the_row_mass_by_size(theta):
+    # Pieri: at every theta the strips of size d weigh C(N, d) q^d (1-q)^(N-d),
+    # whatever the current diagram
+    for lam, b in itertools.product(((), (2, 1), (3, 1), (2, 2, 1),
+                                     (3, 3, 1)),
+                                    (one, Fraction(2, 3))):
+        for n in range(length(lam), 5):
+            row = transition_row(lam, WalkConfig(
+                n, theta, Specialization.single_beta(b)))
+            by_size = {}
+            for mu, w in row.support.items():
+                d = sum(mu) - sum(lam)
+                by_size[d] = by_size.get(d, 0) + w
+            law = {d: p for d, p in step_mass_law(n, b, theta) if p}
+            assert by_size == law, (lam, n, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(beta_rows(THETAS + [Fraction(9, 4), Fraction(5, 11)]),
+       st.integers(0, 20))
+def test_marginal_statistic_is_the_scaled_first_moment(case, cut):
+    # the marginal's integer statistic after d boxes on top of lam0 is the
+    # scaled first moment of any diagram with |lam0| + d boxes
+    theta, n, lam, _ = case
+    n = max(n, 1)  # the marginal route needs n > 0
+    parts, d = list(lam), 0
+    while parts and d < cut:  # lam0: lam less its last d boxes
+        parts[-1] -= 1
+        d += 1
+        if not parts[-1]:
+            parts.pop()
+    cfg = WalkConfig(n, theta, Specialization.single_beta(one),
+                     initial=tuple(parts))
+    base, step, den = dynamics._marginal_statistic(cfg)
+    assert Fraction(base + step * d, den) == scaled_moment(lam, n, theta, 1)
+
+
+def _exact_laws(cfg, steps, k):
+    """{t: (mean, variance, fourth central moment)} of the scaled k-th
+    moment at each time, from exact_evolve."""
+    start = MeasureOnYoung(cfg.n, {cfg.initial: one})
+    laws = {}
+    for t, measure in enumerate(exact_evolve(start, cfg, steps)):
+        dist = [(scaled_moment(lam, cfg.n, cfg.theta, k), w)
+                for lam, w in measure.support.items()]
+        mean = sum(w * x for x, w in dist)
+        laws[t] = tuple([mean] + [sum(w * (x - mean) ** j for x, w in dist)
+                                  for j in (2, 4)])
+    return laws
+
+
+def test_marginal_route_at_theta_half_within_4_se():
+    cfg = WalkConfig(4, half, b23, initial=(1,), seed=13)
+    m = 4000
+    stats = path_statistics(cfg, 4, m, [1])
+    assert stats.method == "mass-marginal"
+    for t, (mean, var, mu4) in _exact_laws(cfg, 4, 1).items():
+        se_mean = math.sqrt(var / m)
+        se_var = math.sqrt(max(0, mu4 / m - var * var * (m - 3)
+                               / (m * (m - 1))))
+        assert abs(stats.mean((t, 1)) - mean) <= 4 * se_mean + 1e-12, t
+        assert abs(stats.variance((t, 1)) - var) <= 4 * se_var + 1e-12, t
 
 
 def test_sample_path_reproducible():
@@ -466,10 +529,12 @@ def test_path_stats():
 
 def test_path_statistics_two_routes_agree():
     # N = 1 Bernoulli chain: the scaled first moment after one step is a
-    # fair coin; both sampling routes see mean 1/2 and variance 1/4
+    # fair coin; both sampling routes see mean 1/2 and variance 1/4 (a
+    # per-path callback forces the rows)
     cfg = WalkConfig(1, one, Specialization.single_beta(one), seed=7)
-    rows = path_statistics(cfg, 1, 4000, [1], method="rows")
-    marg = path_statistics(cfg, 1, 4000, [1], method="mass-marginal")
+    rows = path_statistics(cfg, 1, 4000, [1], on_path=lambda path: None)
+    marg = path_statistics(cfg, 1, 4000, [1])
+    assert (rows.method, marg.method) == ("rows", "mass-marginal")
     for stats in (rows, marg):
         m = stats.mean((1, 1))
         se = stats.mean_stderr((1, 1))
@@ -487,11 +552,11 @@ def test_path_statistics_on_path():
     assert stats.method == "rows"
     assert seen == [sample_path(WalkConfig(3, one, b1, seed=path_seed(4, i)), 3)
                     for i in range(5)]
-    plain = path_statistics(cfg, 3, 5, [1], method="rows")
-    assert stats.sums == plain.sums and stats.count == plain.count
-    with pytest.raises(ValueError):
-        path_statistics(cfg, 3, 5, [1], method="mass-marginal",
-                        on_path=seen.append)
+    # the callback does not change the statistics of a rows walk
+    both = path_statistics(cfg, 3, 5, [1, 2], on_path=lambda path: None)
+    plain = path_statistics(cfg, 3, 5, [1, 2])
+    assert plain.method == "rows"
+    assert both.sums == plain.sums and both.count == plain.count
 
 
 @settings(max_examples=25, deadline=None)
@@ -513,13 +578,9 @@ def test_path_statistics_validation():
     with pytest.raises(ValueError):
         path_statistics(cfg, 2, 10, [1], times=[3])
     with pytest.raises(ValueError):
-        path_statistics(cfg, 2, 10, [1], method="bogus")
-    # the marginal shortcut is only available for the unit-beta chain
-    slow = WalkConfig(2, two, b23, seed=1)
-    with pytest.raises(ValueError):
-        path_statistics(slow, 1, 10, [1], method="mass-marginal")
-    with pytest.raises(ValueError):
         path_statistics(cfg, 2, 0, [1])
+    with pytest.raises(ValueError):
+        path_statistics(cfg, 2, 10, [])
     with pytest.raises(ValueError):
         path_statistics(cfg, 2, 10, [1, -1])
     symbolic = WalkConfig(2, THETA, b23, seed=1)

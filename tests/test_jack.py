@@ -26,8 +26,7 @@ from jackwalk.partitions import (
     length,
     weight,
 )
-from jackwalk.psum import (PSumPoly, monomial_expansion, psum_multiply,
-                           scalar_product)
+from jackwalk.psum import PSumPoly, monomial_expansion, scalar_product
 from jackwalk.scalars import THETA, substitute_theta
 from jackwalk.specializations import (
     Specialization,
@@ -64,12 +63,21 @@ def test_schur_point():
     assert f.terms == {(1, 1, 1): Fraction(1, 3), (3,): Fraction(-1, 3)}
 
 
+def _assert_monic_triangular(theta, max_size):
+    """Every row of the table is m_lam plus lower terms in dominance order."""
+    for lam in enumerate_all_partitions(max_size):
+        mono = monomial_expansion(jack_polynomial(lam, theta))
+        assert mono[lam] == 1, (theta, lam)
+        assert all(dominance_leq(mu, lam) for mu in mono), (theta, lam)
+
+
 def test_monic_dominance_triangular():
-    for lam in enumerate_all_partitions(5):
-        mono = monomial_expansion(jack_polynomial(lam))
-        assert mono[lam] == 1
-        for mu in mono:
-            assert dominance_leq(mu, lam)
+    _assert_monic_triangular(THETA, 6)
+
+
+@pytest.mark.parametrize("th", [half, one, two, Fraction(3, 7)])
+def test_fixed_theta_tables_are_monic_triangular(th):
+    _assert_monic_triangular(th, 8)
 
 
 def test_orthogonality_and_norm():
@@ -174,7 +182,7 @@ def test_lr_expand():
     assert lr_expand((), (2, 1)) == {(2, 1): 1}
     # dual route: coefficients reassemble the product
     for mu, eta in [((2,), (1,)), ((1, 1), (1,)), ((2, 1), (1,)), ((2,), (2,))]:
-        prod = psum_multiply(jack_polynomial(mu), jack_polynomial(eta))
+        prod = jack_polynomial(mu) * jack_polynomial(eta)
         acc = None
         for lam, c in lr_expand(mu, eta).items():
             term = jack_polynomial(lam) * c
@@ -244,7 +252,8 @@ def test_basis_cache():
     assert basis_for(one) is b1
     assert basis_for(THETA) is not b1
     b1.ensure_size(4)
-    assert (2, 1) in b1.size_table(3)
+    assert 4 in b1._done
+    assert b1.polynomial((2, 1)) is basis_for(one).polynomial((2, 1))
 
 
 @pytest.mark.parametrize("th", [half, one, two, Fraction(3, 7)])
@@ -254,11 +263,10 @@ def test_fixed_theta_tables_match_substitution(th):
     sym = basis_for(THETA)
     fixed = basis_for(th)
     for size in range(8):
-        table = fixed.size_table(size)
-        for lam, poly in sym.size_table(size).items():
+        for lam in enumerate_partitions(size):
             oracle = PSumPoly({key: substitute_theta(c, th)
-                               for key, c in poly.terms.items()})
-            assert table[lam].terms == oracle.terms, (th, lam)
+                               for key, c in sym.polynomial(lam).terms.items()})
+            assert fixed.polynomial(lam).terms == oracle.terms, (th, lam)
             assert fixed.norm(lam) == substitute_theta(sym.norm(lam), th)
 
 

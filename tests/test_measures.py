@@ -138,7 +138,6 @@ def test_measure_on_young():
     assert m.weight((3,)) == 0
     assert m.total_mass() == 1
     assert m.map_expectation(lambda lam: sum(lam)) == Fraction(5, 2)
-    assert MeasureOnYoung.from_json(m.to_json()).support == m.support
     with pytest.raises(ShapeError):
         MeasureOnYoung(1, {(1, 1): one})
 

@@ -17,7 +17,7 @@ from jackwalk.operators import (
     moment_factor,
     set_partitions,
 )
-from jackwalk.psum import PSumPoly, psum_multiply
+from jackwalk.psum import PSumPoly
 from jackwalk.scalars import THETA, substitute_theta
 from jackwalk.specializations import specialize_ones
 from jackwalk.verify import eigenrelation_cases

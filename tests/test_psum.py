@@ -11,7 +11,6 @@ from jackwalk.psum import (
     d_dp,
     monomial_expansion,
     monomial_to_psum,
-    psum_multiply,
     psum_to_monomial,
     scalar_product,
 )
@@ -43,25 +42,23 @@ def test_ring_axioms_random():
     rng = random.Random(7)
     for _ in range(30):
         f, g, h = (random_poly(rng) for _ in range(3))
-        assert psum_multiply(f, g).terms == psum_multiply(g, f).terms
-        assert psum_multiply(f, g + h).terms == \
-            (psum_multiply(f, g) + psum_multiply(f, h)).terms
-        assert psum_multiply(psum_multiply(f, g), h).terms == \
-            psum_multiply(f, psum_multiply(g, h)).terms
+        assert (f * g).terms == (g * f).terms
+        assert (f * (g + h)).terms == (f * g + f * h).terms
+        assert ((f * g) * h).terms == (f * (g * h)).terms
         assert (f + g).terms == (g + f).terms
         assert (f - f).terms == {}
 
 
 def test_multiplication_merges_keys():
-    f = psum_multiply(PSumPoly.p(2), PSumPoly.p(1))
+    f = PSumPoly.p(2) * PSumPoly.p(1)
     assert f.terms == {(2, 1): Fraction(1)}
-    assert psum_multiply(f, PSumPoly.p(2)).terms == {(2, 2, 1): Fraction(1)}
+    assert (f * PSumPoly.p(2)).terms == {(2, 2, 1): Fraction(1)}
 
 
 def test_degree_and_components():
     f = PSumPoly({(2, 1): 1, (1,): 2, (): 3})
     assert f.degree() == 3
-    assert f.homogeneous_component(1).terms == {(1,): 2}
+    assert {k: v for k, v in f.terms.items() if sum(k) == 1} == {(1,): 2}
     assert f.truncate(1).terms == {(1,): 2, (): 3}
     assert PSumPoly.zero().degree() == -1
 
@@ -75,8 +72,8 @@ def test_d_dp():
     rng = random.Random(11)
     for _ in range(20):
         f, g = random_poly(rng), random_poly(rng)
-        lhs = d_dp(psum_multiply(f, g), 2)
-        rhs = psum_multiply(d_dp(f, 2), g) + psum_multiply(f, d_dp(g, 2))
+        lhs = d_dp(f * g, 2)
+        rhs = d_dp(f, 2) * g + f * d_dp(g, 2)
         assert lhs.terms == rhs.terms
 
 
@@ -120,9 +117,3 @@ def test_scalar_product_bilinearity():
         assert scalar_product(f + g, h, THETA) == \
             scalar_product(f, h, THETA) + scalar_product(g, h, THETA)
         assert scalar_product(f, g, THETA) == scalar_product(g, f, THETA)
-
-
-def test_json_round_trip():
-    f = PSumPoly({(2, 1): Fraction(3, 7), (1,): THETA / (1 + THETA)})
-    g = PSumPoly.from_json(f.to_json())
-    assert g.terms == f.terms

@@ -156,10 +156,3 @@ def test_map_coefficients():
     s = TruncSeries("z", 0, [1, 2, 3], 5)
     doubled = s.map_coefficients(lambda c: 2 * c)
     assert [v for _, v in doubled.items()] == [2, 4, 6]
-
-
-def test_json_round_trip():
-    f = TruncSeries("1/z", -1, [Fraction(1, 3), 0, 2], 4)
-    g = TruncSeries.from_json(f.to_json())
-    assert g.var == f.var and g.low == f.low and g.order == f.order
-    assert list(g.items()) == list(f.items())
