@@ -21,7 +21,6 @@ import csv
 import hashlib
 import json
 import sys
-from contextlib import nullcontext
 from fractions import Fraction
 
 from . import __version__
@@ -216,9 +215,11 @@ def _load_walk_config(args):
 
 def _limit_predictions(cfg, taus, ks, pairs_only_diagonal=True):
     """Rows (tau, k, l, statistic, value) of the limiting mean/covariance.
-    No k, a negative k or a negative tau raises ValueError."""
+    No k, no tau, a negative k or a negative tau raises ValueError."""
     if not ks:
         raise ValueError("need at least one moment index k")
+    if not taus:
+        raise ValueError("need at least one time tau")
     if any(k < 0 for k in ks):
         raise ValueError("moment indices k must be nonnegative")
     if any(tau < 0 for tau in taus):
@@ -226,8 +227,6 @@ def _limit_predictions(cfg, taus, ks, pairs_only_diagonal=True):
     theta = as_fraction(cfg.theta)
     order = default_order(ks)
     moments = packed_limit_moments(2 * order + 1)
-    if not taus:
-        return []
     # the covariance kernel does not depend on tau: build it once
     v_kernel = build_V(walk_limit_data(cfg.rho, theta, taus[0], moments,
                                        order))
@@ -263,17 +262,28 @@ def _write_predictions(path, params, rows):
 def cmd_walk_sample(args):
     cfg = _load_walk_config(args)
     ks = _parse_int_list(args.k)
-    times = _parse_int_list(args.times) if args.times else None
+    times = _parse_int_list(args.times) if args.times is not None else None
     params = {"config": cfg.to_json(), "steps": args.steps,
               "samples": args.samples, "k": ks, "times": times}
 
-    with (open(args.paths, "w") if args.paths else nullcontext()) as jsonl:
-        def write_path(path):
-            jsonl.write(json.dumps(
-                {"path": [list(lam) for lam in path]}) + "\n")
+    # the paths file is opened at the first path, which path_statistics
+    # passes on only once it has accepted the request: a refused request
+    # neither creates nor truncates it
+    jsonl = None
+
+    def write_path(path):
+        nonlocal jsonl
+        if jsonl is None:
+            jsonl = open(args.paths, "w")
+        jsonl.write(json.dumps({"path": [list(lam) for lam in path]}) + "\n")
+
+    try:
         stats = path_statistics(cfg, args.steps, args.samples, ks,
                                 times=times,
-                                on_path=write_path if jsonl else None)
+                                on_path=write_path if args.paths else None)
+    finally:
+        if jsonl is not None:
+            jsonl.close()
 
     stream, close = _open_out(args.out)
     try:

@@ -43,11 +43,15 @@ since e_d(1^N) = C(N, d)): the mass added per step is Binomial(N, q)
 regardless of the current diagram.  `step_mass_law` exposes that
 marginal.  When k = 1 alone is requested of a single-beta walk,
 `path_statistics` samples the first moment through it, which reaches
-walks that per-row enumeration never could.  That route works on blocks
-of samples with numpy integer cumulative sums; each statistic is one
-correctly rounded division of integers below 2^53, and the blocks are
-accumulated in sample order, so its output matches a per-sample exact
-loop bit for bit.
+walks that per-row enumeration never could.  Since the sum of dt
+independent Binomial(N, q) steps is Binomial(N dt, q), that route draws
+one Binomial per interval between consecutive requested times (the first
+from t = 0) and cumulates the intervals, in numpy blocks of samples.  A
+zero-width interval draws nothing, so when every time is requested the
+random stream, and every byte, is that of one draw per step.  Each
+statistic is one correctly rounded division of integers below 2^53, and
+the blocks are accumulated in sample order, so its output matches a
+per-sample exact loop bit for bit.
 """
 
 import hashlib
@@ -533,6 +537,13 @@ def _mass_marginal_stats(cfg, steps, samples, times):
     Binomial step-mass marginal (state-independent), instead of per-row
     enumeration.  Law-equal to the rows; see step_mass_law.
 
+    Each sample draws one Binomial(n * dt, q) per interval between
+    consecutive requested times, the first interval starting at t = 0,
+    and cumulates them: the mass added by dt independent steps.  A
+    zero-width interval (t = 0) consumes no random state, so when every
+    time is requested the draws, and the bytes, are those of one
+    Binomial(n, q) per step.
+
     Numerator and denominator of each statistic (see _marginal_statistic)
     are integers below 2^53, so one float64 division gives the correctly
     rounded value of the exact quotient."""
@@ -547,16 +558,13 @@ def _mass_marginal_stats(cfg, steps, samples, times):
         raise ResourceLimitError("walk too large for exact float statistics")
     stats = PathStats([(t, 1) for t in times], method="mass-marginal")
     rng = numpy.random.Generator(numpy.random.PCG64(cfg.seed))
+    trials = n * numpy.diff(times, prepend=0)  # per interval
     block = 20000
     done = 0
     while done < samples:
         m = min(block, samples - done)
-        masses = rng.binomial(n, q, size=(m, steps))
-        numpy.cumsum(masses, axis=1, out=masses)
-        added = numpy.zeros((m, len(times)), dtype=masses.dtype)
-        for j, t in enumerate(times):
-            if t:
-                added[:, j] = masses[:, t - 1]
+        added = rng.binomial(trials, q, size=(m, len(times)))
+        numpy.cumsum(added, axis=1, out=added)
         stats.add_batch((base + step * added) / den)
         done += m
     return stats
@@ -572,13 +580,18 @@ def path_statistics(cfg, steps, samples, ks, times=None, on_path=None):
     when only k = 1 is asked of a single-beta walk with n > 0 and no
     ``on_path``; "rows" walks exact transition rows otherwise.
     ``on_path``, if given, is called with each full path
-    [lam^(0), ..., lam^(steps)] in sample order.  No k, fewer than one
-    sample, a negative k and a symbolic theta raise ValueError.
+    [lam^(0), ..., lam^(steps)] in sample order.  Negative steps, an
+    empty list of times, no k, fewer than one sample, a negative k and a
+    symbolic theta raise ValueError.
     """
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
     if times is None:
         times = list(range(steps + 1))
     times = sorted(set(int(t) for t in times))
-    if times and (times[0] < 0 or times[-1] > steps):
+    if not times:
+        raise ValueError("need at least one requested time")
+    if times[0] < 0 or times[-1] > steps:
         raise ValueError("requested times fall outside the walk")
     ks = [int(k) for k in ks]
     if not ks:

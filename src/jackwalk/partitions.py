@@ -40,22 +40,6 @@ def contains(lam, mu):
     return all(mu[i] <= lam[i] for i in range(len(mu)))
 
 
-def dominance_leq(lam, mu):
-    """Dominance order on a size class: every prefix sum of lam is <= mu's.
-
-    Partitions of different sizes are incomparable (returns False).
-    """
-    if sum(lam) != sum(mu):
-        return False
-    a = b = 0
-    for i in range(max(len(lam), len(mu))):
-        a += lam[i] if i < len(lam) else 0
-        b += mu[i] if i < len(mu) else 0
-        if a > b:
-            return False
-    return True
-
-
 def z_lambda(lam):
     """Size of the centralizer of a permutation of cycle type lam."""
     out = 1

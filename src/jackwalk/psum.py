@@ -301,18 +301,3 @@ def monomial_to_psum(lam):
         return PSumPoly.one()
     table = _monomial_class_in_psum(sum(lam))
     return PSumPoly(table[lam])
-
-
-def monomial_expansion(f):
-    """Expand a PSumPoly in the monomial basis: {partition: coefficient}."""
-    out = {}
-    for key, val in f.terms.items():
-        for mu, c in psum_to_monomial(key).items():
-            acc = out.get(mu)
-            contrib = val * c
-            acc = contrib if acc is None else acc + contrib
-            if is_zero(acc):
-                out.pop(mu, None)
-            else:
-                out[mu] = acc
-    return out

@@ -239,6 +239,25 @@ def test_walk_sample_paths_file(tmp_path):
         assert rec["path"][0] == []
 
 
+@pytest.mark.parametrize("existing", [None, "kept\n"], ids=["new", "existing"])
+def test_refused_walk_sample_leaves_paths_file_alone(tmp_path, capsys,
+                                                     existing):
+    # the request is refused before any path is drawn: no paths file is
+    # created, and one that was there keeps its bytes
+    paths = tmp_path / "paths.jsonl"
+    if existing is not None:
+        paths.write_text(existing)
+    rc = cli.main(["walk", "sample", "--config", beta_config(tmp_path),
+                   "--steps", "3", "--samples", "4", "--k", "",
+                   "--paths", str(paths), "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    if existing is None:
+        assert not paths.exists()
+    else:
+        assert paths.read_text() == existing
+
+
 #: sha256 of `walk sample` outputs below the provenance line: the samplers
 #: promise identical bytes for identical invocations, so a faster sampler
 #: must reproduce these exactly.  Cases: (config overrides, argv, digest
@@ -249,11 +268,12 @@ _ROWS_STATS = \
 _ROWS_PREDICTIONS = \
     "03e4122db3da050a980d50057512e17946120d5342c01aec98f91fc634f8ea19"
 GOLDEN_WALKS = {
-    # two blocks of the Binomial marginal, the second one partial
+    # two blocks of the Binomial marginal, the second one partial; one
+    # draw per interval between the requested times
     "mass-marginal": (
         {"n": 8}, ["--steps", "8", "--times", "0,2,4,6,8",
                    "--samples", "25000"],
-        "323d6d82197c1f7257162eafb338ae975436b3677d59e9f341fd336aad6dbaec",
+        "c507340f79472b780d6f9944e41dbfd3e1b7f6f65438a1ece0af82924e45e39d",
         None,
         "39e2d7145731a704fe74499ab9435a38ddee01c1af54e0169c30de190ccc11b9"),
     "rows": (
@@ -367,14 +387,16 @@ GAMMA_ONE = {"gamma": "1"}
     ("1", BETA_ONE, {}, ["--samples", "0"]),
     ("1", BETA_ONE, {}, ["--k", "-1"]),
     ("1", BETA_ONE, {}, ["--k", ""]),
+    ("1", BETA_ONE, {}, ["--times", ","]),
+    ("1", BETA_ONE, {}, ["--steps", "-1", "--k", "1,2"]),
     ("1", GAMMA_ONE, {"step_truncation": "3"}, []),
     ("1", GAMMA_ONE, {"step_truncation": 0}, []),
     ("1", GAMMA_ONE, {"step_truncation": -1}, []),
     ("1", GAMMA_ONE, {"step_truncation": True}, []),
 ], ids=["fractional-beta-scale", "symbolic-theta", "negative-theta",
         "divergent-alpha", "no-samples", "negative-k", "empty-k",
-        "string-truncation", "zero-truncation", "negative-truncation",
-        "bool-truncation"])
+        "empty-times", "negative-steps", "string-truncation",
+        "zero-truncation", "negative-truncation", "bool-truncation"])
 def test_walk_sample_bad_input_exits_2(tmp_path, capsys, theta, rho, extra,
                                        argv):
     config = tmp_path / "config.json"
@@ -464,8 +486,9 @@ def test_walk_predict_frozen_values(tmp_path):
     ["--tau", "-1"],
     ["--tau", "1/2,-1/3"],
     ["--k", ""],
+    ["--tau", ","],
 ], ids=["negative-k", "one-negative-k", "negative-tau", "one-negative-tau",
-        "empty-k"])
+        "empty-k", "empty-tau"])
 def test_walk_predict_bad_input_exits_2(tmp_path, capsys, argv):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"N": 10, "theta": "1",

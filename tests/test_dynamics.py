@@ -376,6 +376,49 @@ def test_marginal_route_at_theta_half_within_4_se():
         assert abs(stats.variance((t, 1)) - var) <= 4 * se_var + 1e-12, t
 
 
+@pytest.mark.parametrize("theta", [one, half], ids=str)
+def test_marginal_at_subsampled_times_within_4_se(theta):
+    # one Binomial(N dt, q) draw per interval must keep the increments
+    # independent: X_t = x0 + D_t / (theta N), with D_t the sum of t
+    # independent step masses, so Cov(X_s, X_t) = Var(D_min(s,t)) / (theta N)^2
+    n, m, times = 8, 25000, [0, 2, 4, 6, 8]
+    cfg = WalkConfig(n, theta, b23, seed=5)
+    stats = path_statistics(cfg, 8, m, [1], times=times)
+    assert stats.method == "mass-marginal"
+    law = step_mass_law(n, b23.betas[0], theta)
+    mu = sum(d * p for d, p in law)
+    mu2, mu4 = (sum((d - mu) ** j * p for d, p in law) for j in (2, 4))
+    tb = theta * b23.betas[0]
+    q = tb / (1 + tb)
+    assert mu2 == n * q * (1 - q)
+    scale = theta * n  # one added box moves the statistic by 1/(theta N)
+    x0 = scaled_moment((), n, theta, 1)
+    for t in times:
+        var = t * mu2 / scale ** 2
+        fourth = (t * (mu4 - 3 * mu2 ** 2) + 3 * (t * mu2) ** 2) / scale ** 4
+        se_mean = math.sqrt(var / m)
+        se_var = math.sqrt(fourth / m - var * var * (m - 3) / (m * (m - 1)))
+        assert abs(stats.mean((t, 1)) - (x0 + t * mu / scale)) \
+            <= 4 * se_mean + 1e-9, t
+        assert abs(stats.variance((t, 1)) - var) <= 4 * se_var + 1e-9, t
+
+    def increment(steps):
+        # centered law of the mass added by `steps` steps
+        law = step_mass_law(n * steps, b23.betas[0], theta)
+        return [(d - steps * mu, p) for d, p in law]
+
+    for s, t in itertools.combinations(times, 2):
+        cov = min(s, t) * q * (1 - q) * n / scale ** 2
+        # (X_s - EX_s)(X_t - EX_t) = A (A + B) / (theta N)^2 for the
+        # independent centered increments A over [0, s] and B over [s, t]
+        second = sum(pa * pb * (a * (a + b)) ** 2
+                     for a, pa in increment(s)
+                     for b, pb in increment(t - s)) / scale ** 4
+        se_cov = math.sqrt((second - cov ** 2) / m)
+        assert abs(stats.covariance((s, 1), (t, 1)) - cov) \
+            <= 4 * se_cov + 1e-9, (s, t)
+
+
 def test_sample_path_reproducible():
     cfg = WalkConfig(3, one, Specialization.single_beta(one),
                      initial=(2, 1), seed=42)
@@ -578,6 +621,10 @@ def test_path_statistics_validation():
     with pytest.raises(ValueError):
         path_statistics(cfg, 2, 10, [1], times=[3])
     with pytest.raises(ValueError):
+        path_statistics(cfg, 2, 10, [1], times=[])
+    with pytest.raises(ValueError):
+        path_statistics(cfg, -1, 10, [1, 2])
+    with pytest.raises(ValueError):
         path_statistics(cfg, 2, 0, [1])
     with pytest.raises(ValueError):
         path_statistics(cfg, 2, 10, [])
@@ -746,23 +793,22 @@ def test_add_batch_matches_add_sample(blocks):
     assert _bits(batched) == _bits(single)
 
 
-def _per_sample_marginal_stats(cfg, steps, samples, times):
+def _per_sample_marginal_stats(cfg, samples, times):
     """The per-sample Fraction loop of the mass-marginal route, before it
-    was batched."""
+    was batched: one scalar Binomial(n * dt, q) draw per interval between
+    requested times, the first interval starting at t = 0."""
     b = cfg.rho.betas[0]
     q = float(b / (1 + b))
     offset = Fraction(sum(cfg.initial), cfg.n) - Fraction(cfg.n - 1, 2)
     stats = PathStats([(t, 1) for t in times], method="mass-marginal")
     rng = numpy.random.Generator(numpy.random.PCG64(cfg.seed))
-    done = 0
-    while done < samples:
-        m = min(20000, samples - done)
-        totals = numpy.cumsum(rng.binomial(cfg.n, q, size=(m, steps)), axis=1)
-        for row in range(m):
-            stats.add_sample({(t, 1): float(offset + Fraction(
-                0 if t == 0 else int(totals[row, t - 1]), cfg.n))
-                for t in times})
-        done += m
+    for _ in range(samples):
+        added, prev, values = 0, 0, {}
+        for t in times:
+            added += int(rng.binomial(cfg.n * (t - prev), q))
+            prev = t
+            values[(t, 1)] = float(offset + Fraction(added, cfg.n))
+        stats.add_sample(values)
     return stats
 
 
@@ -773,4 +819,4 @@ def test_mass_marginal_matches_per_sample_loop():
     batched = path_statistics(cfg, 6, 20003, [1], times=times)
     assert batched.method == "mass-marginal"
     assert _bits(batched) == _bits(
-        _per_sample_marginal_stats(cfg, 6, 20003, times))
+        _per_sample_marginal_stats(cfg, 20003, times))

@@ -20,13 +20,12 @@ from jackwalk.jack import (
 )
 from jackwalk.partitions import (
     contains,
-    dominance_leq,
     enumerate_all_partitions,
     enumerate_partitions,
     length,
     weight,
 )
-from jackwalk.psum import PSumPoly, monomial_expansion, scalar_product
+from jackwalk.psum import PSumPoly, scalar_product
 from jackwalk.scalars import THETA, substitute_theta
 from jackwalk.specializations import (
     Specialization,
@@ -34,6 +33,8 @@ from jackwalk.specializations import (
     specialize,
     specialize_ones,
 )
+from test_partitions import dominance_leq
+from test_psum import monomial_expansion
 
 half = Fraction(1, 2)
 one = Fraction(1)

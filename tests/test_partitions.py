@@ -10,7 +10,6 @@ from jackwalk.partitions import (
     boxes,
     conjugate,
     contains,
-    dominance_leq,
     enumerate_all_partitions,
     enumerate_partitions,
     leg,
@@ -19,6 +18,22 @@ from jackwalk.partitions import (
     weight,
     z_lambda,
 )
+
+
+def dominance_leq(lam, mu):
+    """Dominance order on a size class: every prefix sum of lam is <= mu's.
+
+    Partitions of different sizes are incomparable (returns False).
+    """
+    if sum(lam) != sum(mu):
+        return False
+    a = b = 0
+    for i in range(max(len(lam), len(mu))):
+        a += lam[i] if i < len(lam) else 0
+        b += mu[i] if i < len(mu) else 0
+        if a > b:
+            return False
+    return True
 
 
 def test_make_partition():

@@ -9,12 +9,26 @@ from jackwalk.partitions import enumerate_partitions, z_lambda
 from jackwalk.psum import (
     PSumPoly,
     d_dp,
-    monomial_expansion,
     monomial_to_psum,
     psum_to_monomial,
     scalar_product,
 )
-from jackwalk.scalars import THETA
+from jackwalk.scalars import THETA, is_zero
+
+
+def monomial_expansion(f):
+    """Expand a PSumPoly in the monomial basis: {partition: coefficient}."""
+    out = {}
+    for key, val in f.terms.items():
+        for mu, c in psum_to_monomial(key).items():
+            acc = out.get(mu)
+            contrib = val * c
+            acc = contrib if acc is None else acc + contrib
+            if is_zero(acc):
+                out.pop(mu, None)
+            else:
+                out[mu] = acc
+    return out
 
 
 def random_poly(rng, max_degree=4, terms=4):
