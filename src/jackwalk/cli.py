@@ -32,7 +32,8 @@ from .errors import (DeficitError, DivergenceError, ResourceLimitError,
                      ShapeError, StabilityError)
 from .jack import jack_polynomial, lr_expand, skew_jack
 from .partitions import make_partition
-from .scalars import as_fraction, parse_theta, scalar_to_json
+from .scalars import (as_fraction, parse_fraction, parse_theta,
+                      scalar_to_json)
 from . import verify as verify_suites
 
 
@@ -158,7 +159,7 @@ def cmd_verify(args):
     elif suite == "stochastic":
         cases = verify_suites.stochasticity_cases(
             args.max_rows, args.max_size, parse_theta(args.theta),
-            beta=Fraction(args.beta))
+            beta=parse_fraction(args.beta))
         params = {"suite": suite, "max_rows": args.max_rows,
                   "max_size": args.max_size, "theta": args.theta,
                   "beta": args.beta}
@@ -314,7 +315,7 @@ def cmd_walk_sample(args):
 def cmd_walk_predict(args):
     cfg = _load_walk_config(args)
     ks = _parse_int_list(args.k)
-    taus = [Fraction(t) for t in args.tau.split(",") if t.strip()]
+    taus = [parse_fraction(t) for t in args.tau.split(",") if t.strip()]
     params = {"config": cfg.to_json(), "k": ks,
               "tau": [str(t) for t in taus]}
     rows = _limit_predictions(cfg, taus, ks, pairs_only_diagonal=False)

@@ -10,6 +10,29 @@ denominator (coefficient lists in ascending powers of theta), kept reduced:
 the polynomial gcd is divided out, the integer content is coprime between the
 two, and the denominator's leading coefficient is positive.  This makes the
 representation canonical, so equality and hashing are structural.
+
+Polynomial gcds come from the heuristic gcd GCDHEU (Char, Geddes and Gonnet,
+J. Symbolic Comput. 7, 1989).  For primitive a and b of positive degree it
+evaluates both at an integer xi >= 2 min(|a|, |b|) + 2, where |.| is the
+largest coefficient magnitude, takes the integer gcd of the two values and
+reads its symmetric base-xi digits back as a polynomial G.  The primitive
+part h of G is accepted only if it divides a and b exactly, and then it is
+their gcd g (Geddes, Czapor and Labahn, *Algorithms for Computer Algebra*,
+Thm 7.7): writing g = h f, g(xi) divides G(xi) = cont(G) h(xi), so f(xi)
+divides cont(G) <= xi/2; but every root of f is a root of the input of
+smaller norm, hence of modulus below that norm + 1 <= xi/2, so |f(xi)| >
+xi/2 unless f is a unit.  A rejected h only means an unlucky xi; after a
+few larger ones the primitive pseudo-remainder sequence takes over.  The
+division check yields the cofactors too, so reducing num/den divides once.
+A gcd with a nonzero constant side is 1 and costs nothing.
+
+Arithmetic cancels before it multiplies (Henrici; Knuth, TAOCP vol. 2,
+4.5.1).  A product of reduced operands takes gcd(a.num, b.den) and
+gcd(b.num, a.den), never the gcd of the full products; a sum takes
+d = gcd(a.den, b.den) and then the gcd of the new numerator with d alone,
+which is free when the denominators are coprime or one is constant.  Every
+path ends in the same content and sign step, so it yields the canonical
+pair whichever route produced it.
 """
 
 from fractions import Fraction
@@ -40,6 +63,11 @@ def _pneg(a):
 def _pmul(a, b):
     if not a or not b:
         return ()
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:
+        c = b[0]
+        return a if c == 1 else tuple(c * x for x in a)
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -48,13 +76,19 @@ def _pmul(a, b):
     return _ptrim(out)
 
 
+def _ppow(a, k):
+    out = (1,)
+    while k:
+        if k & 1:
+            out = _pmul(out, a)
+        k >>= 1
+        if k:
+            a = _pmul(a, a)
+    return out
+
+
 def _pcontent(a):
-    g = 0
-    for x in a:
-        g = _igcd(g, abs(x))
-        if g == 1:
-            break
-    return g
+    return _igcd(*a)
 
 
 def _pprimitive(a):
@@ -62,6 +96,26 @@ def _pprimitive(a):
     if g in (0, 1):
         return a
     return tuple(x // g for x in a)
+
+
+def _pquo(a, b):
+    """The exact quotient a / b over Z (a and b trimmed, b nonzero), or None
+    when b does not divide a."""
+    db = len(b) - 1
+    n = len(a) - db
+    if n <= 0:
+        return None if a else ()
+    a, lb, out = list(a), b[-1], [0] * n
+    for shift in range(n - 1, -1, -1):
+        la = a[shift + db]
+        if la:
+            q, r = divmod(la, lb)
+            if r:
+                return None
+            out[shift] = q
+            for i in range(db):  # the leading term cancels by construction
+                a[shift + i] -= q * b[i]
+    return None if any(a[:db]) else tuple(out)
 
 
 def _ppseudo_rem(a, b):
@@ -77,8 +131,9 @@ def _ppseudo_rem(a, b):
     return _ptrim(a)
 
 
-def _pgcd(a, b):
-    """Gcd of integer polynomials, returned primitive with positive lead."""
+def _prs_gcd(a, b):
+    """Gcd of integer polynomials, returned primitive with positive lead, by
+    the primitive pseudo-remainder sequence: the fallback of :func:`_pgcd`."""
     a, b = _ptrim(a), _ptrim(b)
     if not a:
         g = _pprimitive(b)
@@ -98,36 +153,101 @@ def _pgcd(a, b):
     return g
 
 
-def _pdiv_exact(a, b):
-    """Exact division a / b over Z (raises if not exact)."""
-    a, b = list(_ptrim(a)), _ptrim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not a:
-        return ()
-    db, lb = len(b) - 1, b[-1]
-    if len(a) - 1 < db:
-        raise ArithmeticError("inexact polynomial division")
-    out = [0] * (len(a) - db)
-    for shift in range(len(a) - 1 - db, -1, -1):
-        la = a[shift + db]
-        if la:
-            q, r = divmod(la, lb)
-            if r:
-                raise ArithmeticError("inexact polynomial division")
-            out[shift] = q
-            for i in range(db + 1):
-                a[shift + i] -= q * b[i]
-    if any(a):
-        raise ArithmeticError("inexact polynomial division")
-    return _ptrim(out)
-
-
-def _peval(a, x):
-    acc = Fraction(0)
+def _pval(a, xi):
+    acc = 0
     for c in reversed(a):
-        acc = acc * x + c
+        acc = acc * xi + c
     return acc
+
+
+def _pdigits(n, xi):
+    """The polynomial G with G(xi) = n and coefficients in (-xi/2, xi/2]."""
+    out, half = [], xi // 2
+    while n:
+        d = n % xi
+        if d > half:
+            d -= xi
+        out.append(d)
+        n = (n - d) // xi
+    return tuple(out)
+
+
+#: evaluation points GCDHEU tries before the pseudo-remainder fallback
+_HEU_TRIES = 6
+
+
+def _heu_gcd(a, b):
+    """(g, a / g, b / g) by GCDHEU for primitive a and b of positive degree,
+    or None when every evaluation point tried was unlucky."""
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    for _ in range(_HEU_TRIES):
+        g = _pprimitive(_pdigits(_igcd(_pval(a, xi), _pval(b, xi)), xi))
+        if len(g) == 1:
+            return (1,), a, b
+        if g[-1] < 0:
+            g = _pneg(g)
+        qa = _pquo(a, g)
+        if qa is not None:
+            qb = _pquo(b, g)
+            if qb is not None:
+                return g, qa, qb
+        # the growth factor of Char, Geddes and Gonnet
+        xi = xi * 73794 // 27011
+    return None
+
+
+def _pgcd(a, b):
+    """(g, a / g, b / g) for trimmed integer polynomials a and b, not both
+    zero: g is their gcd, primitive with positive leading coefficient."""
+    if not a or not b or a == b:
+        g = _pprimitive(a or b)
+        if g[-1] < 0:
+            g = _pneg(g)
+        unit = ((a or b)[-1] // g[-1],)
+        return g, a and unit, b and unit
+    if len(a) == 1 or len(b) == 1:
+        return (1,), a, b
+    ca, cb = _pcontent(a), _pcontent(b)
+    pa = a if ca == 1 else tuple(x // ca for x in a)
+    pb = b if cb == 1 else tuple(x // cb for x in b)
+    found = _heu_gcd(pa, pb)
+    if found is None:
+        g = _prs_gcd(pa, pb)
+        found = g, _pquo(pa, g), _pquo(pb, g)
+    g, qa, qb = found
+    if ca != 1:
+        qa = tuple(ca * x for x in qa)
+    if cb != 1:
+        qb = tuple(cb * x for x in qb)
+    return g, qa, qb
+
+
+def _canonical(num, den):
+    """The canonical pair of num / den, for num and den without a common
+    polynomial factor (den nonzero): coprime contents, positive lead in
+    den, and zero as ((), (1,))."""
+    if not num:
+        return (), (1,)
+    c = _igcd(*num, *den)
+    if den[-1] < 0:
+        c = -c
+    if c != 1:
+        num = tuple(x // c for x in num)
+        den = tuple(x // c for x in den)
+    return num, den
+
+
+def _make(num, den):
+    return RationalFunction(*_canonical(num, den), _normalized=True)
+
+
+def _product(an, ad, bn, bd):
+    """(an/ad) * (bn/bd) for reduced pairs, cancelled across first."""
+    if not an or not bn:
+        return _make((), (1,))
+    _, an, bd = _pgcd(an, bd)
+    _, bn, ad = _pgcd(bn, ad)
+    return _make(_pmul(an, bn), _pmul(ad, bd))
 
 
 class RationalFunction:
@@ -142,20 +262,9 @@ class RationalFunction:
         num, den = _ptrim(num), _ptrim(den)
         if not den:
             raise ZeroDivisionError("zero denominator in Q(theta)")
-        if not num:
-            self.num, self.den = (), (1,)
-            return
-        g = _pgcd(num, den)
-        if len(g) > 1 or g[0] != 1:
-            num, den = _pdiv_exact(num, g), _pdiv_exact(den, g)
-        cn, cd = _pcontent(num), _pcontent(den)
-        c = _igcd(cn, cd)
-        if c > 1:
-            num = tuple(x // c for x in num)
-            den = tuple(x // c for x in den)
-        if den[-1] < 0:
-            num, den = _pneg(num), _pneg(den)
-        self.num, self.den = num, den
+        if num:
+            _, num, den = _pgcd(num, den)
+        self.num, self.den = _canonical(num, den)
 
     # -- construction helpers ------------------------------------------------
 
@@ -164,10 +273,10 @@ class RationalFunction:
         if isinstance(v, RationalFunction):
             return v
         if isinstance(v, int):
-            return RationalFunction((v,) if v else ())
+            return RationalFunction((v,) if v else (), (1,), _normalized=True)
         if isinstance(v, Fraction):
             return RationalFunction((v.numerator,) if v.numerator else (),
-                                    (v.denominator,))
+                                    (v.denominator,), _normalized=True)
         raise TypeError("cannot coerce %r into Q(theta)" % (v,))
 
     # -- predicates ----------------------------------------------------------
@@ -185,14 +294,6 @@ class RationalFunction:
             return Fraction(0)
         return Fraction(self.num[0], self.den[0])
 
-    def substitute(self, value):
-        """Evaluate at theta = value (a Fraction or int), exactly."""
-        value = Fraction(value)
-        d = _peval(self.den, value)
-        if d == 0:
-            raise ZeroDivisionError("denominator vanishes at theta=%s" % value)
-        return _peval(self.num, value) / d
-
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other):
@@ -200,8 +301,18 @@ class RationalFunction:
             other = RationalFunction.from_value(other)
         except TypeError:
             return NotImplemented
-        num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
-        return RationalFunction(num, _pmul(self.den, other.den))
+        if not self.num:
+            return other
+        if not other.num:
+            return self
+        # Henrici: a/b + c/e = (a e' + c b') / (b' e' d) with d = gcd(b, e),
+        # b = d b', e = d e'; only d can share a factor with the numerator
+        d, ad, bd = _pgcd(self.den, other.den)
+        num = _padd(_pmul(self.num, bd), _pmul(other.num, ad))
+        if not num:
+            return _make((), (1,))
+        _, num, d = _pgcd(num, d)
+        return _make(num, _pmul(_pmul(ad, bd), d))
 
     __radd__ = __add__
 
@@ -223,8 +334,7 @@ class RationalFunction:
             other = RationalFunction.from_value(other)
         except TypeError:
             return NotImplemented
-        return RationalFunction(_pmul(self.num, other.num),
-                                _pmul(self.den, other.den))
+        return _product(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -235,8 +345,7 @@ class RationalFunction:
             return NotImplemented
         if not other.num:
             raise ZeroDivisionError("division by zero in Q(theta)")
-        return RationalFunction(_pmul(self.num, other.den),
-                                _pmul(self.den, other.num))
+        return _product(self.num, self.den, other.den, other.num)
 
     def __rtruediv__(self, other):
         return RationalFunction.from_value(other) / self
@@ -244,19 +353,16 @@ class RationalFunction:
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
+        num, den = self.num, self.den
         if k < 0:
-            if not self.num:
+            if not num:
                 raise ZeroDivisionError("0 ** negative in Q(theta)")
-            base, k = RationalFunction(self.den, self.num), -k
-        else:
-            base = self
-        out = RationalFunction((1,))
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+            num, den, k = den, num, -k
+        # powers of coprime polynomials with coprime contents stay coprime
+        num, den = _ppow(num, k), _ppow(den, k)
+        if den[-1] < 0:
+            num, den = _pneg(num), _pneg(den)
+        return RationalFunction(num, den, _normalized=True)
 
     # -- comparison / hashing ------------------------------------------------
 
@@ -320,13 +426,6 @@ def as_exact(x):
     raise TypeError("not an exact scalar: %r" % (x,))
 
 
-def substitute_theta(x, value):
-    """Evaluate a scalar at theta = value; plain rationals pass through."""
-    if isinstance(x, RationalFunction):
-        return x.substitute(value)
-    return as_exact(x)
-
-
 def as_fraction(x):
     """Demote a scalar that is actually constant to a Fraction."""
     if isinstance(x, RationalFunction):
@@ -344,13 +443,34 @@ def scalar_to_json(x):
 
 def scalar_from_json(obj):
     """Inverse of scalar_to_json; also accepts "p/q" strings and integers,
-    so hand-written config files stay readable."""
+    so hand-written config files stay readable.  Anything else, a non-integer
+    (or boolean) coefficient or a zero denominator raises ValueError."""
     if isinstance(obj, (str, int)):
         return parse_theta(str(obj))
-    rf = RationalFunction(tuple(obj["num"]), tuple(obj["den"]))
+    if not isinstance(obj, dict) or not {"num", "den"} <= set(obj):
+        raise ValueError("an exact scalar is a \"p/q\" string, an integer "
+                         "or {\"num\": [...], \"den\": [...]}, got %r"
+                         % (obj,))
+    num, den = obj["num"], obj["den"]
+    if not (isinstance(num, list) and isinstance(den, list)
+            and all(type(c) is int for c in num + den)):
+        raise ValueError("scalar coefficients must be lists of integers, "
+                         "got %r" % (obj,))
+    if not any(den):
+        raise ValueError("zero denominator in %r" % (obj,))
+    rf = RationalFunction(tuple(num), tuple(den))
     if rf.is_constant():
         return rf.as_fraction()
     return rf
+
+
+def parse_fraction(text):
+    """Fraction(text), with a zero denominator reported as the malformed
+    input it is: ValueError, like any other unparsable text."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % (text,)) from None
 
 
 def parse_theta(text):
@@ -363,4 +483,4 @@ def parse_theta(text):
         return THETA
     if "." in text or "e" in text.lower():
         raise ValueError("theta must be an exact fraction like 1/2, got %r" % text)
-    return Fraction(text)
+    return parse_fraction(text)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import StabilityError
-from .scalars import as_exact
+from .scalars import as_exact, parse_fraction
 
 
 def _sorted_nonneg(values, label):
@@ -119,10 +119,10 @@ class Specialization:
     @staticmethod
     def from_json(obj):
         return Specialization(
-            gamma=Fraction(str(obj.get("gamma", 0))),
-            alphas=[Fraction(str(a)) for a in obj.get("alphas", [])],
-            betas=[Fraction(str(b)) for b in obj.get("betas", [])],
-            scale=Fraction(str(obj.get("scale", 1))))
+            gamma=parse_fraction(str(obj.get("gamma", 0))),
+            alphas=[parse_fraction(str(a)) for a in obj.get("alphas", [])],
+            betas=[parse_fraction(str(b)) for b in obj.get("betas", [])],
+            scale=parse_fraction(str(obj.get("scale", 1))))
 
 
 class SpecializationUnion:

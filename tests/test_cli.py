@@ -71,6 +71,28 @@ def test_jack_skew(capsys):
     assert "p[" in capsys.readouterr().out
 
 
+#: sha256 of the whole stdout (table, then JSON) of symbolic `jack` dumps,
+#: recorded before the scalar ring's gcd changed.  Their coefficients come
+#: out of hundreds of non-trivial polynomial gcds, so these pin the
+#: canonical form of Q(theta) elements.
+GOLDEN_JACK = {
+    "expand": (["jack", "expand", "--partition", "3,2,1"],
+               "83cac248c2d8ed6d64d2c741081b4b1e4597d867a287efb510804f4427563098"),
+    "skew": (["jack", "skew", "--partition", "3,2,1", "--mu", "2"],
+             "74e232f1342b8b95563e3a00bcec28fddb3ca9c26f9174b9207bdaae66d92809"),
+    "lr": (["jack", "lr", "--mu", "2,1", "--eta", "2,1"],
+           "4f1f4184e8c20dff4935575f76042fb6c8f806a15f09aa6f2f4997de7a9dcb8d"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_JACK))
+def test_jack_symbolic_golden_bytes(capsys, case):
+    argv, digest = GOLDEN_JACK[case]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_bad_partition_is_usage_error(capsys):
     assert cli.main(["jack", "expand", "--partition", "1,2"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -80,6 +102,17 @@ def test_decimal_theta_rejected(capsys):
     assert cli.main(["jack", "expand", "--partition", "1",
                      "--theta", "0.5"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["jack", "expand", "--partition", "1", "--theta", "1/0"],
+    ["verify", "ns", "--theta", "1/0"],
+    ["verify", "stochastic", "--beta", "1/0"],
+], ids=["jack-theta", "ns-theta", "stochastic-beta"])
+def test_zero_denominator_is_usage_error(tmp_path, capsys, argv):
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_missing_subcommand_exits_2():
@@ -148,6 +181,11 @@ GOLDEN_VERIFY = {
             "--max-order", "3"], _NS_DIGEST),
     "ns-alias": (["ns", "verify", "--max-size", "3", "--max-rows", "3",
                   "--max-order", "3"], _NS_DIGEST),
+    # recorded before the scalar ring's gcd changed
+    "ns-symbolic": (
+        ["verify", "ns", "--max-size", "4", "--max-rows", "3",
+         "--max-order", "3", "--theta", "symbolic"],
+        "3e7e9b4e79f1ef54fd476ca7f1efc3861e392ded627ddabb3c91b7303ab89d5b"),
     "cauchy": (["verify", "cauchy", "--degree", "4"],
                "88ce5a41c56f934f4d1d630ec82b36f9e0f430d155dde9edb4c6dd569aa7c7f4"),
     "stochastic": (
@@ -393,10 +431,19 @@ GAMMA_ONE = {"gamma": "1"}
     ("1", GAMMA_ONE, {"step_truncation": 0}, []),
     ("1", GAMMA_ONE, {"step_truncation": -1}, []),
     ("1", GAMMA_ONE, {"step_truncation": True}, []),
+    ("1/0", BETA_ONE, {}, []),
+    ({"num": [1.5], "den": [1]}, BETA_ONE, {}, []),
+    ({"num": [1], "den": [0]}, BETA_ONE, {}, []),
+    ({"num": [True], "den": [1]}, BETA_ONE, {}, []),
+    ("1", {"betas": ["1/0"]}, {}, []),
+    ("1", {"gamma": "1/0"}, {}, []),
 ], ids=["fractional-beta-scale", "symbolic-theta", "negative-theta",
         "divergent-alpha", "no-samples", "negative-k", "empty-k",
         "empty-times", "negative-steps", "string-truncation",
-        "zero-truncation", "negative-truncation", "bool-truncation"])
+        "zero-truncation", "negative-truncation", "bool-truncation",
+        "zero-denominator-theta", "float-coefficient-theta",
+        "zero-polynomial-denominator-theta", "bool-coefficient-theta",
+        "zero-denominator-beta", "zero-denominator-gamma"])
 def test_walk_sample_bad_input_exits_2(tmp_path, capsys, theta, rho, extra,
                                        argv):
     config = tmp_path / "config.json"
@@ -432,6 +479,19 @@ def test_walk_sample_resource_exit_code(tmp_path, monkeypatch, capsys):
                    "--samples", "1", "--out", str(tmp_path / "s.csv")])
     assert rc == 3
     assert "resource limit" in capsys.readouterr().err
+
+
+def test_internal_zero_division_is_not_a_usage_error(tmp_path, monkeypatch):
+    # only malformed input exits 2; a ZeroDivisionError from inside the
+    # program is a fault and keeps its traceback
+    def boom(*args, **kwargs):
+        raise ZeroDivisionError("forced")
+
+    monkeypatch.setattr(cli, "path_statistics", boom)
+    with pytest.raises(ZeroDivisionError):
+        cli.main(["walk", "sample", "--config", beta_config(tmp_path),
+                  "--steps", "1", "--samples", "1",
+                  "--out", str(tmp_path / "s.csv")])
 
 
 def test_walk_seed_conflict(tmp_path, capsys):
@@ -487,8 +547,11 @@ def test_walk_predict_frozen_values(tmp_path):
     ["--tau", "1/2,-1/3"],
     ["--k", ""],
     ["--tau", ","],
+    ["--tau", "1/0"],
+    ["--tau", "1/2,3/0"],
 ], ids=["negative-k", "one-negative-k", "negative-tau", "one-negative-tau",
-        "empty-k", "empty-tau"])
+        "empty-k", "empty-tau", "zero-denominator-tau",
+        "one-zero-denominator-tau"])
 def test_walk_predict_bad_input_exits_2(tmp_path, capsys, argv):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"N": 10, "theta": "1",

@@ -26,7 +26,7 @@ from jackwalk.partitions import (
     weight,
 )
 from jackwalk.psum import PSumPoly, scalar_product
-from jackwalk.scalars import THETA, substitute_theta
+from jackwalk.scalars import THETA
 from jackwalk.specializations import (
     Specialization,
     SpecializationUnion,
@@ -35,6 +35,7 @@ from jackwalk.specializations import (
 )
 from test_partitions import dominance_leq
 from test_psum import monomial_expansion
+from test_scalars import substitute_theta
 
 half = Fraction(1, 2)
 one = Fraction(1)

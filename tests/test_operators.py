@@ -18,9 +18,10 @@ from jackwalk.operators import (
     set_partitions,
 )
 from jackwalk.psum import PSumPoly
-from jackwalk.scalars import THETA, substitute_theta
+from jackwalk.scalars import THETA
 from jackwalk.specializations import specialize_ones
 from jackwalk.verify import eigenrelation_cases
+from test_scalars import substitute_theta
 
 half = Fraction(1, 2)
 one = Fraction(1)
