@@ -30,12 +30,16 @@ since their keys come from rows.  Every other step (a symbolic theta,
 alpha atoms, gamma, several atoms or a larger scale) is built from skew
 Jack functions over a Jack table.
 
-The row cache keeps each row as its sorted support and integer
-cumulative numerators over one common denominator (the lcm of the row's
-weight denominators).  Sampling draws a uniform dyadic rational r / 2^64
+The row cache keeps each row as its support in increasing order and
+integer cumulative numerators over one common denominator.  A kernel row
+enters it as the kernel's own integers, with no Fraction built and its
+denominator left unreduced; a table row is scaled by the lcm of its weight
+denominators.  Sampling draws a uniform dyadic rational r / 2^64
 and finds its cell by bisection, comparing r * denom with c_i * 2^64 in
 integers and appending 64 more bits whenever a comparison ties, so path
-laws inherit the rows' exactness.
+laws inherit the rows' exactness.  Scaling a row's numerators and
+denominator alike moves no comparison, so the draws do not depend on
+which common denominator a row carries.
 
 In a single-beta row the strips of size d together weigh
 C(N, d) q^d (1-q)^(N-d), q = theta*b/(1+theta*b), at every theta (Pieri,
@@ -135,18 +139,34 @@ class WalkConfig:
 
     @staticmethod
     def from_json(obj):
+        """Inverse of to_json.  A config that is not an object, lacks N,
+        theta or rho, or holds a union or an initial diagram that is not a
+        list raises ValueError."""
         from .scalars import scalar_from_json
 
+        if not isinstance(obj, dict):
+            raise ValueError("a walk config is a JSON object, got %r"
+                             % (obj,))
+        missing = [key for key in ("N", "theta", "rho") if key not in obj]
+        if missing:
+            raise ValueError("walk config lacks %s"
+                             % ", ".join(map(repr, missing)))
         rho_obj = obj["rho"]
-        if "union" in rho_obj:
+        if isinstance(rho_obj, dict) and "union" in rho_obj:
+            if not isinstance(rho_obj["union"], list):
+                raise ValueError("union must be a list, got %r"
+                                 % (rho_obj["union"],))
             rho = SpecializationUnion(
                 [Specialization.from_json(c) for c in rho_obj["union"]])
         else:
             rho = Specialization.from_json(rho_obj)
+        initial = obj.get("initial", [])
+        if not isinstance(initial, list):
+            raise ValueError("initial must be a list, got %r" % (initial,))
         return WalkConfig(n=int(obj["N"]),
                           theta=scalar_from_json(obj["theta"]),
                           rho=rho,
-                          initial=tuple(int(p) for p in obj.get("initial", [])),
+                          initial=tuple(int(p) for p in initial),
                           seed=int(obj.get("seed", 0)),
                           step_truncation=obj.get("step_truncation"))
 
@@ -212,6 +232,16 @@ def _is_single_beta_step(cfg):
             and comps[0].scale == 1)
 
 
+def _kernel_row(lam, cfg):
+    """The step kernel's (entries, den) for a single-beta step from the
+    canonical diagram lam: (mu, num) pairs in increasing mu order, each
+    num positive, over the common denominator den."""
+    theta = Fraction(cfg.theta)
+    b = Fraction(cfg.rho.components[0].betas[0])
+    return _stepimpl.bernoulli_row(lam, cfg.n, b.numerator, b.denominator,
+                                   theta.numerator, theta.denominator)
+
+
 def transition_row(lam, cfg):
     """One exact row of the walk's transition matrix, as a measure on
     diagrams with at most cfg.n rows.  Truncated tail mass (possible only
@@ -221,11 +251,7 @@ def transition_row(lam, cfg):
         raise ShapeError("diagram has more than %d rows" % cfg.n)
     if _is_single_beta_step(cfg):
         # the step kernel's keys are canonical and its numerators positive
-        theta = Fraction(cfg.theta)
-        b = Fraction(cfg.rho.components[0].betas[0])
-        entries, den = _stepimpl.bernoulli_row(
-            lam, cfg.n, b.numerator, b.denominator, theta.numerator,
-            theta.denominator)
+        entries, den = _kernel_row(lam, cfg)
         return MeasureOnYoung._trusted(
             cfg.n, {mu: Fraction(num, den) for mu, num in entries})
 
@@ -282,39 +308,54 @@ def path_seed(seed, index):
 
 
 class _RowCache:
-    """Transition rows keyed by diagram, as (mus, cums, denom): the sorted
-    support, and integer cumulative weights over their common denominator
-    (mus[i] holds the cell [cums[i-1], cums[i]) / denom).  Raises
-    DeficitError for a row whose truncated tail exceeds
-    DEFAULT_DEFICIT_BOUND, and ResourceLimitError once more than
-    _MAX_CACHED_ENTRIES cells are held."""
+    """Transition rows keyed by diagram, as (mus, cums, denom): the support
+    in increasing order, and integer cumulative weights over a common
+    denominator (mus[i] holds the cell [cums[i-1], cums[i]) / denom).
+
+    A single-beta step takes the step kernel's numerators and denominator
+    as they come, unreduced: a draw compares u * denom with the cums, so
+    any common scale picks the same cell with the same random bits.  Other
+    steps go through transition_row and scale its weights by the lcm of
+    their denominators; a row whose truncated tail exceeds
+    DEFAULT_DEFICIT_BOUND raises DeficitError.  ResourceLimitError is
+    raised once more than _MAX_CACHED_ENTRIES cells are held."""
 
     def __init__(self, cfg):
         self.cfg = cfg
+        self.kernel = _is_single_beta_step(cfg)
         self.rows = {}
         self.entries = 0
 
     def cumulative(self, lam):
         entry = self.rows.get(lam)
         if entry is None:
-            row = transition_row(lam, self.cfg)
-            if row.tail_deficit > DEFAULT_DEFICIT_BOUND:
-                raise DeficitError(
-                    "row deficit %s exceeds bound %s at %r"
-                    % (row.tail_deficit, DEFAULT_DEFICIT_BOUND, lam))
-            self.entries += len(row.support)
+            if self.kernel:
+                entries, denom = _kernel_row(lam, self.cfg)
+                mus = [mu for mu, _ in entries]
+                cums = list(accumulate(num for _, num in entries))
+            else:
+                mus, cums, denom = self._table_row(lam)
+            self.entries += len(mus)
             if self.entries > _MAX_CACHED_ENTRIES:
                 raise ResourceLimitError(
                     "row cache would hold more than %d entries"
                     % _MAX_CACHED_ENTRIES)
-            support = row.support
-            mus = sorted(support)
-            weights = [support[mu] for mu in mus]
-            denom = math.lcm(*(w.denominator for w in weights))
-            cums = list(accumulate(w.numerator * (denom // w.denominator)
-                                   for w in weights))
             entry = self.rows[lam] = (mus, cums, denom)
         return entry
+
+    def _table_row(self, lam):
+        row = transition_row(lam, self.cfg)
+        if row.tail_deficit > DEFAULT_DEFICIT_BOUND:
+            raise DeficitError(
+                "row deficit %s exceeds bound %s at %r"
+                % (row.tail_deficit, DEFAULT_DEFICIT_BOUND, lam))
+        support = row.support
+        mus = sorted(support)
+        weights = [support[mu] for mu in mus]
+        denom = math.lcm(*(w.denominator for w in weights))
+        cums = list(accumulate(w.numerator * (denom // w.denominator)
+                               for w in weights))
+        return mus, cums, denom
 
 
 def _draw_index(rng, cums, denom):

@@ -206,14 +206,22 @@ def d_dp(f, k):
 
 
 def scalar_product(f, g, theta):
-    """<p_lam, p_mu> = delta * z_lam * theta^(-len(lam)), extended bilinearly."""
+    """<p_lam, p_mu> = delta * z_lam * theta^(-len(lam)), extended bilinearly.
+
+    The terms are summed per length first, so each distinct len(lam) pays
+    for one power of theta and one product with it."""
     theta = as_exact(theta)
-    total = Fraction(0)
+    by_length = {}
     for key, val in f.terms.items():
         other = g.terms.get(key)
         if other is None:
             continue
-        total = total + val * other * z_lambda(key) * theta ** (-len(key))
+        term = val * other * z_lambda(key)
+        n = len(key)
+        by_length[n] = by_length[n] + term if n in by_length else term
+    total = Fraction(0)
+    for n, part in by_length.items():
+        total = total + part * theta ** (-n)
     return total
 
 

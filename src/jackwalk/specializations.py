@@ -118,6 +118,16 @@ class Specialization:
 
     @staticmethod
     def from_json(obj):
+        """Inverse of to_json; omitted fields take their defaults.  A
+        non-object, or alphas or betas that are not lists, raise
+        ValueError."""
+        if not isinstance(obj, dict):
+            raise ValueError("a specialization is a JSON object, got %r"
+                             % (obj,))
+        for key in ("alphas", "betas"):
+            if not isinstance(obj.get(key, []), list):
+                raise ValueError("%s must be a list, got %r"
+                                 % (key, obj[key]))
         return Specialization(
             gamma=parse_fraction(str(obj.get("gamma", 0))),
             alphas=[parse_fraction(str(a)) for a in obj.get("alphas", [])],

@@ -416,40 +416,62 @@ BETA_ONE = {"betas": ["1"], "alphas": [], "gamma": "0", "scale": "1"}
 GAMMA_ONE = {"gamma": "1"}
 
 
-@pytest.mark.parametrize("theta, rho, extra, argv", [
+def _walk(theta, rho, **extra):
+    """A two-row walk config with the given theta and rho."""
+    return dict({"N": 2, "theta": theta, "rho": rho, "seed": 1}, **extra)
+
+
+#: walk configs of the wrong shape, by test id; each must exit 2
+BAD_SHAPES = {
+    "list-config": [2, "1", BETA_ONE],
+    "no-N": {"theta": "1", "rho": BETA_ONE},
+    "no-theta": {"N": 2, "rho": BETA_ONE},
+    "no-rho": {"N": 2, "theta": "1"},
+    "list-rho": _walk("1", [BETA_ONE]),
+    "string-betas": _walk("1", {"betas": "12"}),
+    "string-alphas": _walk("1", {"betas": ["1"], "alphas": "0"}),
+    "dict-union": _walk("1", {"union": BETA_ONE}),
+    "list-in-union": _walk("1", {"union": [["1"]]}),
+    "string-betas-in-union": _walk("1", {"union": [{"betas": "12"}]}),
+    "string-initial": _walk("1", BETA_ONE, initial="1"),
+}
+
+
+@pytest.mark.parametrize("config, argv", [
     # half a copy of a beta atom: the row from () weighs (2,) at -1/16
-    ("1", {"betas": ["1/2"], "scale": "1/2"}, {}, []),
-    ("symbolic", BETA_ONE, {}, []),
-    ("-1", BETA_ONE, {}, []),
-    ("1", {"alphas": ["1"]}, {}, []),  # the step kernel H(rho; 1^N) diverges
-    ("1", BETA_ONE, {}, ["--samples", "0"]),
-    ("1", BETA_ONE, {}, ["--k", "-1"]),
-    ("1", BETA_ONE, {}, ["--k", ""]),
-    ("1", BETA_ONE, {}, ["--times", ","]),
-    ("1", BETA_ONE, {}, ["--steps", "-1", "--k", "1,2"]),
-    ("1", GAMMA_ONE, {"step_truncation": "3"}, []),
-    ("1", GAMMA_ONE, {"step_truncation": 0}, []),
-    ("1", GAMMA_ONE, {"step_truncation": -1}, []),
-    ("1", GAMMA_ONE, {"step_truncation": True}, []),
-    ("1/0", BETA_ONE, {}, []),
-    ({"num": [1.5], "den": [1]}, BETA_ONE, {}, []),
-    ({"num": [1], "den": [0]}, BETA_ONE, {}, []),
-    ({"num": [True], "den": [1]}, BETA_ONE, {}, []),
-    ("1", {"betas": ["1/0"]}, {}, []),
-    ("1", {"gamma": "1/0"}, {}, []),
-], ids=["fractional-beta-scale", "symbolic-theta", "negative-theta",
-        "divergent-alpha", "no-samples", "negative-k", "empty-k",
-        "empty-times", "negative-steps", "string-truncation",
-        "zero-truncation", "negative-truncation", "bool-truncation",
-        "zero-denominator-theta", "float-coefficient-theta",
-        "zero-polynomial-denominator-theta", "bool-coefficient-theta",
-        "zero-denominator-beta", "zero-denominator-gamma"])
-def test_walk_sample_bad_input_exits_2(tmp_path, capsys, theta, rho, extra,
-                                       argv):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(dict({"N": 2, "theta": theta, "rho": rho,
-                                       "seed": 1}, **extra)))
-    rc = cli.main(["walk", "sample", "--config", str(config), "--steps", "2",
+    (_walk("1", {"betas": ["1/2"], "scale": "1/2"}), []),
+    (_walk("symbolic", BETA_ONE), []),
+    (_walk("-1", BETA_ONE), []),
+    # the step kernel H(rho; 1^N) diverges
+    (_walk("1", {"alphas": ["1"]}), []),
+    (_walk("1", BETA_ONE), ["--samples", "0"]),
+    (_walk("1", BETA_ONE), ["--k", "-1"]),
+    (_walk("1", BETA_ONE), ["--k", ""]),
+    (_walk("1", BETA_ONE), ["--times", ","]),
+    (_walk("1", BETA_ONE), ["--steps", "-1", "--k", "1,2"]),
+    (_walk("1", GAMMA_ONE, step_truncation="3"), []),
+    (_walk("1", GAMMA_ONE, step_truncation=0), []),
+    (_walk("1", GAMMA_ONE, step_truncation=-1), []),
+    (_walk("1", GAMMA_ONE, step_truncation=True), []),
+    (_walk("1/0", BETA_ONE), []),
+    (_walk({"num": [1.5], "den": [1]}, BETA_ONE), []),
+    (_walk({"num": [1], "den": [0]}, BETA_ONE), []),
+    (_walk({"num": [True], "den": [1]}, BETA_ONE), []),
+    (_walk("1", {"betas": ["1/0"]}), []),
+    (_walk("1", {"gamma": "1/0"}), []),
+] + [(config, []) for config in BAD_SHAPES.values()],
+    ids=["fractional-beta-scale", "symbolic-theta", "negative-theta",
+         "divergent-alpha", "no-samples", "negative-k", "empty-k",
+         "empty-times", "negative-steps", "string-truncation",
+         "zero-truncation", "negative-truncation", "bool-truncation",
+         "zero-denominator-theta", "float-coefficient-theta",
+         "zero-polynomial-denominator-theta", "bool-coefficient-theta",
+         "zero-denominator-beta", "zero-denominator-gamma"]
+    + list(BAD_SHAPES))
+def test_walk_sample_bad_input_exits_2(tmp_path, capsys, config, argv):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    rc = cli.main(["walk", "sample", "--config", str(path), "--steps", "2",
                    "--samples", "3", "--out", str(tmp_path / "s.csv")]
                   + argv)
     err = capsys.readouterr().err
@@ -540,24 +562,27 @@ def test_walk_predict_frozen_values(tmp_path):
                     ("2", "2", "covariance"): Fraction(1, 8)}
 
 
-@pytest.mark.parametrize("argv", [
-    ["--k", "-1"],
-    ["--k", "1,-2"],
-    ["--tau", "-1"],
-    ["--tau", "1/2,-1/3"],
-    ["--k", ""],
-    ["--tau", ","],
-    ["--tau", "1/0"],
-    ["--tau", "1/2,3/0"],
-], ids=["negative-k", "one-negative-k", "negative-tau", "one-negative-tau",
-        "empty-k", "empty-tau", "zero-denominator-tau",
-        "one-zero-denominator-tau"])
-def test_walk_predict_bad_input_exits_2(tmp_path, capsys, argv):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"N": 10, "theta": "1",
-                                  "rho": {"betas": ["1"]}}))
+PREDICT_CONFIG = {"N": 10, "theta": "1", "rho": {"betas": ["1"]}}
+
+
+@pytest.mark.parametrize("config, argv", [
+    (PREDICT_CONFIG, ["--k", "-1"]),
+    (PREDICT_CONFIG, ["--k", "1,-2"]),
+    (PREDICT_CONFIG, ["--tau", "-1"]),
+    (PREDICT_CONFIG, ["--tau", "1/2,-1/3"]),
+    (PREDICT_CONFIG, ["--k", ""]),
+    (PREDICT_CONFIG, ["--tau", ","]),
+    (PREDICT_CONFIG, ["--tau", "1/0"]),
+    (PREDICT_CONFIG, ["--tau", "1/2,3/0"]),
+] + [(config, []) for config in BAD_SHAPES.values()],
+    ids=["negative-k", "one-negative-k", "negative-tau", "one-negative-tau",
+         "empty-k", "empty-tau", "zero-denominator-tau",
+         "one-zero-denominator-tau"] + list(BAD_SHAPES))
+def test_walk_predict_bad_input_exits_2(tmp_path, capsys, config, argv):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
     out = tmp_path / "pred.csv"
-    rc = cli.main(["walk", "predict", "--config", str(config),
+    rc = cli.main(["walk", "predict", "--config", str(path),
                    "--out", str(out)] + argv)
     err = capsys.readouterr().err
     assert rc == 2

@@ -463,13 +463,28 @@ def test_exact_evolve_semigroup():
     assert after_two.support == one_big.support
 
 
+def _no_measure_rows(*args):
+    raise AssertionError("transition_row called on the step kernel's route")
+
+
 def test_row_cache_resource_guard(monkeypatch):
     cfg = WalkConfig(3, one, Specialization.single_beta(one), seed=2)
     assert path_statistics(cfg, 4, 3, [1, 2]).count == 3
-    # the row out of the empty diagram alone has four entries
+    # the row out of the empty diagram alone has four entries; the kernel
+    # route trips the guard without building a measure
     monkeypatch.setattr(dynamics, "_MAX_CACHED_ENTRIES", 5)
+    monkeypatch.setattr(dynamics, "transition_row", _no_measure_rows)
     with pytest.raises(ResourceLimitError):
         path_statistics(cfg, 4, 3, [1, 2])
+
+
+@pytest.mark.parametrize("theta", [one, half], ids=str)
+def test_kernel_walk_builds_no_measures(monkeypatch, theta):
+    # single-beta rows go from the step kernel's integers to the draws
+    cfg = WalkConfig(4, theta, Specialization.single_beta(one), seed=4)
+    monkeypatch.setattr(dynamics, "transition_row", _no_measure_rows)
+    stats = path_statistics(cfg, 4, 20, [1, 2])
+    assert stats.method == "rows" and stats.count == 20
 
 
 def test_exact_evolve_resource_guard(monkeypatch):
@@ -751,18 +766,47 @@ def test_draw_tie_refinement():
     assert rng.bits == 64
 
 
-def test_row_cache_integer_cumulative_sums():
-    for cfg, lam in ((WalkConfig(4, one, Specialization.single_beta(one)),
-                      (2, 1)),
-                     (WalkConfig(2, two, b23), (1,))):
-        row = transition_row(lam, cfg)
-        mus, cums, denom = dynamics._RowCache(cfg).cumulative(lam)
-        assert mus == sorted(row.support)
-        acc = Fraction(0)
-        for mu, c in zip(mus, cums):
-            acc += row.support[mu]
-            assert Fraction(c, denom) == acc
-        assert cums[-1] == denom  # pure-beta rows carry no deficit
+def _assert_cache_matches_row(lam, cfg):
+    """The cached row of lam is transition_row's measure: its support in
+    increasing order, with the running sums of its weights over denom."""
+    row = transition_row(lam, cfg)
+    mus, cums, denom = dynamics._RowCache(cfg).cumulative(lam)
+    assert mus == sorted(row.support)
+    acc = Fraction(0)
+    for mu, c in zip(mus, cums):
+        acc += row.support[mu]
+        assert Fraction(c, denom) == acc
+    assert cums[-1] == denom  # pure-beta rows carry no deficit
+
+
+@settings(max_examples=100, deadline=None)
+@given(beta_rows(THETAS))
+def test_row_cache_integer_cumulative_sums(case):
+    # the cache takes the step kernel's unreduced integers; the measure
+    # route reduces every weight to a Fraction
+    theta, n, lam, b = case
+    _assert_cache_matches_row(lam, WalkConfig(n, theta,
+                                              Specialization.single_beta(b)))
+
+
+def test_table_route_row_cache_integer_cumulative_sums(monkeypatch):
+    with _table_route(monkeypatch) as calls:
+        _assert_cache_matches_row((1,), WalkConfig(2, two, b23))
+    assert calls
+    doubled = SpecializationUnion([b23, b23])  # two atoms: the table route
+    _assert_cache_matches_row((1,), WalkConfig(2, two, doubled))
+
+
+@pytest.mark.parametrize("theta", [one, half], ids=str)
+def test_kernel_and_table_caches_draw_alike(monkeypatch, theta):
+    # the kernel's denominators are not reduced, the table route's are: a
+    # draw is scale-invariant, so the two caches give the same bits
+    cfg = WalkConfig(3, theta, Specialization.single_beta(one), seed=6)
+    kernel = path_statistics(cfg, 2, 30, [1, 2])
+    with _table_route(monkeypatch) as calls:
+        table = path_statistics(cfg, 2, 30, [1, 2])
+    assert calls
+    assert _bits(kernel) == _bits(table)
 
 
 # -- batched statistics --------------------------------------------------------
