@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import OrderError, StabilityError
-from .series import (ORDER_INF, TruncSeries, _coeff_inv, geometric_alternating,
-                     revert)
+from .series import ORDER_INF, TruncSeries, _coeff_inv, revert
 
 SHIFT_VAR = "z-1"
 
@@ -110,21 +109,25 @@ def _drift_factor(U, var, theta):
 
 
 def limit_moment(k, U, theta):
-    """k-th limiting moment from the drift series U (expanded about 1)."""
-    f = _drift_factor(U, "w", theta)
-    power = f ** (k + 1)
+    """k-th limiting moment from the drift series U (expanded about 1).
+
+    The residue of f^(k+1) / ((k+1)(1+w)) at w = 0, for f the drift factor:
+    an alternating sum of the coefficients of w^-1, ..., w^-(k+1) in
+    f^(k+1).  As f starts at 1/w, those need f only below w^k.
+    """
+    power = _drift_factor(U, "w", theta).truncate(k) ** (k + 1)
     if power.order <= -1:
         raise OrderError("drift series order too small for moment %d" % k)
-    reach = 0 if power.order == ORDER_INF else int(power.order)
-    geo = geometric_alternating("w", reach + k + 2)
-    return (power * geo).coefficient(-1) * Fraction(1, k + 1)
+    return sum((-1) ** j * power.coefficient(-1 - j)
+               for j in range(k + 1)) * Fraction(1, k + 1)
 
 
 def limit_covariance_two_times(k, l, U_early, U_late, V_shifted, theta):
     """Double residue for the covariance of moments k (earlier) and l (later).
 
     `V_shifted` is the nested two-variable kernel about (1,1) with inner
-    variable "z", outer "w", evaluated at the earlier of the two times.
+    variable "z", outer "w", evaluated at the earlier of the two times; its
+    rows (coefficients of powers of w-1) are z-series or scalars.
 
     The z-factor carries the later drift and the w-factor the earlier one:
     the singular kernel z^(a-1) w^(-a-1) is not symmetric, and this is the
@@ -132,25 +135,45 @@ def limit_covariance_two_times(k, l, U_early, U_late, V_shifted, theta):
     exact answer cov = var(earlier time), checked against the closed-form
     Bernoulli case in the test suite.  Equal times are insensitive to the
     choice.
+
+    The residue of (kernel) f_z^l f_w^k is read off coefficient by
+    coefficient, with F = f_z^l and G = f_w^k:
+
+        sum_{a=1..l} (a/theta) [z^-a] F [w^a] G
+        + theta^-2 sum_{i<l, j<k} V_ij [z^(-1-i)] F [w^(-1-j)] G.
+
+    The sum over a >= 1 stops at l because F vanishes below z^-l, and the V
+    sum at i < l, j < k for the same reason.  It raises OrderError when a
+    coefficient it reads lies beyond its series' truncation: any [w^a] G
+    for a <= l and any row j < k of V, and, for the terms whose G factor
+    and V row are nonzero, the F coefficients and the row's coefficients
+    below z^l.
     """
     inv_theta = _coeff_inv(theta)
-    f_z = _drift_factor(U_late, "z", theta)
-    f_w = _drift_factor(U_early, "w", theta)
-    big_z = f_z ** l
-    big_w = f_w ** k
-    # The singular kernel sum over a >= 1 is cut at a = l: the z-residue
-    # pairs a with the coefficient of z^(-a) in f_z^l, which vanishes
-    # identically below z^(-l), so higher terms contribute nothing.
-    kernel_coeffs = [TruncSeries.monomial("z", a - 1, a * inv_theta)
-                     for a in range(l, 0, -1)]
-    kernel = TruncSeries("w", -l - 1, kernel_coeffs, ORDER_INF)
-    kernel = kernel + V_shifted * (inv_theta * inv_theta)
-    total = kernel * big_z * big_w
-    res_w = total.coefficient(-1)
-    if not isinstance(res_w, TruncSeries):
-        return Fraction(res_w)
-    res_zw = res_w.coefficient(-1)
-    return res_zw
+    if not (isinstance(V_shifted, TruncSeries) and V_shifted.var == "w"):
+        V_shifted = TruncSeries.constant("w", V_shifted)
+    # F is read only below z^0 and G only up to w^l; as each factor starts
+    # at the -1st power, its coefficients from z^(l-1) (w^(l+k)) on never
+    # reach them
+    big_z = _drift_factor(U_late, "z", theta).truncate(l - 1) ** l
+    big_w = _drift_factor(U_early, "w", theta).truncate(l + k) ** k
+    singular = 0
+    for a in range(1, l + 1):
+        g = big_w.coefficient(a)
+        if g:
+            singular += a * big_z.coefficient(-a) * g
+    regular = 0
+    for j in range(k):
+        row = V_shifted.coefficient(j)
+        g = big_w.coefficient(-1 - j)
+        if not (row and g):
+            continue
+        if isinstance(row, TruncSeries):
+            regular += g * sum(row.coefficient(i) * big_z.coefficient(-1 - i)
+                               for i in range(row.low, l))
+        else:
+            regular += g * row * big_z.coefficient(-1)
+    return singular * inv_theta + regular * (inv_theta * inv_theta)
 
 
 def limit_covariance(k, l, U, V_shifted, theta):

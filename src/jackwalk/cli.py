@@ -200,7 +200,8 @@ def _load_walk_config(args):
         raw = json.load(handle)
     cfg = WalkConfig.from_json(raw)
     if args.seed is not None:
-        if "seed" in raw and int(raw["seed"]) != args.seed:
+        # from_json took a config seed only as a JSON integer
+        if "seed" in raw and cfg.seed != args.seed:
             raise ValueError(
                 "seed %d from --seed conflicts with seed %s in %s"
                 % (args.seed, raw["seed"], args.config))

@@ -140,8 +140,9 @@ class WalkConfig:
     @staticmethod
     def from_json(obj):
         """Inverse of to_json.  A config that is not an object, lacks N,
-        theta or rho, or holds a union or an initial diagram that is not a
-        list raises ValueError."""
+        theta or rho, holds a union or an initial diagram that is not a
+        list, or an N, seed or part of the initial diagram that is not a
+        JSON integer raises ValueError."""
         from .scalars import scalar_from_json
 
         if not isinstance(obj, dict):
@@ -163,12 +164,21 @@ class WalkConfig:
         initial = obj.get("initial", [])
         if not isinstance(initial, list):
             raise ValueError("initial must be a list, got %r" % (initial,))
-        return WalkConfig(n=int(obj["N"]),
+        return WalkConfig(n=_json_int(obj["N"], "N"),
                           theta=scalar_from_json(obj["theta"]),
                           rho=rho,
-                          initial=tuple(int(p) for p in initial),
-                          seed=int(obj.get("seed", 0)),
+                          initial=tuple(_json_int(p, "a part of initial")
+                                        for p in initial),
+                          seed=_json_int(obj.get("seed", 0), "seed"),
                           step_truncation=obj.get("step_truncation"))
+
+
+def _json_int(value, name):
+    """A JSON integer as it stands: a float, a bool or any other value
+    raises ValueError rather than being rounded or converted."""
+    if type(value) is not int:
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    return value
 
 
 def _finite_reach(rho, n):

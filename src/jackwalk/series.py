@@ -15,9 +15,24 @@ instead of convolving, and falls out of the same code path as scalars.
 
 Requesting a coefficient at or beyond ``order`` raises ``OrderError``; the
 caller is expected to rebuild inputs at a higher order and retry.
+
+Rational coefficients take integer paths (Brent and Kung, "Fast algorithms
+for manipulating formal power series", J. ACM 25, 1978).  A product of two
+series whose coefficients are all ints and ``Fraction``s is one integer
+convolution of their numerators over each side's common denominator, with
+one ``Fraction``, and so one gcd, per output coefficient; ints stay ints.
+Other coefficients multiply term by term, nested series included, whose
+inner products take the integer path in turn.  A reciprocal follows the
+O(n^2) recurrence b_k = -(a_1 b_(k-1) + ... + a_k b_0) / a_0, carried in
+integers over powers of a_0 when the coefficients are rational.  Callers
+that need one coefficient of a product read it off the factors instead:
+the limit residues in ``asymptotics`` are finite sums of coefficient
+products.
 """
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .errors import OrderError
 from .scalars import RationalFunction
@@ -25,6 +40,49 @@ from .scalars import RationalFunction
 ORDER_INF = float("inf")
 
 _SCALARS = (int, Fraction, RationalFunction)
+
+
+def _is_rational(coeffs):
+    return all(isinstance(c, (int, Fraction)) for c in coeffs)
+
+
+def _numerators(coeffs):
+    """Integer numerators of int/Fraction coefficients over their least
+    common denominator, and that denominator."""
+    den = lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _rational_product(a, b, n):
+    """The first n coefficients of the product of two int/Fraction
+    coefficient lists: one integer convolution of the numerators over the
+    common denominators, then one Fraction (one gcd) per coefficient.
+
+    Types are those of the term-by-term loop: a coefficient reached by a
+    product of nonzero factors one of which is a Fraction is a Fraction,
+    any other is an int.
+    """
+    an, da = _numerators(a)
+    bn, db = _numerators(b)
+    den = da * db
+    # bit k of `frac`: some Fraction factor reaches coefficient k
+    nonzero_b = sum(1 << j for j, c in enumerate(b) if c)
+    frac_b = sum(1 << j for j, c in enumerate(b)
+                 if c and isinstance(c, Fraction))
+    frac = 0
+    for i, c in enumerate(a):
+        if c:
+            frac |= (nonzero_b if isinstance(c, Fraction) else frac_b) << i
+    rb = bn[::-1]
+    la, lb = len(a), len(b)
+    out = []
+    for k in range(n):
+        lo = max(0, k - lb + 1)
+        hi = min(k + 1, la)
+        s = sum(map(mul, an[lo:hi], rb[lb - 1 - k + lo:lb - 1 - k + hi]))
+        # a coefficient only int pairs reach is den times an integer
+        out.append(Fraction(s, den) if frac >> k & 1 else s // den)
+    return out
 
 
 def _coeff_inv(c):
@@ -170,13 +228,16 @@ class TruncSeries:
                 n = min(n, order - low)
             if n <= 0:
                 return TruncSeries.zero(self.var, order)
-            out = [0] * n
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if i + j < n and b:
-                        out[i + j] = out[i + j] + a * b
+            if _is_rational(self.coeffs) and _is_rational(other.coeffs):
+                out = _rational_product(self.coeffs, other.coeffs, n)
+            else:
+                out = [0] * n
+                for i, a in enumerate(self.coeffs):
+                    if not a:
+                        continue
+                    for j, b in enumerate(other.coeffs):
+                        if i + j < n and b:
+                            out[i + j] = out[i + j] + a * b
             return TruncSeries(self.var, low, out, order)
         if isinstance(other, _SCALARS) or isinstance(other, TruncSeries):
             return TruncSeries(self.var, self.low,
@@ -266,17 +327,35 @@ class TruncSeries:
             rel = order + v
         else:
             rel = self.order - v
-        c0 = self.coeffs[0]
-        c0i = _coeff_inv(c0)
-        # self = c0 * x^v * (1 + h) with h of positive valuation.
-        h = TruncSeries(self.var, 0, [c * c0i for c in self.coeffs],
-                        self.order if self.order == ORDER_INF else rel)
-        h = h.truncate(rel) - 1
-        acc = TruncSeries.constant(self.var, 1, rel)
-        for _ in range(max(rel - 1, 0)):
-            acc = (1 - h * acc).truncate(rel)
-        return TruncSeries(self.var, -v, [c * c0i for c in acc.coeffs],
-                           rel - v)
+        if rel < 1:
+            raise ValueError("reciprocal truncated at or below its valuation")
+        # self = x^v (a_0 + a_1 x + ...) and 1/self = x^-v (b_0 + b_1 x + ...)
+        # with b_0 = 1/a_0 and b_k = -(a_1 b_(k-1) + ... + a_k b_0) / a_0
+        a = self.coeffs[:rel]
+        if _is_rational(a):
+            # over a_i = A_i / d: b_k = d B_k / A_0^(k+1), where B_0 = 1 and
+            # B_k = -sum_i A_i A_0^(i-1) B_(k-i), all in integers
+            nums, d = _numerators(a)
+            a0 = nums[0]
+            scaled = [x * a0 ** i for i, x in enumerate(nums[1:])]
+            B = [1]
+            out = [Fraction(d, a0)]
+            power = a0
+            for k in range(1, rel):
+                t = min(k, len(scaled))
+                B.append(-sum(map(mul, scaled[:t], reversed(B[k - t:k]))))
+                power *= a0
+                out.append(Fraction(d * B[k], power))
+        else:
+            c0i = _coeff_inv(a[0])
+            out = [c0i]
+            for k in range(1, rel):
+                acc = 0
+                for i in range(1, min(k, len(a) - 1) + 1):
+                    if a[i]:
+                        acc = acc + a[i] * out[k - i]
+                out.append(-acc * c0i)
+        return TruncSeries(self.var, -v, out, rel - v)
 
     def compose(self, inner):
         """Substitute `inner` (positive valuation) for this series' variable."""
@@ -359,8 +438,3 @@ def revert(f, newvar):
         power = power * h
         out[k - 1] = power.coefficient(k - 1) * Fraction(1, k)
     return TruncSeries(newvar, 1, out, n)
-
-
-def geometric_alternating(var, order):
-    """The formal sum 1 - x + x^2 - ... truncated at `order`."""
-    return TruncSeries(var, 0, [(-1) ** a for a in range(order)], order)

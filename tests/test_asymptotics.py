@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jackwalk.asymptotics import (
+    _drift_factor,
     build_U,
     build_V,
     default_order,
@@ -23,7 +25,7 @@ from jackwalk.asymptotics import (
 )
 from jackwalk.errors import OrderError, StabilityError
 from jackwalk.measures import AtomicMeasure
-from jackwalk.series import TruncSeries, revert
+from jackwalk.series import ORDER_INF, TruncSeries, _coeff_inv, revert
 from jackwalk.specializations import Specialization
 from jackwalk.verify import toeplitz_cases
 
@@ -63,6 +65,145 @@ def burgers_evolve(m0, rho, tau, theta, order):
         raise OrderError("initial data supports only %d moments, need %d" %
                          (int(m_tau.order) - 2, order))
     return m_tau.truncate(order + 2)
+
+
+# -- the product oracles: residues read off whole products --------------------
+
+
+def geometric_alternating(var, order):
+    """The formal sum 1 - x + x^2 - ... truncated at `order`."""
+    return TruncSeries(var, 0, [(-1) ** a for a in range(order)], order)
+
+
+def product_limit_moment(k, U, theta):
+    """limit_moment as the w^-1 coefficient of f^(k+1)/(1+w), formed whole."""
+    f = _drift_factor(U, "w", theta)
+    power = f ** (k + 1)
+    if power.order <= -1:
+        raise OrderError("drift series order too small for moment %d" % k)
+    reach = 0 if power.order == ORDER_INF else int(power.order)
+    geo = geometric_alternating("w", reach + k + 2)
+    return (power * geo).coefficient(-1) * Fraction(1, k + 1)
+
+
+def _product_factors(k, l, U_early, U_late, V_shifted, theta):
+    """kernel * f_z^l, a w-series with z-series coefficients, and f_w^k."""
+    inv_theta = _coeff_inv(theta)
+    big_z = _drift_factor(U_late, "z", theta) ** l
+    big_w = _drift_factor(U_early, "w", theta) ** k
+    kernel_coeffs = [TruncSeries.monomial("z", a - 1, a * inv_theta)
+                     for a in range(l, 0, -1)]
+    kernel = TruncSeries("w", -l - 1, kernel_coeffs, ORDER_INF)
+    kernel = kernel + V_shifted * (inv_theta * inv_theta)
+    return kernel * big_z, big_w
+
+
+def product_covariance_two_times(k, l, U_early, U_late, V_shifted, theta):
+    """limit_covariance_two_times as the z^-1 w^-1 coefficient of the whole
+    two-variable product kernel * f_z^l * f_w^k."""
+    kernel_z, big_w = _product_factors(k, l, U_early, U_late, V_shifted,
+                                       theta)
+    res_w = (kernel_z * big_w).coefficient(-1)
+    if not isinstance(res_w, TruncSeries):
+        return Fraction(res_w)
+    return res_w.coefficient(-1)
+
+
+def product_residue_w(k, l, U_early, U_late, V_shifted, theta):
+    """The w^-1 coefficient of the product as a z-series with its truncation
+    order, summed term by term: the series constructor drops a zero
+    coefficient at either end of the product, order and all."""
+    kernel_z, big_w = _product_factors(k, l, U_early, U_late, V_shifted,
+                                       theta)
+    res = TruncSeries.zero("z")
+    for e, row in kernel_z.items():
+        g = big_w.coefficient(-1 - e)
+        if g:
+            res = res + row * g
+    return res
+
+
+def test_geometric_alternating():
+    g = geometric_alternating("w", 5)
+    assert list(g.items()) == [(0, 1), (1, -1), (2, 1), (3, -1), (4, 1)]
+    check = g * TruncSeries.polynomial("w", [1, 1])
+    assert check.coefficient(0) == 1
+    assert all(check.coefficient(k) == 0 for k in range(1, 4))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except OrderError:
+        return OrderError
+
+
+small_fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+
+
+@st.composite
+def drift_series(draw):
+    """A drift series about 1, often truncated too early for the moments."""
+    order = draw(st.integers(1, 12))
+    coeffs = draw(st.lists(small_fractions, max_size=order))
+    return TruncSeries("z-1", 0, coeffs, order)
+
+
+@st.composite
+def kernels(draw):
+    """A symmetric shifted kernel; its rows are z-series or scalars."""
+    order = draw(st.integers(1, 10))
+    entries = {}
+    for i in range(order):
+        for j in range(i, order):
+            entries[i, j] = entries[j, i] = draw(small_fractions)
+    if draw(st.booleans()):
+        rows = [TruncSeries("z", 0, [entries[i, j] for i in range(order)],
+                            order) for j in range(order)]
+    else:
+        rows = [entries[0, j] for j in range(order)]
+    return TruncSeries("w", 0, rows, order)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from([half, one, Fraction(2), Fraction(3, 7)]),
+       st.integers(1, 5), st.integers(1, 5),
+       drift_series(), drift_series(), kernels())
+def test_residue_sums_match_product_oracles(theta, k, l, U_early, U_late, V):
+    # the early and late drifts differ, as at two different times; a
+    # too-short truncation raises OrderError on both routes alike
+    assert _outcome(limit_moment, k, U_early, theta) == \
+        _outcome(product_limit_moment, k, U_early, theta)
+    args = (k, l, U_early, U_late, V, theta)
+    new = _outcome(limit_covariance_two_times, *args)
+    old = _outcome(product_covariance_two_times, *args)
+    if new != old:
+        # the routes differ only where the product route's residue is a
+        # zero series truncated at or below z^-1, which the series
+        # constructor dropped, so that route answered 0 unchecked
+        assert new is OrderError and old == 0
+        res = product_residue_w(*args)
+        assert not res and res.order <= -1
+
+
+def test_covariance_raises_when_residue_undetermined():
+    # the later drift is known only at (z-1)^0: the product route's residue
+    # cancels to zero below z^-1 and it answers 0, yet every completion of
+    # the two drifts tried here gives 6
+    theta, k, l = one, 2, 3
+    U_early = TruncSeries("z-1", 2, [-1, 1, 0, -1], 6)
+    U_late = TruncSeries("z-1", 0, [0], 1)
+    V = TruncSeries("w", 0, [-half, 2], 2)
+    with pytest.raises(OrderError):
+        limit_covariance_two_times(k, l, U_early, U_late, V, theta)
+    assert product_covariance_two_times(k, l, U_early, U_late, V, theta) == 0
+    U_early = TruncSeries("z-1", 2, U_early.coeffs, 14)
+    for tail in ([], [1], [0, 1], [1, 1]):
+        U_late = TruncSeries("z-1", 0, [0] + tail, 12)
+        assert limit_covariance_two_times(k, l, U_early, U_late, V,
+                                          theta) == 6
+        assert product_covariance_two_times(k, l, U_early, U_late, V,
+                                            theta) == 6
 
 
 def bernoulli_walk_frame(tau, order=8):
@@ -141,6 +282,9 @@ def test_limit_covariance_examples():
     v = Fraction(5, 7)
     constV = TruncSeries("w", 0, [TruncSeries("z", 0, [v], 6)], 6)
     assert limit_covariance(1, 1, 0, constV, half) == v / half ** 2
+    # a scalar kernel is the constant series
+    assert limit_covariance(1, 1, 0, v, half) == v / half ** 2
+    assert product_covariance_two_times(1, 1, 0, 0, v, half) == v / half ** 2
 
 
 def test_limit_covariance_bernoulli_walk():

@@ -434,6 +434,17 @@ BAD_SHAPES = {
     "list-in-union": _walk("1", {"union": [["1"]]}),
     "string-betas-in-union": _walk("1", {"union": [{"betas": "12"}]}),
     "string-initial": _walk("1", BETA_ONE, initial="1"),
+    # N, seed and the parts of initial are JSON integers, taken as they are
+    "float-N": dict(_walk("1", BETA_ONE), N=2.5),
+    "integral-float-N": dict(_walk("1", BETA_ONE), N=2.0),
+    "list-N": dict(_walk("1", BETA_ONE), N=[1]),
+    "bool-N": dict(_walk("1", BETA_ONE), N=True),
+    "string-N": dict(_walk("1", BETA_ONE), N="2"),
+    "bool-seed": _walk("1", BETA_ONE, seed=True),
+    "float-seed": _walk("1", BETA_ONE, seed=1.5),
+    "list-seed": _walk("1", BETA_ONE, seed=[1]),
+    "float-initial-part": _walk("1", BETA_ONE, initial=[2.5]),
+    "bool-initial-part": _walk("1", BETA_ONE, initial=[True]),
 }
 
 
@@ -560,6 +571,39 @@ def test_walk_predict_frozen_values(tmp_path):
                     ("1", "1", "covariance"): Fraction(1, 4),
                     ("1", "2", "covariance"): Fraction(0),
                     ("2", "2", "covariance"): Fraction(1, 8)}
+
+
+#: sha256 of `walk predict --k 1..8 --tau 1/4,1/2,1,2` below the provenance
+#: line, on a packed theta = 1, N = 256 single-beta config: moments and
+#: covariances to order 8, the paper's regime
+GOLDEN_PREDICT_K8 = \
+    "896d446cac9bdcb8e9c24400be015df68a167fb71de53c5548cc073c17bb3b68"
+
+
+def test_walk_predict_paper_regime_golden_bytes(tmp_path):
+    out = tmp_path / "pred.csv"
+    rc = cli.main(["walk", "predict", "--config", beta_config(tmp_path, n=256),
+                   "--k", "1,2,3,4,5,6,7,8", "--tau", "1/4,1/2,1,2",
+                   "--out", str(out)])
+    assert rc == 0
+    assert _body_digest(out) == GOLDEN_PREDICT_K8
+
+
+def test_walk_predict_calls_limit_layer_through_cli(tmp_path, monkeypatch):
+    # the benchmark's tracer wraps these names in jackwalk.cli, so a
+    # prediction must look each of them up there
+    calls = dict.fromkeys(["walk_limit_data", "build_V", "limit_moment",
+                           "limit_covariance"], 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(cli, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(cli, name, counted)
+    rc = cli.main(["walk", "predict", "--config", beta_config(tmp_path),
+                   "--k", "1,2", "--tau", "1/2,1",
+                   "--out", str(tmp_path / "pred.csv")])
+    assert rc == 0
+    assert all(calls.values()), calls
 
 
 PREDICT_CONFIG = {"N": 10, "theta": "1", "rho": {"betas": ["1"]}}

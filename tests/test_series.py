@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jackwalk.errors import OrderError
-from jackwalk.series import ORDER_INF, TruncSeries, geometric_alternating, revert
+from jackwalk.scalars import RationalFunction
+from jackwalk.series import ORDER_INF, TruncSeries, _coeff_inv, revert
 
 
 def random_series(rng, var="z", low_range=(-2, 2), width=6):
@@ -134,14 +136,6 @@ def test_compose_and_revert():
         assert not any(v for _, v in d.items())
 
 
-def test_geometric_alternating():
-    g = geometric_alternating("w", 5)
-    assert list(g.items()) == [(0, 1), (1, -1), (2, 1), (3, -1), (4, 1)]
-    check = g * TruncSeries.polynomial("w", [1, 1])
-    assert check.coefficient(0) == 1
-    assert all(check.coefficient(k) == 0 for k in range(1, 4))
-
-
 def test_retag_and_nesting():
     inv = TruncSeries("1/z", 1, [1, 0, 2], 6)
     assert inv.retag("w").var == "w"
@@ -156,3 +150,132 @@ def test_map_coefficients():
     s = TruncSeries("z", 0, [1, 2, 3], 5)
     doubled = s.map_coefficients(lambda c: 2 * c)
     assert [v for _, v in doubled.items()] == [2, 4, 6]
+
+
+# -- the term-by-term oracles -------------------------------------------------
+
+
+def loop_product(f, g):
+    """f * g for series in one variable, one coefficient pair at a time."""
+    order = min(f.order + g.low, g.order + f.low)
+    if not f.coeffs or not g.coeffs:
+        return TruncSeries.zero(f.var, order)
+    low = f.low + g.low
+    n = len(f.coeffs) + len(g.coeffs) - 1
+    if order != ORDER_INF:
+        n = min(n, order - low)
+    if n <= 0:
+        return TruncSeries.zero(f.var, order)
+    out = [0] * n
+    for i, a in enumerate(f.coeffs):
+        if not a:
+            continue
+        for j, b in enumerate(g.coeffs):
+            if i + j < n and b:
+                out[i + j] = out[i + j] + a * b
+    return TruncSeries(f.var, low, out, order)
+
+
+def fixed_point_reciprocal(f, order=None):
+    """1/f by rel - 1 rounds of acc <- 1 - h acc, where f = c0 x^v (1 + h)."""
+    if not f.coeffs:
+        raise ZeroDivisionError("reciprocal of a zero series")
+    v = f.low
+    if f.order == ORDER_INF:
+        if order is None:
+            raise ValueError("exact data needs an explicit order")
+        rel = order + v
+    else:
+        rel = f.order - v
+    c0i = _coeff_inv(f.coeffs[0])
+    h = TruncSeries(f.var, 0, [c * c0i for c in f.coeffs],
+                    f.order if f.order == ORDER_INF else rel)
+    h = h.truncate(rel) - 1
+    acc = TruncSeries.constant(f.var, 1, rel)
+    for _ in range(max(rel - 1, 0)):
+        acc = (1 - loop_product(h, acc)).truncate(rel)
+    return TruncSeries(f.var, -v, [c * c0i for c in acc.coeffs], rel - v)
+
+
+def _typed(f):
+    return f.low, f.order, [(c, type(c)) for c in f.coeffs]
+
+
+def _typed_outcome(fn, *args):
+    try:
+        return _typed(fn(*args))
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+rational_coefficients = st.one_of(
+    st.integers(-5, 5),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+int_lists = st.lists(st.integers(-5, 5), max_size=7)
+fraction_lists = st.lists(
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)), max_size=7)
+mixed_lists = st.lists(rational_coefficients, max_size=7)
+
+
+@st.composite
+def rational_series(draw):
+    """Int, Fraction or mixed coefficients, Laurent or not, exact or
+    truncated at or past the last coefficient."""
+    coeffs = draw(st.one_of(int_lists, fraction_lists, mixed_lists))
+    low = draw(st.integers(-3, 3))
+    if draw(st.booleans()):
+        order = ORDER_INF
+    else:
+        order = low + len(coeffs) + draw(st.integers(0, 3))
+    return TruncSeries("z", low, coeffs, order)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(rational_series(), rational_series(), st.integers(-4, 8))
+def test_integer_paths_match_loop_and_fixed_point(f, g, order):
+    assert _typed(f * g) == _typed(loop_product(f, g))
+    # an exact operand takes the requested order, a truncated one its own
+    order = order if f.order == ORDER_INF else None
+    assert _typed_outcome(TruncSeries.reciprocal, f, order) == \
+        _typed_outcome(fixed_point_reciprocal, f, order)
+
+
+def _rf(a, b, c):
+    return RationalFunction((a, b), (c, 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.builds(_rf, st.integers(-3, 3), st.integers(-2, 2),
+                          st.integers(1, 3)), min_size=1, max_size=5),
+       st.lists(rational_coefficients, min_size=1, max_size=5),
+       st.integers(0, 3))
+def test_rational_function_coefficients_unchanged(rfs, rats, extra):
+    # Q(theta) coefficients, alone and mixed with rationals, keep the
+    # term-by-term product; the recurrence gives the fixed-point reciprocal
+    f = TruncSeries("z", 0, rfs, len(rfs) + extra)
+    g = TruncSeries("z", -1, [x for pair in zip(rfs, rats) for x in pair],
+                    ORDER_INF)
+    for a, b in ((f, g), (g, f), (f, f)):
+        p, q = a * b, loop_product(a, b)
+        assert (p.low, p.order, p.coeffs) == (q.low, q.order, q.coeffs)
+    for a, order in ((f, None), (g, 5)):
+        if a.coeffs:
+            p = a.reciprocal(order)
+            q = fixed_point_reciprocal(a, order)
+            assert (p.low, p.order, p.coeffs) == (q.low, q.order, q.coeffs)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(fraction_lists, int_lists), min_size=1, max_size=4),
+       mixed_lists, st.integers(0, 2))
+def test_nested_coefficients_unchanged(rows, scalars, extra):
+    # a series in w with z-series coefficients: its products scale and
+    # convolve the inner series, which now take the integer path
+    inner = [TruncSeries("z", 0, [1] + row, len(row) + 1 + extra)
+             for row in rows]
+    f = TruncSeries("w", 0, inner, len(inner) + extra)
+    g = TruncSeries("w", -1, list(scalars) + inner, ORDER_INF)
+    for a, b in ((f, g), (g, f), (f, f)):
+        p, q = a * b, loop_product(a, b)
+        assert (p.low, p.order, p.coeffs) == (q.low, q.order, q.coeffs)
+    assert f.reciprocal() == fixed_point_reciprocal(f)
