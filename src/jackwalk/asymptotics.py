@@ -168,11 +168,10 @@ def limit_covariance_two_times(k, l, U_early, U_late, V_shifted, theta):
         g = big_w.coefficient(-1 - j)
         if not (row and g):
             continue
-        if isinstance(row, TruncSeries):
-            regular += g * sum(row.coefficient(i) * big_z.coefficient(-1 - i)
-                               for i in range(row.low, l))
-        else:
-            regular += g * row * big_z.coefficient(-1)
+        if not isinstance(row, TruncSeries):
+            row = TruncSeries.constant("z", row)
+        regular += g * sum(row.coefficient(i) * big_z.coefficient(-1 - i)
+                           for i in range(row.low, l))
     return singular * inv_theta + regular * (inv_theta * inv_theta)
 
 

@@ -16,15 +16,14 @@ instead of convolving, and falls out of the same code path as scalars.
 Requesting a coefficient at or beyond ``order`` raises ``OrderError``; the
 caller is expected to rebuild inputs at a higher order and retry.
 
-Rational coefficients take integer paths (Brent and Kung, "Fast algorithms
-for manipulating formal power series", J. ACM 25, 1978).  A product of two
+Products and reciprocals follow Brent and Kung, "Fast algorithms for
+manipulating formal power series", J. ACM 25, 1978.  A product of two
 series whose coefficients are all ints and ``Fraction``s is one integer
 convolution of their numerators over each side's common denominator, with
 one ``Fraction``, and so one gcd, per output coefficient; ints stay ints.
 Other coefficients multiply term by term, nested series included, whose
 inner products take the integer path in turn.  A reciprocal follows the
-O(n^2) recurrence b_k = -(a_1 b_(k-1) + ... + a_k b_0) / a_0, carried in
-integers over powers of a_0 when the coefficients are rational.  Callers
+O(n^2) recurrence b_k = -(a_1 b_(k-1) + ... + a_k b_0) / a_0.  Callers
 that need one coefficient of a product read it off the factors instead:
 the limit residues in ``asymptotics`` are finite sums of coefficient
 products.
@@ -56,23 +55,13 @@ def _numerators(coeffs):
 def _rational_product(a, b, n):
     """The first n coefficients of the product of two int/Fraction
     coefficient lists: one integer convolution of the numerators over the
-    common denominators, then one Fraction (one gcd) per coefficient.
-
-    Types are those of the term-by-term loop: a coefficient reached by a
-    product of nonzero factors one of which is a Fraction is a Fraction,
-    any other is an int.
+    common denominators, then one Fraction (one gcd) per coefficient, or
+    ints when both lists are ints.
     """
     an, da = _numerators(a)
     bn, db = _numerators(b)
     den = da * db
-    # bit k of `frac`: some Fraction factor reaches coefficient k
-    nonzero_b = sum(1 << j for j, c in enumerate(b) if c)
-    frac_b = sum(1 << j for j, c in enumerate(b)
-                 if c and isinstance(c, Fraction))
-    frac = 0
-    for i, c in enumerate(a):
-        if c:
-            frac |= (nonzero_b if isinstance(c, Fraction) else frac_b) << i
+    ints = all(type(c) is int for c in a) and all(type(c) is int for c in b)
     rb = bn[::-1]
     la, lb = len(a), len(b)
     out = []
@@ -80,8 +69,7 @@ def _rational_product(a, b, n):
         lo = max(0, k - lb + 1)
         hi = min(k + 1, la)
         s = sum(map(mul, an[lo:hi], rb[lb - 1 - k + lo:lb - 1 - k + hi]))
-        # a coefficient only int pairs reach is den times an integer
-        out.append(Fraction(s, den) if frac >> k & 1 else s // den)
+        out.append(s if ints else Fraction(s, den))
     return out
 
 
@@ -332,29 +320,14 @@ class TruncSeries:
         # self = x^v (a_0 + a_1 x + ...) and 1/self = x^-v (b_0 + b_1 x + ...)
         # with b_0 = 1/a_0 and b_k = -(a_1 b_(k-1) + ... + a_k b_0) / a_0
         a = self.coeffs[:rel]
-        if _is_rational(a):
-            # over a_i = A_i / d: b_k = d B_k / A_0^(k+1), where B_0 = 1 and
-            # B_k = -sum_i A_i A_0^(i-1) B_(k-i), all in integers
-            nums, d = _numerators(a)
-            a0 = nums[0]
-            scaled = [x * a0 ** i for i, x in enumerate(nums[1:])]
-            B = [1]
-            out = [Fraction(d, a0)]
-            power = a0
-            for k in range(1, rel):
-                t = min(k, len(scaled))
-                B.append(-sum(map(mul, scaled[:t], reversed(B[k - t:k]))))
-                power *= a0
-                out.append(Fraction(d * B[k], power))
-        else:
-            c0i = _coeff_inv(a[0])
-            out = [c0i]
-            for k in range(1, rel):
-                acc = 0
-                for i in range(1, min(k, len(a) - 1) + 1):
-                    if a[i]:
-                        acc = acc + a[i] * out[k - i]
-                out.append(-acc * c0i)
+        c0i = _coeff_inv(a[0])
+        out = [c0i]
+        for k in range(1, rel):
+            acc = 0
+            for i in range(1, min(k, len(a) - 1) + 1):
+                if a[i]:
+                    acc = acc + a[i] * out[k - i]
+            out.append(-acc * c0i)
         return TruncSeries(self.var, -v, out, rel - v)
 
     def compose(self, inner):

@@ -233,7 +233,11 @@ def rational_series(draw):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(rational_series(), rational_series(), st.integers(-4, 8))
 def test_integer_paths_match_loop_and_fixed_point(f, g, order):
-    assert _typed(f * g) == _typed(loop_product(f, g))
+    p, q = f * g, loop_product(f, g)
+    assert (p.low, p.order, p.coeffs) == (q.low, q.order, q.coeffs)
+    # ints stay ints; any Fraction operand gives Fraction coefficients
+    ints = all(type(c) is int for c in f.coeffs + g.coeffs)
+    assert all(type(c) is (int if ints else Fraction) for c in p.coeffs)
     # an exact operand takes the requested order, a truncated one its own
     order = order if f.order == ORDER_INF else None
     assert _typed_outcome(TruncSeries.reciprocal, f, order) == \
