@@ -32,8 +32,8 @@ from .errors import (DeficitError, DivergenceError, ResourceLimitError,
                      ShapeError, StabilityError)
 from .jack import jack_polynomial, lr_expand, skew_jack
 from .partitions import make_partition
-from .scalars import (as_fraction, parse_fraction, parse_theta,
-                      scalar_to_json)
+from .scalars import (RationalFunction, as_fraction, parse_fraction,
+                      parse_theta, scalar_to_json)
 from . import verify as verify_suites
 
 
@@ -45,6 +45,15 @@ def _parse_partition(text):
         return make_partition(int(p) for p in text.split(","))
     except (ValueError, TypeError) as exc:
         raise ValueError("bad partition %r: %s" % (text, exc))
+
+
+def _parse_positive_theta(text):
+    """parse_theta, refusing a numeric theta <= 0: the Jack basis, its
+    norms and the operators are not defined there."""
+    theta = parse_theta(text)
+    if not isinstance(theta, RationalFunction) and theta <= 0:
+        raise ValueError("theta must be positive, got %s" % theta)
+    return theta
 
 
 def _parse_int_list(text):
@@ -94,7 +103,7 @@ def _poly_table(poly):
 
 
 def cmd_jack(args):
-    theta = parse_theta(args.theta)
+    theta = _parse_positive_theta(args.theta)
     if args.action == "expand":
         lam = _parse_partition(args.partition)
         poly = jack_polynomial(lam, theta)
@@ -143,22 +152,37 @@ def _resolve_seed(args):
     return 0
 
 
+#: the size options of each suite; a negative one would check nothing
+_SUITE_SIZES = {
+    "ns": ("max_size", "max_rows", "max_order"),
+    "cauchy": ("degree",),
+    "stochastic": ("max_rows", "max_size"),
+    "toeplitz": ("symbols", "order"),
+    "moments": ("count", "max_index"),
+}
+
+
 def cmd_verify(args):
     suite = args.suite
+    for name in _SUITE_SIZES[suite]:
+        value = getattr(args, name)
+        if value < 0:
+            raise ValueError("--%s must be nonnegative, got %d"
+                             % (name.replace("_", "-"), value))
     if suite == "ns":
         cases = verify_suites.eigenrelation_cases(
             args.max_size, args.max_rows, args.max_order,
-            parse_theta(args.theta))
+            _parse_positive_theta(args.theta))
         params = {"suite": suite, "max_size": args.max_size,
                   "max_rows": args.max_rows, "max_order": args.max_order,
                   "theta": args.theta}
     elif suite == "cauchy":
-        cases = verify_suites.cauchy_cases(args.degree,
-                                           parse_theta(args.theta))
+        cases = verify_suites.cauchy_cases(
+            args.degree, _parse_positive_theta(args.theta))
         params = {"suite": suite, "degree": args.degree, "theta": args.theta}
     elif suite == "stochastic":
         cases = verify_suites.stochasticity_cases(
-            args.max_rows, args.max_size, parse_theta(args.theta),
+            args.max_rows, args.max_size, _parse_positive_theta(args.theta),
             beta=parse_fraction(args.beta))
         params = {"suite": suite, "max_rows": args.max_rows,
                   "max_size": args.max_size, "theta": args.theta,

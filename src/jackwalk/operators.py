@@ -6,7 +6,22 @@ row i multiplies by p_{j-i} when i < j, differentiates via (s/theta) d/dp_s
 with s = i - j when i > j, and scales by j(1/theta - 1) on the diagonal.
 Row 0 is annihilated by the diagonal and every path contributing to (L^k)_00
 must return to row 0, so k sweeps over a sparse row map evaluate the
-operator exactly with no truncation.
+operator exactly with no truncation; the last sweep only shifts into row 0.
+
+The sweeps do integer work.  Write theta = P/Q with P and Q integers when
+theta and the coefficients of f are rational, integer polynomials in theta
+otherwise.  Then P L has the
+entries P p_{j-i}, s Q d/dp_s and j(Q - P), all over Z (or Z[theta]), and
+I^(k) f = (P L)^k_00 F / (D P^k), where F holds the numerators of f over
+one common denominator D.  The sweeps are multiply-adds, and each output
+coefficient is reduced once, by D P^k.  The eigenvalues take the same
+scaling: with 1/u = P v, the coefficient of 1/u^(k+1) in their generating
+series is P^(-k) [v^k] of
+
+    prod_i (1 + (iP - lam_i Q) v) / (1 + ((i-1)P - lam_i Q) v),
+
+divided by (1 + nPv), a series with constant term 1 whose coefficients
+follow from multiply-adds with no division.
 
 The point of the hierarchy: the Jack functions are joint eigenfunctions, and
 suitable products of I^(k) extract moments of the particle measures attached
@@ -14,16 +29,18 @@ to random diagrams directly from their generating functions.
 """
 
 import math
+import operator
 from fractions import Fraction
 
 from .partitions import length, make_partition
-from .psum import PSumPoly, d_dp
-from .scalars import THETA, as_exact
-from .series import ORDER_INF, TruncSeries
+from .psum import PSumPoly, _merge_keys
+from .scalars import (THETA, RationalFunction, _padd, _pcontent, _pgcd,
+                      _pmul, _ppow, _pquo, as_exact)
+from .series import TruncSeries, _numerators
 from .specializations import specialize_ones
 
 __all__ = [
-    "LaxState", "apply_I", "eigenvalue_series", "eigenvalue_of",
+    "apply_I", "eigenvalue_series", "eigenvalue_of",
     "moment_factor", "joint_moment_via_operators", "joint_moment_multitime",
     "f_cumulant", "set_partitions",
 ]
@@ -31,54 +48,172 @@ __all__ = [
 UVAR = "1/u"
 
 
-class LaxState:
-    """Sparse row map {row index: PSumPoly} threaded through powers of L."""
+class _Ring:
+    """Z at a numeric theta on rational coefficients, Z[theta] (ascending
+    coefficient tuples) otherwise: theta = P/Q, the ring operations, and
+    the one reduction of a numerator over a denominator to a scalar."""
 
-    __slots__ = ("theta", "row_polys")
+    __slots__ = ("poly", "P", "Q", "add", "mul")
 
-    def __init__(self, theta, row_polys):
-        self.theta = as_exact(theta)
-        self.row_polys = {i: f for i, f in row_polys.items() if f}
+    def __init__(self, theta, coeffs=()):
+        theta = as_exact(theta)
+        self.poly = isinstance(theta, RationalFunction) or any(
+            isinstance(c, RationalFunction) for c in coeffs)
+        if self.poly:
+            theta = RationalFunction.from_value(theta)
+            self.P, self.Q = theta.num, theta.den
+            self.add, self.mul = _padd, _pmul
+        else:
+            self.P, self.Q = theta.numerator, theta.denominator
+            self.add, self.mul = operator.add, operator.mul
+        if not self.P:
+            raise ZeroDivisionError("the operators need theta != 0")
 
-    @staticmethod
-    def start(f, theta):
-        return LaxState(theta, {0: f})
+    def const(self, m):
+        if self.poly:
+            return (m,) if m else ()
+        return m
+
+    def sub(self, a, b):
+        return self.add(a, self.mul(self.const(-1), b))
+
+    def power(self, a, k):
+        return _ppow(a, k) if self.poly else a ** k
+
+    def numerators(self, coeffs):
+        """The numerators of coeffs over their least common denominator,
+        and that denominator.  Over Z[theta] the lcm of the integer
+        contents and the lcm of the primitive parts are taken separately:
+        a polynomial gcd drops the content."""
+        if not self.poly:
+            return _numerators(coeffs)
+        coeffs = [RationalFunction.from_value(c) for c in coeffs]
+        parts = {}
+        content, prim = 1, (1,)
+        for den in {c.den for c in coeffs}:
+            c = _pcontent(den)
+            q = parts[den] = c, tuple(x // c for x in den)
+            content = math.lcm(content, c)
+            prim = _pmul(prim, _pgcd(prim, q[1])[2])
+        scale = {den: _pmul((content // c,), _pquo(prim, q))
+                 for den, (c, q) in parts.items()}
+        return ([_pmul(c.num, scale[c.den]) for c in coeffs],
+                _pmul((content,), prim))
+
+    def scalar(self, c, den):
+        return RationalFunction(c, den) if self.poly else Fraction(c, den)
+
+    def psum(self, row, den):
+        """The PSumPoly of a row {partition: numerator} over den."""
+        out = PSumPoly()
+        out.terms = {key: self.scalar(c, den) for key, c in row.items() if c}
+        return out
+
+
+class _Lax:
+    """A sparse row map {row: {partition: numerator}} threaded through
+    powers of P L, over one denominator D of the starting polynomial."""
+
+    __slots__ = ("ring", "den", "rows", "diag", "sq")
+
+    def __init__(self, f, theta):
+        coeffs = list(f.terms.values())
+        self.ring = ring = _Ring(theta, coeffs)
+        nums, self.den = ring.numerators(coeffs)
+        self.rows = {0: dict(zip(f.terms, nums))} if nums else {}
+        # row j holds terms of size degree - j or less, so the rows and the
+        # factor m s of d/dp_s on p_s^m stay within the degree of f
+        degree = max(f.degree(), 0) + 1
+        diag = ring.sub(ring.Q, ring.P)
+        self.diag = [ring.mul(ring.const(j), diag) for j in range(degree)]
+        self.sq = [ring.mul(ring.const(t), ring.Q) for t in range(degree)]
 
     def sweep(self):
-        """One application of L."""
-        th = self.theta
-        inv = 1 / th
-        diag = inv - 1
-        new = {}
+        """One application of P L."""
+        add, mul, P = self.ring.add, self.ring.mul, self.ring.P
+        diag, sq = self.diag, self.sq
+        out = {}
 
-        def add(i, g):
-            if not g:
-                return
-            prior = new.get(i)
-            new[i] = g if prior is None else prior + g
+        def put(i, key, c):
+            row = out.get(i)
+            if row is None:
+                out[i] = {key: c}
+            else:
+                acc = row.get(key)
+                row[key] = c if acc is None else add(acc, c)
 
-        for j, f in self.row_polys.items():
-            if j and diag:
-                add(j, f * (j * diag))
-            for i in range(j):
-                add(i, f * PSumPoly.p(j - i))
-            degrees = {part for key in f.terms for part in key}
-            for s in degrees:
-                add(j + s, d_dp(f, s) * (s * inv))
-        return LaxState(th, new)
+        for j, f in self.rows.items():
+            d = diag[j]
+            for key, c in f.items():
+                if j:
+                    if d:
+                        put(j, key, mul(c, d))
+                    cp = mul(c, P)
+                    for i in range(j):
+                        put(i, _merge_keys(key, (j - i,)), cp)
+                prev = None
+                for at, s in enumerate(key):
+                    if s != prev:
+                        prev = s
+                        put(j + s, key[:at] + key[at + 1:],
+                            mul(c, sq[key.count(s) * s]))
+        self.rows = {i: kept for i, kept in
+                     ((i, {key: c for key, c in row.items() if c})
+                      for i, row in out.items()) if kept}
 
-    def row(self, i):
-        return self.row_polys.get(i, PSumPoly.zero())
+    def row0(self):
+        """Row 0 after one more sweep: the shifts P p_j out of each row j."""
+        add, mul, P = self.ring.add, self.ring.mul, self.ring.P
+        out = {}
+        for j, f in self.rows.items():
+            if j:
+                for key, c in f.items():
+                    key = _merge_keys(key, (j,))
+                    acc = out.get(key)
+                    c = mul(c, P)
+                    out[key] = c if acc is None else add(acc, c)
+        return out
+
+
+def _lax_after(k, f, theta):
+    """The row map of f after k - 1 sweeps, ready to read I^(k) f."""
+    if k < 1:
+        raise ValueError("operator index must be >= 1")
+    lax = _Lax(f, theta)
+    for _ in range(k - 1):
+        lax.sweep()
+    return lax
 
 
 def apply_I(k, f, theta=THETA):
-    """I^(k) f = (L^k)_00 f, exactly."""
-    if k < 1:
-        raise ValueError("operator index must be >= 1")
-    state = LaxState.start(f, theta)
-    for _ in range(k):
-        state = state.sweep()
-    return state.row(0)
+    """I^(k) f = (L^k)_00 f, exactly: (P L)^k_00 on the numerators of f,
+    reduced once per coefficient by D P^k."""
+    lax = _lax_after(k, f, theta)
+    ring = lax.ring
+    return ring.psum(lax.row0(), ring.mul(lax.den, ring.power(ring.P, k)))
+
+
+def _eigen_numerators(lam, n, ring, k):
+    """[v^0..v^k] of prod_{i<=n} (1 + (iP - lam_i Q) v) /
+    (1 + ((i-1)P - lam_i Q) v), divided by 1 + nPv, over Z or Z[theta]."""
+    lam = make_partition(lam)
+    if length(lam) > n:
+        raise ValueError("diagram has more rows than variables")
+    P, Q, add, mul, const = ring.P, ring.Q, ring.add, ring.mul, ring.const
+    r = [const(1)] + [const(0)] * k
+
+    def over(c):  # r / (1 - c v)
+        for m in range(1, k + 1):
+            r[m] = add(r[m], mul(c, r[m - 1]))
+
+    for i, part in enumerate(lam + (0,) * (n - len(lam)), 1):
+        lq = mul(const(part), Q)
+        a = ring.sub(mul(const(i), P), lq)
+        for m in range(k, 0, -1):  # r (1 + a v)
+            r[m] = add(r[m], mul(a, r[m - 1]))
+        over(ring.sub(lq, mul(const(i - 1), P)))
+    over(mul(const(-n), P))
+    return r
 
 
 def eigenvalue_series(lam, n, theta=THETA, order=8):
@@ -90,31 +225,41 @@ def eigenvalue_series(lam, n, theta=THETA, order=8):
     I^(k).  Trailing parts lam_i = 0 make consecutive factors telescope, so
     any n >= len(lam) gives a consistent family.
     """
-    lam = make_partition(lam)
-    if length(lam) > n:
-        raise ValueError("diagram has more rows than variables")
-    th = as_exact(theta)
-    w = TruncSeries.monomial(UVAR, 1, 1, ORDER_INF)
-    numer = w
-    denom = TruncSeries.constant(UVAR, 1, ORDER_INF)
-    padded = lam + (0,) * (n - len(lam))
-    for i in range(1, n + 1):
-        shift = padded[i - 1] / th
-        numer = numer * (1 + (i - shift) * w)
-        denom = denom * (1 + (i - 1 - shift) * w)
-    denom = denom * (1 + n * w)
-    return (numer * denom.reciprocal(order)).truncate(order + 1)
+    if order < 1:
+        raise ValueError("eigenvalue series order must be >= 1")
+    ring = _Ring(theta)
+    r = _eigen_numerators(lam, n, ring, order - 1)
+    return TruncSeries(UVAR, 1, [ring.scalar(c, ring.power(ring.P, m))
+                                 for m, c in enumerate(r)], order + 1)
 
 
 def eigenvalue_of(k, lam, n, theta=THETA):
-    """The exact eigenvalue of I^(k) on J_lam in n variables."""
-    return eigenvalue_series(lam, n, theta, order=k + 1).coefficient(k + 1)
+    """The exact eigenvalue of I^(k) on J_lam in n variables: one
+    coefficient of the eigenvalue series, reduced once."""
+    if k < 0:
+        raise ValueError("operator index must be >= 0")
+    ring = _Ring(theta)
+    r = _eigen_numerators(lam, n, ring, k)
+    return ring.scalar(r[k], ring.power(ring.P, k))
 
 
 def moment_factor(k, f, n, theta=THETA):
-    """One factor I^(k)/n^k + I^(k+1)/n^(k+1) of a joint-moment product."""
-    nk = Fraction(n) ** k
-    return apply_I(k, f, theta) / nk + apply_I(k + 1, f, theta) / (nk * n)
+    """One factor I^(k)/n^k + I^(k+1)/n^(k+1) of a joint-moment product.
+
+    Both terms come from one run of k + 1 sweeps, summed over the one
+    denominator D P^(k+1) n^(k+1)."""
+    lax = _lax_after(k, f, theta)
+    ring = lax.ring
+    add, mul = ring.add, ring.mul
+    nP = mul(ring.const(n), ring.P)
+    row = {key: mul(c, nP) for key, c in lax.row0().items()}
+    lax.sweep()
+    for key, c in lax.row0().items():
+        acc = row.get(key)
+        row[key] = c if acc is None else add(acc, c)
+    den = mul(mul(lax.den, ring.power(ring.P, k + 1)),
+              ring.const(n ** (k + 1)))
+    return ring.psum(row, den)
 
 
 def joint_moment_via_operators(f, n, theta, ks):

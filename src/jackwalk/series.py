@@ -31,7 +31,7 @@ products.
 
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import add, mul
 
 from .errors import OrderError
 from .scalars import RationalFunction
@@ -177,18 +177,22 @@ class TruncSeries:
         if other is None:
             return NotImplemented
         order = min(self.order, other.order)
-        acc = {}
-        for k, c in self.items():
-            acc[k] = acc.get(k, 0) + c
-        for k, c in other.items():
-            acc[k] = acc.get(k, 0) + c
-        acc = {k: c for k, c in acc.items() if k < order}
-        if not acc:
+        sides = [s for s in (self, other) if s.coeffs]
+        if not sides:
             return TruncSeries.zero(self.var, order)
-        low = min(acc)
-        hi = max(acc)
+        low = min(s.low for s in sides)
+        hi = min(max(s.low + len(s.coeffs) for s in sides), order)
+        if hi <= low:
+            return TruncSeries.zero(self.var, order)
+        width = hi - low
+
+        def window(s):
+            cs = list(s.coeffs[:max(hi - s.low, 0)])
+            head = [0] * (s.low - low) if cs else []
+            return head + cs + [0] * (width - len(head) - len(cs))
+
         return TruncSeries(self.var, low,
-                           [acc.get(k, 0) for k in range(low, hi + 1)], order)
+                           list(map(add, window(self), window(other))), order)
 
     __radd__ = __add__
 

@@ -115,6 +115,46 @@ def test_zero_denominator_is_usage_error(tmp_path, capsys, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["jack", "expand", "--partition", "2"],
+    ["jack", "skew", "--partition", "2,1", "--mu", "1"],
+    ["jack", "lr", "--mu", "1", "--eta", "1"],
+    ["verify", "ns"],
+    ["ns", "verify"],
+    ["verify", "cauchy", "--degree", "2"],
+    ["verify", "stochastic"],
+], ids=" ".join)
+@pytest.mark.parametrize("theta", ["0", "-1", "-1/2"])
+def test_nonpositive_theta_is_usage_error(tmp_path, capsys, argv, theta):
+    assert cli.main(argv + ["--theta=" + theta,
+                            "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: theta must be positive, got %s\n" % theta
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "ns", "--max-size", "-1"],
+    ["verify", "ns", "--max-rows", "-2"],
+    ["verify", "ns", "--max-order", "-1"],
+    ["ns", "verify", "--max-rows", "-2"],
+    ["verify", "cauchy", "--degree", "-1"],
+    ["verify", "stochastic", "--max-rows", "-1"],
+    ["verify", "stochastic", "--max-size", "-1"],
+    ["verify", "toeplitz", "--symbols", "-1", "--seed", "1"],
+    ["verify", "toeplitz", "--order", "-1", "--seed", "1"],
+    ["verify", "moments", "--count", "-1", "--seed", "1"],
+    ["verify", "moments", "--max-index", "-1", "--seed", "1"],
+], ids=" ".join)
+def test_negative_sizes_are_usage_errors(tmp_path, capsys, argv):
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    option = next(a for a in argv if a.startswith("--"))
+    assert err == "error: %s must be nonnegative, got %s\n" % (
+        option, argv[argv.index(option) + 1])
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main([])

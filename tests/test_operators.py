@@ -4,10 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jackwalk.jack import jack_norm, jack_polynomial, principal_value
 from jackwalk.measures import MeasureOnYoung, generating_function, pp_measure
 from jackwalk.operators import (
+    UVAR,
     apply_I,
     eigenvalue_of,
     eigenvalue_series,
@@ -17,8 +19,12 @@ from jackwalk.operators import (
     moment_factor,
     set_partitions,
 )
-from jackwalk.psum import PSumPoly
-from jackwalk.scalars import THETA
+from jackwalk.partitions import (enumerate_all_partitions,
+                                 enumerate_partitions, length,
+                                 make_partition)
+from jackwalk.psum import PSumPoly, d_dp
+from jackwalk.scalars import THETA, RationalFunction, as_exact
+from jackwalk.series import ORDER_INF, TruncSeries
 from jackwalk.specializations import specialize_ones
 from jackwalk.verify import eigenrelation_cases
 from test_scalars import substitute_theta
@@ -27,10 +33,136 @@ half = Fraction(1, 2)
 one = Fraction(1)
 two = Fraction(2)
 
+#: numeric and symbolic theta on which the integer routes meet the oracles
+THETAS = [half, one, two, Fraction(3, 7), THETA, (1 + THETA) / 2,
+          THETA / (1 + THETA)]
+
+
+# ---------------------------------------------------------------------------
+# the oracles: L over Fraction / Q(theta) scalars, and the eigenvalue series
+# as a product of truncated series times a reciprocal
+# ---------------------------------------------------------------------------
+
+class LaxState:
+    """Sparse row map {row index: PSumPoly} threaded through powers of L."""
+
+    def __init__(self, theta, row_polys):
+        self.theta = as_exact(theta)
+        self.row_polys = {i: f for i, f in row_polys.items() if f}
+
+    def sweep(self):
+        """One application of L."""
+        th = self.theta
+        inv = 1 / th
+        diag = inv - 1
+        new = {}
+
+        def add(i, g):
+            if not g:
+                return
+            prior = new.get(i)
+            new[i] = g if prior is None else prior + g
+
+        for j, f in self.row_polys.items():
+            if j and diag:
+                add(j, f * (j * diag))
+            for i in range(j):
+                add(i, f * PSumPoly.p(j - i))
+            degrees = {part for key in f.terms for part in key}
+            for s in degrees:
+                add(j + s, d_dp(f, s) * (s * inv))
+        return LaxState(th, new)
+
+
+def oracle_apply_I(k, f, theta):
+    state = LaxState(theta, {0: f})
+    for _ in range(k):
+        state = state.sweep()
+    return state.row_polys.get(0, PSumPoly.zero())
+
+
+def oracle_eigenvalue_series(lam, n, theta, order):
+    lam = make_partition(lam)
+    th = as_exact(theta)
+    w = TruncSeries.monomial(UVAR, 1, 1, ORDER_INF)
+    numer = w
+    denom = TruncSeries.constant(UVAR, 1, ORDER_INF)
+    padded = lam + (0,) * (n - len(lam))
+    for i in range(1, n + 1):
+        shift = padded[i - 1] / th
+        numer = numer * (1 + (i - shift) * w)
+        denom = denom * (1 + (i - 1 - shift) * w)
+    denom = denom * (1 + n * w)
+    return (numer * denom.reciprocal(order)).truncate(order + 1)
+
+
+def typed(poly):
+    """A PSumPoly's terms with the type of each coefficient."""
+    return {key: (type(c), c) for key, c in poly.terms.items()}
+
 
 def test_apply_I_kills_constants():
     assert apply_I(1, PSumPoly.one(), one).terms == {}
     assert apply_I(3, PSumPoly.one(), half).terms == {}
+
+
+def test_theta_zero_has_no_operators():
+    for k in (1, 2):
+        with pytest.raises(ZeroDivisionError):
+            apply_I(k, PSumPoly.p(2), 0)
+
+
+_KEYS = [lam for d in range(5) for lam in enumerate_partitions(d)]
+_fractions = st.builds(Fraction, st.integers(-6, 6),
+                       st.sampled_from([1, 2, 3, 6]))
+_rational_functions = st.builds(
+    lambda a, b, c, d: RationalFunction((a, b), (c, d)),
+    st.integers(-3, 3), st.integers(-2, 2), st.sampled_from([1, 2, 6]),
+    st.integers(0, 2))
+
+
+@st.composite
+def psum_polys(draw):
+    """PSumPolys of size <= 4 with all-Fraction or all-Q(theta)
+    coefficients, constant denominators such as 2 and 6 included."""
+    coeffs = draw(st.sampled_from([_fractions, _rational_functions]))
+    keys = draw(st.lists(st.sampled_from(_KEYS), max_size=4, unique=True))
+    return PSumPoly({key: draw(coeffs) for key in keys})
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(psum_polys(), st.sampled_from(THETAS), st.integers(1, 5))
+def test_integer_sweeps_match_lax_state(f, theta, k):
+    assert typed(apply_I(k, f, theta)) == typed(oracle_apply_I(k, f, theta))
+    if k < 5:
+        want = (oracle_apply_I(k, f, theta) / 3 ** k
+                + oracle_apply_I(k + 1, f, theta) / 3 ** (k + 1))
+        assert typed(moment_factor(k, f, 3, theta)) == typed(want)
+
+
+def test_sweeps_on_jack_polynomials_match_lax_state():
+    # symbolic J_(1,1) has coefficients +-1/2: the common denominator must
+    # keep the integer content that a primitive polynomial gcd drops
+    for theta in THETAS:
+        for lam in enumerate_all_partitions(5):
+            f = jack_polynomial(lam, theta)
+            for k in range(1, 5):
+                assert typed(apply_I(k, f, theta)) == \
+                    typed(oracle_apply_I(k, f, theta))
+
+
+def test_eigenvalues_match_product_route():
+    # where an eigenvalue vanishes the oracle's series reads int 0 and the
+    # recurrence gives a zero of theta's type
+    for theta in THETAS:
+        for lam in enumerate_all_partitions(6):
+            for n in range(max(length(lam), 1), 7):
+                series = oracle_eigenvalue_series(lam, n, theta, 7)
+                for k in range(1, 7):
+                    got = eigenvalue_of(k, lam, n, theta)
+                    want = series.coefficient(k + 1)
+                    assert got == want
+                    assert want == 0 or type(got) is type(want)
 
 
 def test_eigenvalues_frozen():
@@ -42,10 +174,13 @@ def test_eigenvalues_frozen():
 
 
 def test_eigenvalue_series_matches_pointwise():
-    s = eigenvalue_series((2, 1), 3, half, order=6)
-    assert s.var == "1/u"
-    for k in (1, 2, 3, 4):
-        assert s.coefficient(k + 1) == eigenvalue_of(k, (2, 1), 3, half)
+    for theta in (half, THETA):
+        s = eigenvalue_series((2, 1), 3, theta, order=6)
+        o = oracle_eigenvalue_series((2, 1), 3, theta, order=6)
+        assert s.var == "1/u"
+        assert (s.low, s.order, s.coeffs) == (o.low, o.order, o.coeffs)
+        for k in (1, 2, 3, 4):
+            assert s.coefficient(k + 1) == eigenvalue_of(k, (2, 1), 3, theta)
 
 
 def test_eigenrelation_sweep():
@@ -57,7 +192,6 @@ def test_eigenrelation_sweep():
 
 def test_commutativity():
     rng = random.Random(41)
-    from jackwalk.partitions import enumerate_partitions
     pool = [lam for d in range(6) for lam in enumerate_partitions(d)]
     for _ in range(10):
         f = PSumPoly.zero()
@@ -125,7 +259,6 @@ def test_multitime_one_bernoulli_step():
     # measure mean is b/(1 + theta b), matching two-state enumeration
     th, b = two, Fraction(3)
     g = PSumPoly.zero()
-    from jackwalk.partitions import enumerate_all_partitions
     for lam in enumerate_all_partitions(3):
         val = _beta_value(lam, b, th)
         if val:

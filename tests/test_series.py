@@ -176,6 +176,20 @@ def loop_product(f, g):
     return TruncSeries(f.var, low, out, order)
 
 
+def dict_sum(f, g):
+    """f + g for series in one variable, accumulated per exponent."""
+    order = min(f.order, g.order)
+    acc = {}
+    for k, c in list(f.items()) + list(g.items()):
+        acc[k] = acc.get(k, 0) + c
+    acc = {k: c for k, c in acc.items() if k < order}
+    if not acc:
+        return TruncSeries.zero(f.var, order)
+    return TruncSeries(f.var, min(acc), [acc.get(k, 0) for k in
+                                         range(min(acc), max(acc) + 1)],
+                       order)
+
+
 def fixed_point_reciprocal(f, order=None):
     """1/f by rel - 1 rounds of acc <- 1 - h acc, where f = c0 x^v (1 + h)."""
     if not f.coeffs:
@@ -244,6 +258,17 @@ def test_integer_paths_match_loop_and_fixed_point(f, g, order):
         _typed_outcome(fixed_point_reciprocal, f, order)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(rational_series(), rational_series())
+def test_sum_matches_accumulation_per_exponent(f, g):
+    # same window and values, and ints stay ints; a stored Fraction(0)
+    # now takes part in its sum, so it may make an int coefficient a Fraction
+    p, q = f + g, dict_sum(f, g)
+    assert (p.low, p.order, p.coeffs) == (q.low, q.order, q.coeffs)
+    if all(type(c) is int for c in f.coeffs + g.coeffs):
+        assert all(type(c) is int for c in p.coeffs)
+
+
 def _rf(a, b, c):
     return RationalFunction((a, b), (c, 1))
 
@@ -261,6 +286,8 @@ def test_rational_function_coefficients_unchanged(rfs, rats, extra):
                     ORDER_INF)
     for a, b in ((f, g), (g, f), (f, f)):
         p, q = a * b, loop_product(a, b)
+        assert (p.low, p.order, p.coeffs) == (q.low, q.order, q.coeffs)
+        p, q = a + b, dict_sum(a, b)
         assert (p.low, p.order, p.coeffs) == (q.low, q.order, q.coeffs)
     for a, order in ((f, None), (g, 5)):
         if a.coeffs:
@@ -281,5 +308,7 @@ def test_nested_coefficients_unchanged(rows, scalars, extra):
     g = TruncSeries("w", -1, list(scalars) + inner, ORDER_INF)
     for a, b in ((f, g), (g, f), (f, f)):
         p, q = a * b, loop_product(a, b)
+        assert (p.low, p.order, p.coeffs) == (q.low, q.order, q.coeffs)
+        p, q = a + b, dict_sum(a, b)
         assert (p.low, p.order, p.coeffs) == (q.low, q.order, q.coeffs)
     assert f.reciprocal() == fixed_point_reciprocal(f)
