@@ -252,21 +252,15 @@ def test_integer_paths_match_loop_and_fixed_point(f, g, order):
     # ints stay ints; any Fraction operand gives Fraction coefficients
     ints = all(type(c) is int for c in f.coeffs + g.coeffs)
     assert all(type(c) is (int if ints else Fraction) for c in p.coeffs)
+    # sums keep the window and values, and ints stay ints; a stored
+    # Fraction(0) takes part in its sum, so int + Fraction(0) is a Fraction
+    p, q = f + g, dict_sum(f, g)
+    assert (p.low, p.order, p.coeffs) == (q.low, q.order, q.coeffs)
+    assert not ints or all(type(c) is int for c in p.coeffs)
     # an exact operand takes the requested order, a truncated one its own
     order = order if f.order == ORDER_INF else None
     assert _typed_outcome(TruncSeries.reciprocal, f, order) == \
         _typed_outcome(fixed_point_reciprocal, f, order)
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(rational_series(), rational_series())
-def test_sum_matches_accumulation_per_exponent(f, g):
-    # same window and values, and ints stay ints; a stored Fraction(0)
-    # now takes part in its sum, so it may make an int coefficient a Fraction
-    p, q = f + g, dict_sum(f, g)
-    assert (p.low, p.order, p.coeffs) == (q.low, q.order, q.coeffs)
-    if all(type(c) is int for c in f.coeffs + g.coeffs):
-        assert all(type(c) is int for c in p.coeffs)
 
 
 def _rf(a, b, c):
