@@ -18,6 +18,7 @@ arguments or config conflicts, 3 resource-budget overruns.
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
@@ -169,6 +170,9 @@ def cmd_verify(args):
         if value < 0:
             raise ValueError("--%s must be nonnegative, got %d"
                              % (name.replace("_", "-"), value))
+    if suite == "moments" and args.max_index == 0:
+        raise ValueError("--max-index must be positive: a round trip of "
+                         "no moments checks nothing")
     if suite == "ns":
         cases = verify_suites.eigenrelation_cases(
             args.max_size, args.max_rows, args.max_order,
@@ -198,6 +202,10 @@ def cmd_verify(args):
             args.count, args.max_index, seed)
         params = {"suite": suite, "count": args.count,
                   "max_index": args.max_index, "seed": seed}
+
+    if not cases:
+        raise ValueError("these sizes leave the %s suite no case to check"
+                         % suite)
 
     stream, close = _open_out(args.out)
     try:
@@ -229,9 +237,7 @@ def _load_walk_config(args):
             raise ValueError(
                 "seed %d from --seed conflicts with seed %s in %s"
                 % (args.seed, raw["seed"], args.config))
-        cfg = WalkConfig(n=cfg.n, theta=cfg.theta, rho=cfg.rho,
-                         initial=cfg.initial, seed=args.seed,
-                         step_truncation=cfg.step_truncation)
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     elif "seed" not in raw:
         if args.strict:
             raise ValueError("--strict requires a seed (flag or config)")

@@ -9,8 +9,11 @@ where H is the reproducing-kernel pairing of the step data rho with the
 finite-alphabet point 1^N, j is the squared norm, and PV the principal
 value.  Rows are computed exactly.  Pure-beta steps reach only finitely
 far (each beta atom contributes at most one vertical strip), so their
-rows carry no truncation deficit; other steps are truncated at a
-configurable mass and the lost tail is recorded.
+rows carry no truncation deficit.  Steps with alpha atoms or gamma reach
+without bound; the mass they add has the law b_d / H, b_d = [t^d]
+H(t rho; 1^N), whatever the current diagram, and `_step_cap` cuts their
+rows at the first size whose tail under that law is at most
+DEFAULT_DEFICIT_BOUND.  The lost tail is recorded as the row's deficit.
 
 A single unit-scale beta step at a numeric theta takes its row from the
 integer step kernel in `_steppure`, with no Jack table.  For mu = lam + e_S
@@ -71,7 +74,9 @@ from .errors import DeficitError, ResourceLimitError, ShapeError
 from .jack import basis_for, principal_value, reproducing_kernel, skew_jack
 from .measures import MeasureOnYoung, particle_locations, particle_numerators
 from .partitions import length, make_partition, weight
-from .scalars import RationalFunction, as_exact, as_fraction, is_zero
+from .psum import CONVERSION_SIZE_CUTOFF
+from .scalars import (RationalFunction, as_exact, as_fraction, is_zero,
+                      refuse_unknown_keys)
 from .specializations import Specialization, SpecializationUnion, specialize
 
 DEFAULT_DEFICIT_BOUND = Fraction(1, 2 ** 32)
@@ -84,25 +89,19 @@ _MAX_CACHED_ENTRIES = 10 * _MAX_ROW_STATES
 @dataclass(frozen=True)
 class WalkConfig:
     """Immutable description of a walk: alphabet size, deformation, step
-    data, start diagram, seed, and the per-step mass cutoff.
-
-    The cutoff applies only to steps of unbounded reach (alpha atoms or
-    gamma), whose rows it truncates; None picks four times the expected
-    step mass.  Pure-beta steps ignore it: their rows always cover their
-    exact reach, so they never carry a deficit.
+    data, start diagram and seed.
 
     The step data must be a positive specialization: an alpha or beta
     atom may only be repeated a whole number of times, so a component
     with atoms needs an integer scale (a fractional copy of an atom gives
-    rows with negative weights).  A numeric theta must be positive, and a
-    cutoff, when given, a positive int."""
+    rows with negative weights).  A numeric theta must be positive.  How
+    far a row reaches is not a setting: see _step_cap."""
 
     n: int
     theta: object
     rho: object
     initial: tuple = ()
     seed: int = 0
-    step_truncation: int = None
 
     def __post_init__(self):
         object.__setattr__(self, "initial", make_partition(self.initial))
@@ -112,10 +111,6 @@ class WalkConfig:
             raise ShapeError("initial diagram has more than %d rows" % self.n)
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
-        cap = self.step_truncation
-        if cap is not None and (type(cap) is not int or cap < 1):
-            raise ValueError("step_truncation must be a positive integer, "
-                             "got %r" % (cap,))
         theta = as_exact(self.theta)
         if isinstance(theta, Fraction) and theta <= 0:
             raise ValueError("theta must be positive, got %s" % theta)
@@ -128,32 +123,38 @@ class WalkConfig:
     def to_json(self):
         from .scalars import scalar_to_json
 
-        data = {"N": self.n,
+        return {"N": self.n,
                 "theta": scalar_to_json(self.theta),
                 "rho": self.rho.to_json(),
                 "initial": list(self.initial),
                 "seed": self.seed}
-        if self.step_truncation is not None:
-            data["step_truncation"] = self.step_truncation
-        return data
 
     @staticmethod
     def from_json(obj):
         """Inverse of to_json.  A config that is not an object, lacks N,
-        theta or rho, holds a union or an initial diagram that is not a
-        list, or an N, seed or part of the initial diagram that is not a
-        JSON integer raises ValueError."""
+        theta or rho, has a key other than N, theta, rho, initial and
+        seed, holds a union or an initial diagram that is not a list, or
+        an N, seed or part of the initial diagram that is not a JSON
+        integer raises ValueError."""
         from .scalars import scalar_from_json
 
         if not isinstance(obj, dict):
             raise ValueError("a walk config is a JSON object, got %r"
                              % (obj,))
+        if "step_truncation" in obj:
+            raise ValueError(
+                "step_truncation is no longer read: a step of unbounded "
+                "reach is cut where its mass law leaves a tail of at most "
+                "%s" % DEFAULT_DEFICIT_BOUND)
+        refuse_unknown_keys(obj, ("N", "theta", "rho", "initial", "seed"),
+                            "walk config")
         missing = [key for key in ("N", "theta", "rho") if key not in obj]
         if missing:
             raise ValueError("walk config lacks %s"
                              % ", ".join(map(repr, missing)))
         rho_obj = obj["rho"]
         if isinstance(rho_obj, dict) and "union" in rho_obj:
+            refuse_unknown_keys(rho_obj, ("union",), "union")
             if not isinstance(rho_obj["union"], list):
                 raise ValueError("union must be a list, got %r"
                                  % (rho_obj["union"],))
@@ -169,8 +170,7 @@ class WalkConfig:
                           rho=rho,
                           initial=tuple(_json_int(p, "a part of initial")
                                         for p in initial),
-                          seed=_json_int(obj.get("seed", 0), "seed"),
-                          step_truncation=obj.get("step_truncation"))
+                          seed=_json_int(obj.get("seed", 0), "seed"))
 
 
 def _json_int(value, name):
@@ -195,15 +195,48 @@ def _finite_reach(rho, n):
     return total
 
 
+def _step_kernel(cfg):
+    """H(rho; 1^N), the product over the step's components of
+    reproducing_kernel(component, 1^N): every row divides by it."""
+    ones = Specialization.ones(cfg.n)
+    kernel = Fraction(1)
+    for comp in cfg.rho.components:
+        kernel = kernel * reproducing_kernel(comp, ones, cfg.theta)
+    return kernel
+
+
 def _step_cap(cfg):
+    """The most mass one row may add: the exact reach of a pure-beta step,
+    whose rows are then whole, and otherwise the smallest d whose tail
+    1 - (b_0 + ... + b_d) / H(rho; 1^N) is at most DEFAULT_DEFICIT_BOUND.
+
+    By the Cauchy identity the strips of size d together weigh
+    b_d / H(rho; 1^N) whatever the current diagram, where
+    b_d = [t^d] H(t rho; 1^N) = [t^d] exp(sum_j theta N p_j(rho) t^j / j),
+    so d b_d = sum_{j <= d} theta N p_j(rho) b_{d-j}.  Dividing by the
+    same H as transition_row makes the tail equal the row's deficit.  A
+    tail still above the bound at the Jack table cutoff raises
+    ResourceLimitError, as no row that long can be built."""
     reach = _finite_reach(cfg.rho, cfg.n)
     if reach is not None:
         return reach
-    if cfg.step_truncation is not None:
-        return cfg.step_truncation
+    kernel = _step_kernel(cfg)
     theta = as_fraction(cfg.theta)
-    expected = theta * cfg.n * cfg.rho.p_value(1, theta)
-    return max(1, math.ceil(4 * expected))
+    slack = DEFAULT_DEFICIT_BOUND * kernel
+    dlog = []  # t d/dt log H(t rho; 1^N) = sum_j theta N p_j(rho) t^j
+    law = [Fraction(1)]  # b_0, b_1, ...
+    rest = kernel - 1  # H(rho; 1^N) - (b_0 + ... + b_d)
+    d = 0
+    while rest > slack:
+        if d == CONVERSION_SIZE_CUTOFF:
+            raise ResourceLimitError(
+                "one step leaves a tail above %s past %d boxes, the Jack "
+                "table cutoff" % (DEFAULT_DEFICIT_BOUND, d))
+        d += 1
+        dlog.append(theta * cfg.n * cfg.rho.p_value(d, theta))
+        law.append(sum(dlog[j] * law[d - 1 - j] for j in range(d)) / d)
+        rest -= law[d]
+    return d
 
 
 def _superpartitions(lam, n, cap):
@@ -266,10 +299,7 @@ def transition_row(lam, cfg):
             cfg.n, {mu: Fraction(num, den) for mu, num in entries})
 
     theta = cfg.theta
-    ones = Specialization.ones(cfg.n)
-    kernel = Fraction(1)
-    for comp in cfg.rho.components:
-        kernel = kernel * reproducing_kernel(comp, ones, theta)
+    kernel = _step_kernel(cfg)
     cap = _step_cap(cfg)
     basis = basis_for(theta)
     basis.ensure_size(weight(lam) + cap)
@@ -326,9 +356,11 @@ class _RowCache:
     as they come, unreduced: a draw compares u * denom with the cums, so
     any common scale picks the same cell with the same random bits.  Other
     steps go through transition_row and scale its weights by the lcm of
-    their denominators; a row whose truncated tail exceeds
-    DEFAULT_DEFICIT_BOUND raises DeficitError.  ResourceLimitError is
-    raised once more than _MAX_CACHED_ENTRIES cells are held."""
+    their denominators.  Their rows keep a tail of at most
+    DEFAULT_DEFICIT_BOUND (see _step_cap); a row past it would raise
+    DeficitError, and so does a draw into the tail (sample_path).
+    ResourceLimitError is raised once more than _MAX_CACHED_ENTRIES cells
+    are held."""
 
     def __init__(self, cfg):
         self.cfg = cfg

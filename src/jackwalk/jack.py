@@ -27,7 +27,7 @@ from .errors import DivergenceError, ResourceLimitError, ShapeError
 from .partitions import (arm, boxes, conjugate, contains,
                          enumerate_partitions, leg, length, make_partition,
                          weight)
-from .psum import (CONVERSION_SIZE_CUTOFF, PSumPoly, monomial_to_psum,
+from .psum import (CONVERSION_SIZE_CUTOFF, PSumPoly, d_dp, monomial_to_psum,
                    scalar_product)
 from .scalars import THETA, RationalFunction, as_exact, is_zero
 
@@ -168,27 +168,28 @@ def principal_value(lam, n, theta=THETA):
 
 
 def skew_jack(lam, mu, theta=THETA):
-    """The skew element J_{lam/mu} = sum_nu <J_lam, J_mu J_nu>/(j_mu j_nu) J_nu.
+    """The skew element J_{lam/mu} = J_mu^perp J_lam / j_mu, with J_mu^perp
+    the adjoint of multiplication by J_mu: for J_mu = sum c_kappa p_kappa
+    it is sum c_kappa prod_{k in kappa} (k/theta) d/dp_k, since
+    p_k^perp = (k/theta) d/dp_k under the deformed Hall pairing.  Its
+    coefficient on J_nu is <J_lam, J_mu J_nu>/(j_mu j_nu), and no table of
+    size |lam/mu| is needed.
 
     Returns the zero polynomial for incompatible shapes (mu not contained in
     lam), so transition-matrix code may sum over candidate mu uniformly.
     """
     lam = make_partition(lam)
     mu = make_partition(mu)
-    d = weight(lam) - weight(mu)
-    if d < 0 or not contains(lam, mu):
+    if not contains(lam, mu):
         return PSumPoly.zero()
     bas = basis_for(theta)
-    j_lam_poly = bas.polynomial(lam)
-    j_mu_poly = bas.polynomial(mu)
-    inv_j_mu = 1 / bas.norm(mu)
     out = PSumPoly.zero()
-    for nu in enumerate_partitions(d):
-        c = scalar_product(j_lam_poly, j_mu_poly * bas.polynomial(nu),
-                           bas.theta)
-        if not is_zero(c):
-            out = out + bas.polynomial(nu) * (c * inv_j_mu / bas.norm(nu))
-    return out
+    for kappa, c in bas.polynomial(mu).terms.items():
+        f = bas.polynomial(lam)
+        for k in kappa:
+            f = d_dp(f, k)
+        out = out + f * (c * math.prod(kappa) / bas.theta ** len(kappa))
+    return out * (1 / bas.norm(mu))
 
 
 def lr_expand(mu, eta, theta=THETA):

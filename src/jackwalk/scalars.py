@@ -441,6 +441,17 @@ def scalar_to_json(x):
     return {"num": list(x.num), "den": list(x.den)}
 
 
+def refuse_unknown_keys(obj, known, what):
+    """Raise ValueError naming the keys of the JSON object obj that are not
+    in known: a misspelt key would otherwise be ignored and its default
+    taken without a word."""
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ValueError("unknown key(s) %s in a %s, which reads only %s"
+                         % (", ".join(map(repr, unknown)), what,
+                            ", ".join(known)))
+
+
 def scalar_from_json(obj):
     """Inverse of scalar_to_json; also accepts "p/q" strings and integers,
     so hand-written config files stay readable.  Anything else, a non-integer

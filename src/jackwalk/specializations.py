@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import StabilityError
-from .scalars import as_exact, parse_fraction
+from .scalars import as_exact, parse_fraction, refuse_unknown_keys
 
 
 def _sorted_nonneg(values, label):
@@ -119,11 +119,13 @@ class Specialization:
     @staticmethod
     def from_json(obj):
         """Inverse of to_json; omitted fields take their defaults.  A
-        non-object, or alphas or betas that are not lists, raise
-        ValueError."""
+        non-object, a key other than gamma, alphas, betas and scale, or
+        alphas or betas that are not lists, raise ValueError."""
         if not isinstance(obj, dict):
             raise ValueError("a specialization is a JSON object, got %r"
                              % (obj,))
+        refuse_unknown_keys(obj, ("gamma", "alphas", "betas", "scale"),
+                            "specialization")
         for key in ("alphas", "betas"):
             if not isinstance(obj.get(key, []), list):
                 raise ValueError("%s must be a list, got %r"

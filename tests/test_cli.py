@@ -4,15 +4,17 @@ import hashlib
 import json
 import math
 import re
+import types
 from fractions import Fraction
 
 import pytest
 
-from jackwalk import __version__, cli
+from jackwalk import __version__, cli, dynamics, jack
 from jackwalk.dynamics import WalkConfig, step_mass_law
 from jackwalk.errors import ResourceLimitError
 from jackwalk.scalars import as_fraction, scalar_from_json
 from jackwalk.specializations import Specialization
+from test_dynamics import LastCell
 
 PROVENANCE = re.compile(
     r"^# artifact %s config sha256:[0-9a-f]{12}$" % re.escape(__version__))
@@ -152,6 +154,24 @@ def test_negative_sizes_are_usage_errors(tmp_path, capsys, argv):
     option = next(a for a in argv if a.startswith("--"))
     assert err == "error: %s must be nonnegative, got %s\n" % (
         option, argv[argv.index(option) + 1])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "ns", "--max-order", "0"],
+    ["ns", "verify", "--max-order", "0"],
+    ["verify", "stochastic", "--max-rows", "0"],
+    ["verify", "toeplitz", "--symbols", "0", "--seed", "1"],
+    ["verify", "moments", "--count", "0", "--seed", "1"],
+    ["verify", "moments", "--max-index", "0", "--seed", "1"],
+], ids=" ".join)
+def test_vacuous_suites_are_usage_errors(tmp_path, capsys, argv):
+    # a suite that checks no case, or only empty round trips, passes
+    # nothing
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len([line for line in err.splitlines()
+                if line.startswith("error:")]) == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -485,6 +505,12 @@ BAD_SHAPES = {
     "list-seed": _walk("1", BETA_ONE, seed=[1]),
     "float-initial-part": _walk("1", BETA_ONE, initial=[2.5]),
     "bool-initial-part": _walk("1", BETA_ONE, initial=[True]),
+    # a misspelt key is refused, not ignored in favour of its default
+    "typo-config-key": _walk("1", BETA_ONE, inital=[2, 1]),
+    "typo-rho-key": _walk("1", {"beta": ["1"]}),
+    "typo-key-in-union": _walk("1", {"union": [{"betas": ["1"],
+                                                 "gama": "1"}]}),
+    "key-next-to-union": _walk("1", {"union": [BETA_ONE], "scale": "2"}),
 }
 
 
@@ -532,14 +558,48 @@ def test_walk_sample_bad_input_exits_2(tmp_path, capsys, config, argv):
     assert "Traceback" not in err
 
 
-def test_walk_sample_deficit_exit_code(tmp_path, capsys):
-    config = beta_config(tmp_path, rho=Specialization.plancherel(1),
-                         step_truncation=1)
+def test_walk_sample_deficit_exit_code(tmp_path, monkeypatch, capsys):
+    # a gamma row keeps a tail of at most 2^-32; a draw inside it exits 1
+    monkeypatch.setattr(dynamics, "random", types.SimpleNamespace(
+        Random=LastCell))
+    config = beta_config(tmp_path,
+                         rho=Specialization.plancherel(Fraction(1, 10)))
     out = tmp_path / "stats.csv"
     rc = cli.main(["walk", "sample", "--config", config, "--steps", "2",
                    "--samples", "5", "--out", str(out)])
     assert rc == 1
     assert "deficit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, rho", [
+    (2, {"gamma": "1/10"}),
+    (1, {"gamma": "1/64", "scale": "1/2"}),
+    (3, {"alphas": ["1/10"]}),
+], ids=["gamma-tenth", "half-gamma", "alpha-tenth"])
+def test_walks_of_unbounded_reach_sample(tmp_path, capsys, n, rho):
+    # each row is cut where the step mass law leaves a tail of 2^-32 or
+    # less, so the default config samples
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"N": n, "theta": "1", "rho": rho,
+                                "seed": 5}))
+    out = tmp_path / "stats.csv"
+    rc = cli.main(["walk", "sample", "--config", str(path), "--steps", "1",
+                   "--samples", "3", "--out", str(out)])
+    assert rc == 0
+    assert len(out.read_text().splitlines()) == 2 + 2
+
+
+def test_walk_of_too_much_step_mass_exits_3_before_any_table(tmp_path,
+                                                             capsys):
+    # alpha = 1/2 at N = 2 keeps a tail above 2^-32 past the size-24 cutoff
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_walk("1", {"alphas": ["1/2"]})))
+    done = set(jack.basis_for(Fraction(1))._done)
+    rc = cli.main(["walk", "sample", "--config", str(path), "--steps", "1",
+                   "--samples", "1", "--out", str(tmp_path / "s.csv")])
+    assert rc == 3
+    assert "cutoff" in capsys.readouterr().err
+    assert jack.basis_for(Fraction(1))._done == done
 
 
 def test_walk_sample_resource_exit_code(tmp_path, monkeypatch, capsys):

@@ -53,10 +53,6 @@ def test_config_validation():
     for theta in (Fraction(0), Fraction(-1)):
         with pytest.raises(ValueError):
             WalkConfig(2, theta, b23)
-    assert WalkConfig(2, one, b23, step_truncation=3).step_truncation == 3
-    for cap in ("3", 0, -1, True, 2.0):
-        with pytest.raises(ValueError):
-            WalkConfig(2, one, b23, step_truncation=cap)
     # a fractional copy of an atom is not a positive specialization: at
     # N = 2 the beta = 1/2, scale = 1/2 row from () gives (2,) weight -1/16
     for rho in (b23.scaled(half), Specialization.ones(1).scaled(half),
@@ -69,14 +65,13 @@ def test_config_validation():
 
 def test_fractional_gamma_scale_still_samples():
     rho = Specialization.plancherel(Fraction(1, 64)).scaled(half)
-    cfg = WalkConfig(1, one, rho, seed=3, step_truncation=5)
+    cfg = WalkConfig(1, one, rho, seed=3)
     stats = path_statistics(cfg, 2, 4, [1])
     assert stats.count == 4
 
 
 def test_config_json_round_trip():
-    cfg = WalkConfig(3, Fraction(3, 7), b23, initial=(2, 1), seed=11,
-                     step_truncation=4)
+    cfg = WalkConfig(3, Fraction(3, 7), b23, initial=(2, 1), seed=11)
     back = WalkConfig.from_json(cfg.to_json())
     assert back == cfg
     u = WalkConfig(2, one, SpecializationUnion([b23, Specialization.ones(1)]))
@@ -495,29 +490,91 @@ def test_exact_evolve_resource_guard(monkeypatch):
 
 
 def test_step_truncation_leaves_pure_beta_rows_whole(monkeypatch):
-    # the cutoff truncates only steps of unbounded reach; a pure-beta row
-    # covers its exact reach on either route, so sampling never hits a
-    # deficit
-    cut = WalkConfig(3, half, b23, seed=1, step_truncation=1)
-    full = transition_row((2, 1), WalkConfig(3, half, b23))
-    assert dynamics._step_cap(cut) == 3
-    assert transition_row((2, 1), cut).support == full.support
-    assert len(sample_path(cut, 4)) == 5
+    # only steps of unbounded reach are cut; a pure-beta row covers its
+    # exact reach on either route, so sampling never hits a deficit
+    cfg = WalkConfig(3, half, b23, seed=1)
+    full = transition_row((2, 1), cfg)
+    assert dynamics._step_cap(cfg) == 3
+    assert full.tail_deficit == 0 and sum(full.support.values()) == 1
+    assert len(sample_path(cfg, 4)) == 5
     with _table_route(monkeypatch) as calls:
-        assert transition_row((2, 1), cut).support == full.support
+        assert transition_row((2, 1), cfg).support == full.support
     assert calls
     doubled = SpecializationUnion([b23, b23])
-    row = transition_row((1,), WalkConfig(2, half, doubled, step_truncation=1))
+    row = transition_row((1,), WalkConfig(2, half, doubled))
     assert row.tail_deficit == 0 and sum(row.support.values()) == 1
     assert max(sum(mu) for mu in row.support) == 1 + 4
 
 
+class LastCell:
+    """A random source, seeded or not, whose every draw is the largest,
+    u = 1 - 2^-bits: it lands in the tail of any row that keeps one."""
+
+    def __init__(self, seed=None):
+        pass
+
+    def getrandbits(self, bits):
+        return (1 << bits) - 1
+
+
 def test_deficit_error_on_truncated_rows():
-    cfg = WalkConfig(2, one, Specialization.plancherel(one),
-                     seed=1, step_truncation=1)
+    # a gamma row keeps a tail of at most 2^-32; a draw inside it raises
+    cfg = WalkConfig(2, one, Specialization.plancherel(Fraction(1, 10)),
+                     seed=1)
+    deficit = transition_row((), cfg).tail_deficit
+    assert 0 < deficit <= dynamics.DEFAULT_DEFICIT_BOUND
     with pytest.raises(DeficitError):
-        for _ in range(50):
-            sample_path(cfg, 3)
+        sample_path(cfg, 3, _rng=LastCell())
+
+
+def _series_coefficients(factors, order):
+    """[t^0..t^order] of a product of factors, each a function d -> [t^d]."""
+    out = [Fraction(1)] + [Fraction(0)] * order
+    for factor in factors:
+        coeffs = [factor(d) for d in range(order + 1)]
+        out = [sum(out[i] * coeffs[d - i] for i in range(d + 1))
+               for d in range(order + 1)]
+    return out
+
+
+@st.composite
+def unbounded_steps(draw):
+    theta = draw(st.sampled_from([half, one, two]))
+    n = draw(st.integers(1, 2))
+    small = [Fraction(1, 64), Fraction(1, 32)]
+    gamma = draw(st.sampled_from([0] + small))
+    alphas = draw(st.sampled_from([()] + [(a,) for a in small]))
+    if not gamma and not alphas:
+        gamma = small[0]
+    rho = Specialization(gamma=gamma, alphas=alphas)
+    return WalkConfig(n, theta, rho), draw(st.sampled_from([(), (1,)]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(unbounded_steps())
+def test_step_cap_is_where_the_mass_law_tail_meets_the_bound(case):
+    # H(t rho; 1^N) = exp(theta N gamma t) (1 - alpha t)^(-theta N): the
+    # strips of size d weigh [t^d] of it over H(rho; 1^N) at every lam, so
+    # the row's deficit at the cap is the law's tail, and one size class
+    # earlier that tail is still above the bound
+    cfg, lam = case
+    comp = cfg.rho
+    s = cfg.theta * cfg.n
+    factors = [lambda d: (s * comp.gamma) ** d / math.factorial(d)]
+    for a in comp.alphas:
+        factors.append(lambda d, a=a: a ** d * math.prod(
+            s + i for i in range(d)) / math.factorial(d))
+    cap = dynamics._step_cap(cfg)
+    law = _series_coefficients(factors, cap)
+    kernel = dynamics._step_kernel(cfg)
+    bound = dynamics.DEFAULT_DEFICIT_BOUND
+    row = transition_row(lam, cfg)
+    assert max(sum(mu) for mu in row.support) == sum(lam) + cap
+    assert row.tail_deficit == 1 - sum(law) / kernel <= bound
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_step_cap", lambda cfg: cap - 1)
+        short = transition_row(lam, cfg)
+    assert short.tail_deficit == 1 - sum(law[:-1]) / kernel > bound
 
 
 def test_height_function():

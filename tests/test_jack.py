@@ -120,6 +120,34 @@ def test_skew_jack_frozen():
     assert skew_jack((2, 1), ()).terms == jack_polynomial((2, 1)).terms
 
 
+def skew_by_pairing(lam, mu, theta):
+    """Oracle for skew_jack: sum over |nu| = |lam/mu| of
+    <J_lam, J_mu J_nu>/(j_mu j_nu) J_nu, one table of size |lam/mu| and
+    one product per nu."""
+    d = weight(lam) - weight(mu)
+    if d < 0 or not contains(lam, mu):
+        return PSumPoly.zero()
+    bas = basis_for(theta)
+    out = PSumPoly.zero()
+    for nu in enumerate_partitions(d):
+        c = scalar_product(bas.polynomial(lam),
+                           bas.polynomial(mu) * bas.polynomial(nu), bas.theta)
+        out = out + bas.polynomial(nu) * (c / (bas.norm(mu) * bas.norm(nu)))
+    return out
+
+
+@pytest.mark.parametrize("theta", [THETA, half, Fraction(3, 7)], ids=str)
+def test_skew_by_adjoint_matches_the_pairing(theta):
+    # every pair mu <= lam with |lam| <= 5, contained or not
+    pairs = 0
+    for lam in enumerate_all_partitions(5):
+        for mu in enumerate_all_partitions(weight(lam)):
+            assert skew_jack(lam, mu, theta) == \
+                skew_by_pairing(lam, mu, theta), (lam, mu)
+            pairs += contains(lam, mu)
+    assert pairs == 110
+
+
 def test_skew_degrees():
     for lam in enumerate_all_partitions(5):
         for mu in enumerate_all_partitions(weight(lam)):
