@@ -228,9 +228,13 @@ def cmd_verify(args):
 
 
 def _load_walk_config(args):
+    """The walk config; `walk sample` takes its seed from --seed or the
+    config, and `walk predict`, which draws nothing, reads neither."""
     with open(args.config) as handle:
         raw = json.load(handle)
     cfg = WalkConfig.from_json(raw)
+    if args.action == "predict":
+        return cfg
     if args.seed is not None:
         # from_json took a config seed only as a JSON integer
         if "seed" in raw and cfg.seed != args.seed:
@@ -438,8 +442,6 @@ def _build_parser():
     predict.add_argument("--k", default="1")
     predict.add_argument("--tau", default="1")
     predict.add_argument("--out")
-    predict.add_argument("--seed", type=int)
-    predict.add_argument("--strict", action="store_true")
     return parser
 
 

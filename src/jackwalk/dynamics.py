@@ -77,6 +77,7 @@ from .partitions import length, make_partition, weight
 from .psum import CONVERSION_SIZE_CUTOFF
 from .scalars import (RationalFunction, as_exact, as_fraction, is_zero,
                       refuse_unknown_keys)
+from .series import TruncSeries
 from .specializations import Specialization, SpecializationUnion, specialize
 
 DEFAULT_DEFICIT_BOUND = Fraction(1, 2 ** 32)
@@ -213,30 +214,27 @@ def _step_cap(cfg):
     By the Cauchy identity the strips of size d together weigh
     b_d / H(rho; 1^N) whatever the current diagram, where
     b_d = [t^d] H(t rho; 1^N) = [t^d] exp(sum_j theta N p_j(rho) t^j / j),
-    so d b_d = sum_{j <= d} theta N p_j(rho) b_{d-j}.  Dividing by the
-    same H as transition_row makes the tail equal the row's deficit.  A
-    tail still above the bound at the Jack table cutoff raises
-    ResourceLimitError, as no row that long can be built."""
+    read off TruncSeries.exp up to the Jack table cutoff.  Dividing by
+    the same H as transition_row makes the tail equal the row's deficit.
+    A tail still above the bound at the cutoff raises ResourceLimitError,
+    as no row that long can be built."""
     reach = _finite_reach(cfg.rho, cfg.n)
     if reach is not None:
         return reach
     kernel = _step_kernel(cfg)
     theta = as_fraction(cfg.theta)
+    size = CONVERSION_SIZE_CUTOFF + 1
+    law = TruncSeries("t", 1, [theta * cfg.n * cfg.rho.p_value(j, theta) / j
+                               for j in range(1, size)], size).exp()
     slack = DEFAULT_DEFICIT_BOUND * kernel
-    dlog = []  # t d/dt log H(t rho; 1^N) = sum_j theta N p_j(rho) t^j
-    law = [Fraction(1)]  # b_0, b_1, ...
-    rest = kernel - 1  # H(rho; 1^N) - (b_0 + ... + b_d)
-    d = 0
-    while rest > slack:
-        if d == CONVERSION_SIZE_CUTOFF:
-            raise ResourceLimitError(
-                "one step leaves a tail above %s past %d boxes, the Jack "
-                "table cutoff" % (DEFAULT_DEFICIT_BOUND, d))
-        d += 1
-        dlog.append(theta * cfg.n * cfg.rho.p_value(d, theta))
-        law.append(sum(dlog[j] * law[d - 1 - j] for j in range(d)) / d)
-        rest -= law[d]
-    return d
+    rest = kernel  # H(rho; 1^N) - (b_0 + ... + b_d)
+    for d in range(size):
+        rest -= law.coefficient(d)
+        if rest <= slack:
+            return d
+    raise ResourceLimitError(
+        "one step leaves a tail above %s past %d boxes, the Jack table "
+        "cutoff" % (DEFAULT_DEFICIT_BOUND, CONVERSION_SIZE_CUTOFF))
 
 
 def _superpartitions(lam, n, cap):

@@ -14,7 +14,7 @@ class DivergenceError(ArithmeticError):
 
 
 class StabilityError(ValueError):
-    """A specialization required to be stable (radius > 1) is not."""
+    """A specialization is not regular where an expansion needs it."""
 
 
 class OrderError(ValueError):

@@ -14,10 +14,12 @@ fixed) runs its own elimination: at a fixed theta the arithmetic stays in
 Q, which is far cheaper than building over Q(theta) and substituting.
 
 Everything here is exact.  The only operation that ever approximates is
-:func:`reproducing_kernel` on inputs whose closed form is irrational, and
-there the caller gets a Fraction within a stated tolerance.
+:func:`reproducing_kernel` on inputs whose closed form is irrational, at
+a numeric theta: it evaluates one exp of a sum of logarithms in
+``decimal`` and returns a Fraction within relative ``KERNEL_TOLERANCE``.
 """
 
+import decimal
 import itertools
 import math
 import threading
@@ -214,77 +216,24 @@ def lr_expand(mu, eta, theta=THETA):
 # reproducing kernel
 # ---------------------------------------------------------------------------
 
-#: absolute tolerance for irrational kernel values
+#: relative tolerance for irrational kernel values: H >= 1 for positive
+#: specializations, and the returned Fraction is within H * KERNEL_TOLERANCE
 KERNEL_TOLERANCE = Fraction(1, 2 ** 64)
 
-_DENOM_GUARD = 2 ** 192
-
-
-def _ln2(eps):
-    # ln 2 = 2 * atanh(1/3)
-    return _atanh(Fraction(1, 3), eps / 2) * 2
-
-
-def _atanh(u, eps):
-    total = Fraction(0)
-    power = u
-    k = 0
-    u2 = u * u
-    bound_scale = 1 / (1 - u2)
-    while True:
-        total += power / (2 * k + 1)
-        power = (power * u2).limit_denominator(_DENOM_GUARD)
-        k += 1
-        if abs(power) * bound_scale / (2 * k + 1) < eps:
-            return total.limit_denominator(_DENOM_GUARD)
-
-
-def _ln_fraction(x, eps):
-    """ln(x) for a positive Fraction, absolute error below eps."""
-    if x <= 0:
-        raise DivergenceError("log of a non-positive kernel factor")
-    shift = 0
-    while x >= 2:
-        x = x / 2
-        shift += 1
-    while x < 1:
-        x = x * 2
-        shift -= 1
-    value = _atanh((x - 1) / (x + 1), eps / 4) * 2
-    if shift:
-        value = value + shift * _ln2(eps / (4 * abs(shift)))
-    return value
-
-
-def _exp_fraction(x, eps):
-    """exp(x) for a Fraction, absolute error below eps (for |result| ~ 1+)."""
-    halvings = 0
-    while abs(x) > Fraction(1, 2):
-        x = x / 2
-        halvings += 1
-    inner = eps / 4 ** (halvings + 1)
-    total = Fraction(1)
-    term = Fraction(1)
-    j = 0
-    while True:
-        j += 1
-        term = (term * x / j).limit_denominator(_DENOM_GUARD)
-        total += term
-        if 2 * abs(term) < inner:
-            break
-    for _ in range(halvings):
-        total = (total * total).limit_denominator(_DENOM_GUARD)
-    return total
+#: decimal digits carried by the exponent and its exp
+_KERNEL_DIGITS = 50
 
 
 def _kernel_factors(rho, sigma, theta):
     """Decompose the kernel exponent into closed-form factors.
 
     Returns (factors, linear) where factors is a list of (base, exponent)
-    pairs, base a Fraction, and linear is the part of the exponent that stays
-    rational (the degree-one cross terms).  The exponent of each factor is
-    exact; divergent inputs raise here.
+    pairs and linear is the part of the exponent that stays rational (the
+    degree-one cross terms).  The exponent of each factor is exact;
+    divergent inputs raise here, and so does a beta-beta pair at a
+    symbolic theta, whose radius theta^2 b b' < 1 cannot be decided.
     """
+    symbolic = _is_symbolic(theta)
     factors = []
     linear = 0
     for ca in rho.components:
@@ -311,47 +260,22 @@ def _kernel_factors(rho, sigma, theta):
                     factors.append((1 + t, m))
             for b in ca.betas:
                 for b2 in cb.betas:
+                    if not b * b2:
+                        continue
+                    if symbolic:
+                        raise ValueError(
+                            "kernel with beta-beta pairs needs a numeric theta")
                     t = theta * theta * b * b2
                     if t >= 1:
                         raise DivergenceError(
                             "beta pair %s * %s outside the unit disc"
                             % (b, b2))
-                    if t:
-                        factors.append((1 - t, -m / theta))
+                    factors.append((1 - t, -m / theta))
             p1a = ca.gamma + sum(ca.alphas) + sum(ca.betas)
             p1b = cb.gamma + sum(cb.alphas) + sum(cb.betas)
             cross = ca.gamma * p1b + cb.gamma * p1a - ca.gamma * cb.gamma
             linear = linear + theta * m * cross
     return factors, linear
-
-
-def _symbolic_kernel(rho, sigma, theta):
-    value = 1
-    for ca in rho.components:
-        for cb in sigma.components:
-            m = ca.scale * cb.scale
-            if m == 0:
-                continue
-            if any(a and a2 for a in ca.alphas for a2 in cb.alphas):
-                raise ValueError(
-                    "kernel with alpha-alpha pairs needs a numeric theta")
-            if any(b and b2 for b in ca.betas for b2 in cb.betas):
-                raise ValueError(
-                    "kernel with beta-beta pairs needs a numeric theta")
-            p1a = ca.gamma + sum(ca.alphas) + sum(ca.betas)
-            p1b = cb.gamma + sum(cb.alphas) + sum(cb.betas)
-            if ca.gamma * p1b + cb.gamma * p1a - ca.gamma * cb.gamma != 0:
-                raise ValueError(
-                    "kernel with a gamma part needs a numeric theta")
-            pairs = [(a, b) for a, b in itertools.chain(
-                itertools.product(ca.alphas, cb.betas),
-                itertools.product(ca.betas, cb.alphas)) if a * b]
-            if pairs and m.denominator != 1:
-                raise ValueError(
-                    "fractional pair weight %s needs a numeric theta" % m)
-            for a, b in pairs:
-                value = value * (1 + theta * a * b) ** int(m)
-    return value
 
 
 def reproducing_kernel(rho, sigma, theta=THETA):
@@ -360,30 +284,49 @@ def reproducing_kernel(rho, sigma, theta=THETA):
     The sum telescopes into a product of binomial factors plus one genuinely
     exponential piece from the degree-one cross terms.  When every factor is
     rational (integer exponents, vanishing exponential piece) the value is
-    exact; otherwise it is approximated by elementary series whose remainders
-    are driven below ``KERNEL_TOLERANCE`` (absolute, for values of moderate
-    size).
+    exact, a Fraction, or a RationalFunction at a symbolic theta.  Otherwise
+    theta must be numeric, and H = exp(linear + sum e ln base) is computed
+    in decimal and returned as a Fraction within relative
+    ``KERNEL_TOLERANCE``.
 
     Raises DivergenceError when the defining sum does not converge (an
     alpha-alpha or beta-beta pair at or beyond the unit radius); alpha-beta
-    cross pairs never diverge.  Symbolic theta is supported only for the
-    purely rational cases.
+    cross pairs never diverge.  Raises ValueError for an irrational kernel
+    at a symbolic theta, and ResourceLimitError when H exceeds decimal's
+    exponent range.
     """
     th = as_exact(theta)
-    if _is_symbolic(th):
-        return _symbolic_kernel(rho, sigma, th)
     factors, linear = _kernel_factors(rho, sigma, th)
-    if linear == 0 and all(e.denominator == 1 for _, e in factors):
+    if not linear and all(isinstance(e, Fraction) and e.denominator == 1
+                          for _, e in factors):
         value = Fraction(1)
         for base, e in factors:
             value = value * base ** int(e)
         return value
-    work = KERNEL_TOLERANCE / (8 * (len(factors) + 2))
-    exponent = Fraction(linear)
-    for base, e in factors:
-        scale = max(1, math.ceil(abs(e)))
-        exponent = exponent + e * _ln_fraction(base, work / scale)
-    return _exp_fraction(exponent, KERNEL_TOLERANCE / 4)
+    if _is_symbolic(th):
+        raise ValueError(
+            "kernel with an irrational factor needs a numeric theta")
+    # Every decimal operation below is correctly rounded to _KERNEL_DIGITS
+    # digits, every term of the exponent X is nonnegative, and exp leaves
+    # decimal's default exponent range (Emax 999999) unless X < 2.3e6.  So
+    # X carries an absolute error far below 10^-40, which is also the
+    # relative error of H = exp(X), far below KERNEL_TOLERANCE = 2^-64.
+    with decimal.localcontext(decimal.Context(prec=_KERNEL_DIGITS)):
+        exponent = _decimal(linear)
+        for base, e in factors:
+            exponent += _decimal(e) * _decimal(base).ln()
+        try:
+            return Fraction(exponent.exp())
+        except decimal.Overflow:
+            raise ResourceLimitError(
+                "kernel exp(%.6g) exceeds decimal's exponent range"
+                % exponent) from None
+
+
+def _decimal(x):
+    """A Fraction rounded to the current decimal context."""
+    x = Fraction(x)
+    return decimal.Decimal(x.numerator) / x.denominator
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ convolution of their numerators over each side's common denominator, with
 one ``Fraction``, and so one gcd, per output coefficient; ints stay ints.
 Other coefficients multiply term by term, nested series included, whose
 inner products take the integer path in turn.  A reciprocal follows the
-O(n^2) recurrence b_k = -(a_1 b_(k-1) + ... + a_k b_0) / a_0.  Callers
+O(n^2) recurrence b_k = -(a_1 b_(k-1) + ... + a_k b_0) / a_0, and exp
+and log follow theirs, from b' = a' b and f' = c' f.  Callers
 that need one coefficient of a product read it off the factors instead:
 the limit residues in ``asymptotics`` are finite sums of coefficient
 products.
@@ -356,43 +357,42 @@ class TruncSeries:
         return acc.truncate(bound)
 
     def exp(self):
+        """exp of a series with positive valuation: b_0 = 1 and
+        d b_d = sum_{j <= d} j a_j b_(d-j), from b' = a' b."""
         if self.coeffs and self.low < 1:
             raise ValueError("exp needs a series with positive valuation")
         n = self.order
         if n == ORDER_INF:
             raise ValueError("exp of exact data needs a truncated input")
-        acc = TruncSeries.constant(self.var, 1, n)
-        power = TruncSeries.constant(self.var, 1)
-        fact = 1
-        k = 0
-        while True:
-            power = (power * self).truncate(n)
-            if not power:
-                break
-            k += 1
-            fact *= k
-            acc = acc + power * Fraction(1, fact)
-        return acc.truncate(n)
+        ja = [(j, j * a) for j, a in self.items()]  # (j, j a_j), j rising
+        b = [1]
+        for d in range(1, n):
+            acc = 0
+            for j, jaj in ja:
+                if j > d:
+                    break
+                acc = acc + jaj * b[d - j]
+            b.append(acc * Fraction(1, d))
+        return TruncSeries(self.var, 0, b, n)
 
     def log(self):
+        """log of a series with constant term 1:
+        d c_d = d f_d - sum_{j < d} j c_j f_(d-j), from f' = c' f."""
         if self.coefficient(0) != 1 or self.low < 0:
             raise ValueError("log needs a series with constant term 1")
         n = self.order
         if n == ORDER_INF:
             raise ValueError("log of exact data needs a truncated input")
-        h = self - 1
-        acc = TruncSeries.zero(self.var, n)
-        power = TruncSeries.constant(self.var, 1)
-        k = 0
-        sign = 1
-        while True:
-            power = (power * h).truncate(n)
-            if not power:
-                break
-            k += 1
-            acc = acc + power * Fraction(sign, k)
-            sign = -sign
-        return acc.truncate(n)
+        f = [self.coefficient(k) for k in range(n)]
+        jc = [0]  # j c_j
+        for d in range(1, n):
+            acc = d * f[d]
+            for j in range(1, d):
+                if jc[j] and f[d - j]:
+                    acc = acc - jc[j] * f[d - j]
+            jc.append(acc)
+        return TruncSeries(self.var, 1, [jc[d] * Fraction(1, d)
+                                         for d in range(1, n)], n)
 
 
 def revert(f, newvar):

@@ -15,7 +15,6 @@ duplicating lists.  Unions of specializations add their p_k values.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import StabilityError
 from .scalars import as_exact, parse_fraction, refuse_unknown_keys
 
 
@@ -86,28 +85,6 @@ class Specialization:
         beta_part = sum(b ** k for b in self.betas)
         return self.scale * (alpha_part + (-theta) ** (k - 1) * beta_part)
 
-    def radius(self, theta):
-        """Convergence radius min(1/alpha_i, 1/(theta*beta_i)); None = infinite."""
-        theta = Fraction(theta)
-        bounds = []
-        if self.alphas and self.alphas[0] > 0:
-            bounds.append(1 / self.alphas[0])
-        if self.betas and self.betas[0] > 0:
-            if theta <= 0:
-                raise ValueError("radius with betas needs theta > 0")
-            bounds.append(1 / (theta * self.betas[0]))
-        if not bounds:
-            return None
-        return min(bounds)
-
-    def is_stable(self, theta):
-        r = self.radius(theta)
-        return r is None or r > 1
-
-    def require_stable(self, theta):
-        if not self.is_stable(theta):
-            raise StabilityError("specialization has radius <= 1: %r" % (self,))
-
     # -- serialization -------------------------------------------------------
 
     def to_json(self):
@@ -146,15 +123,6 @@ class SpecializationUnion:
     def p_value(self, k, theta):
         return sum((c.p_value(k, theta) for c in self.components),
                    start=Fraction(0))
-
-    def radius(self, theta):
-        radii = [c.radius(theta) for c in self.components]
-        radii = [r for r in radii if r is not None]
-        return min(radii) if radii else None
-
-    # both checks read only radius(), which the union defines
-    is_stable = Specialization.is_stable
-    require_stable = Specialization.require_stable
 
     def to_json(self):
         return {"union": [c.to_json() for c in self.components]}

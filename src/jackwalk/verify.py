@@ -13,7 +13,7 @@ from .asymptotics import toeplitz_wienerhopf_check
 from .dynamics import WalkConfig, transition_row
 from .jack import basis_for, jack_polynomial
 from .measures import empirical_moments_from_pp, pp_moments_from_empirical
-from .operators import apply_I, eigenvalue_of
+from .operators import apply_I, eigenvalue_of, eigenvalue_series
 from .partitions import (enumerate_all_partitions, enumerate_partitions,
                          length, z_lambda)
 from .scalars import as_exact
@@ -30,13 +30,16 @@ def eigenrelation_cases(max_size, max_rows, max_order, theta):
     out = []
     for lam in enumerate_all_partitions(max_size, max_length=max_rows):
         poly = jack_polynomial(lam, theta)
+        # one eigenvalue series per n gives the eigenvalue of every order
+        family = [eigenvalue_series(lam, n, theta, max_order + 1)
+                  for n in range(length(lam), max_rows + 1)]
         for k in range(1, max_order + 1):
             lhs = apply_I(k, poly, theta)
             ev = eigenvalue_of(k, lam, max(length(lam), 1), theta)
             ok = lhs == poly * ev
             if ok:
-                ok = all(eigenvalue_of(k, lam, n, theta) == ev
-                         for n in range(length(lam), max_rows + 1))
+                ok = all(series.coefficient(k + 1) == ev
+                         for series in family)
             out.append(("lam=%s k=%d" % (_fmt(lam), k), ok))
     return out
 

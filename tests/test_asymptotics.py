@@ -49,8 +49,11 @@ def stieltjes_from_inverse(k_series):
 def burgers_evolve(m0, rho, tau, theta, order):
     """Evolve a Stieltjes series for time tau under a stable specialization,
     through its functional inverse: m_tau^(-1)(u) = tau T(e^u) + m0^(-1)(u),
-    where T(y) = y W'(y)."""
-    rho.require_stable(theta)
+    where T(y) = y W'(y).  Stable means every pole of W' lies beyond the
+    unit disc: alpha_i < 1 and theta beta_i < 1."""
+    if any(a >= 1 for c in rho.components for a in c.alphas) or \
+            any(theta * b >= 1 for c in rho.components for b in c.betas):
+        raise StabilityError("specialization has radius <= 1: %r" % (rho,))
     tau = Fraction(tau)
     if m0.valuation() != 1 or m0.coefficient(1) != 1:
         raise ValueError("expected a Stieltjes series with leading mass 1")

@@ -281,6 +281,9 @@ def test_verify_golden_bytes(tmp_path, case):
     ["ns", "verify", "--strict"],
     ["verify", "toeplitz", "--theta", "1"],
     ["verify", "moments", "--theta", "1"],
+    # a prediction draws nothing, so it takes no seed
+    ["walk", "predict", "--config", "walk.json", "--seed", "1"],
+    ["walk", "predict", "--config", "walk.json", "--strict"],
 ], ids=" ".join)
 def test_verify_rejects_options_no_suite_reads(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -602,6 +605,16 @@ def test_walk_of_too_much_step_mass_exits_3_before_any_table(tmp_path,
     assert jack.basis_for(Fraction(1))._done == done
 
 
+def test_kernel_past_decimal_range_exits_3(tmp_path, capsys):
+    # gamma = 10^7 at N = 1: H = exp(10^7) has no decimal exponent
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_walk("1", {"gamma": "10000000"}, N=1)))
+    rc = cli.main(["walk", "sample", "--config", str(path), "--steps", "1",
+                   "--samples", "1", "--out", str(tmp_path / "s.csv")])
+    assert rc == 3
+    assert "exponent range" in capsys.readouterr().err
+
+
 def test_walk_sample_resource_exit_code(tmp_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise ResourceLimitError("forced")
@@ -734,6 +747,21 @@ def test_walk_predict_bad_input_exits_2(tmp_path, capsys, config, argv):
                 if line.startswith("error:")]) == 1
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_walk_predict_reads_no_seed(tmp_path, capsys):
+    # the config's seed is accepted and moves only the provenance line;
+    # without one, predict says nothing about a default seed
+    bodies = []
+    for extra in ({}, {"seed": 3}):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(PREDICT_CONFIG, **extra)))
+        out = tmp_path / "pred.csv"
+        assert cli.main(["walk", "predict", "--config", str(path),
+                         "--k", "1,2", "--out", str(out)]) == 0
+        assert "seed" not in capsys.readouterr().err
+        bodies.append(_body_digest(out))
+    assert bodies[0] == bodies[1]
 
 
 def test_walk_predict_half_time(tmp_path):

@@ -4,9 +4,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jackwalk.errors import DivergenceError
 from jackwalk.jack import (
+    KERNEL_TOLERANCE,
+    _kernel_factors,
     basis_for,
     branching_weight,
     horizontal_strip_predecessors,
@@ -270,6 +273,117 @@ def test_reproducing_kernel_divergence():
     with pytest.raises(DivergenceError):
         reproducing_kernel(Specialization.single_alpha(half),
                            Specialization.single_alpha(Fraction(3)), one)
+
+
+@pytest.mark.parametrize("rho, sigma", [
+    (Specialization.plancherel(one), Specialization.ones(2)),
+    (Specialization.single_alpha(half), Specialization.ones(2)),
+    (Specialization.single_beta(half), Specialization.single_beta(half)),
+    (Specialization(betas=(half,), scale=half), Specialization.ones(2)),
+], ids=["gamma", "alpha-alpha", "beta-beta", "fractional-weight-cross"])
+def test_irrational_kernel_needs_a_numeric_theta(rho, sigma):
+    with pytest.raises(ValueError, match="numeric theta"):
+        reproducing_kernel(rho, sigma, THETA)
+
+
+# -- the series oracle: the kernel by atanh, ln 2 and exp series -------------
+
+_DENOM_GUARD = 2 ** 192
+
+
+def _atanh(u, eps):
+    total = Fraction(0)
+    power = u
+    k = 0
+    u2 = u * u
+    bound_scale = 1 / (1 - u2)
+    while True:
+        total += power / (2 * k + 1)
+        power = (power * u2).limit_denominator(_DENOM_GUARD)
+        k += 1
+        if abs(power) * bound_scale / (2 * k + 1) < eps:
+            return total.limit_denominator(_DENOM_GUARD)
+
+
+def _ln2(eps):
+    # ln 2 = 2 * atanh(1/3)
+    return _atanh(Fraction(1, 3), eps / 2) * 2
+
+
+def _ln_fraction(x, eps):
+    """ln(x) for a positive Fraction, absolute error below eps."""
+    shift = 0
+    while x >= 2:
+        x = x / 2
+        shift += 1
+    while x < 1:
+        x = x * 2
+        shift -= 1
+    value = _atanh((x - 1) / (x + 1), eps / 4) * 2
+    if shift:
+        value = value + shift * _ln2(eps / (4 * abs(shift)))
+    return value
+
+
+def _exp_fraction(x, eps):
+    """exp(x) for a Fraction, absolute error below eps (for |result| ~ 1+)."""
+    halvings = 0
+    while abs(x) > Fraction(1, 2):
+        x = x / 2
+        halvings += 1
+    inner = eps / 4 ** (halvings + 1)
+    total = Fraction(1)
+    term = Fraction(1)
+    j = 0
+    while True:
+        j += 1
+        term = (term * x / j).limit_denominator(_DENOM_GUARD)
+        total += term
+        if 2 * abs(term) < inner:
+            break
+    for _ in range(halvings):
+        total = (total * total).limit_denominator(_DENOM_GUARD)
+    return total
+
+
+def series_kernel(rho, sigma, theta):
+    """H(rho, sigma; theta) at a numeric theta from the same factors, with
+    every logarithm and the exponential summed as a series whose remainder
+    stays below an absolute 2^-64."""
+    factors, linear = _kernel_factors(rho, sigma, theta)
+    tolerance = Fraction(1, 2 ** 64)
+    work = tolerance / (8 * (len(factors) + 2))
+    exponent = Fraction(linear)
+    for base, e in factors:
+        scale = max(1, math.ceil(abs(e)))
+        exponent = exponent + e * _ln_fraction(base, work / scale)
+    return _exp_fraction(exponent, tolerance / 4)
+
+
+small_specializations = st.builds(
+    Specialization,
+    gamma=st.sampled_from([0, Fraction(1, 3), one]),
+    alphas=st.lists(st.sampled_from([Fraction(1, 10), Fraction(1, 3), half]),
+                    max_size=2),
+    betas=st.lists(st.sampled_from([Fraction(1, 4), half, one]), max_size=2),
+    scale=st.sampled_from([half, one, two]))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(small_specializations, small_specializations,
+       st.sampled_from([half, one, two, Fraction(3, 7)]))
+def test_kernel_matches_the_series_oracle(rho, sigma, theta):
+    # decimal's correctly rounded exp and ln against the elementary
+    # series, at every kernel the factors admit
+    try:
+        oracle = series_kernel(rho, sigma, theta)
+    except DivergenceError:
+        with pytest.raises(DivergenceError):
+            reproducing_kernel(rho, sigma, theta)
+        return
+    value = reproducing_kernel(rho, sigma, theta)
+    assert isinstance(value, Fraction) and value >= 1
+    assert abs(value - oracle) <= 2 * KERNEL_TOLERANCE * value
 
 
 def test_cauchy_degreewise():

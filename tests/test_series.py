@@ -211,8 +211,72 @@ def fixed_point_reciprocal(f, order=None):
     return TruncSeries(f.var, -v, [c * c0i for c in acc.coeffs], rel - v)
 
 
+def power_sum_exp(f):
+    """exp(f) as the sum of f^k / k!, one truncated power at a time."""
+    if f.coeffs and f.low < 1:
+        raise ValueError("exp needs a series with positive valuation")
+    n = f.order
+    if n == ORDER_INF:
+        raise ValueError("exp of exact data needs a truncated input")
+    acc = TruncSeries.constant(f.var, 1, n)
+    power = TruncSeries.constant(f.var, 1)
+    fact = 1
+    k = 0
+    while True:
+        power = (power * f).truncate(n)
+        if not power:
+            break
+        k += 1
+        fact *= k
+        acc = acc + power * Fraction(1, fact)
+    return acc.truncate(n)
+
+
+def power_sum_log(f):
+    """log(f) as the sum of (-1)^(k+1) (f - 1)^k / k."""
+    if f.coefficient(0) != 1 or f.low < 0:
+        raise ValueError("log needs a series with constant term 1")
+    n = f.order
+    if n == ORDER_INF:
+        raise ValueError("log of exact data needs a truncated input")
+    h = f - 1
+    acc = TruncSeries.zero(f.var, n)
+    power = TruncSeries.constant(f.var, 1)
+    k = 0
+    sign = 1
+    while True:
+        power = (power * h).truncate(n)
+        if not power:
+            break
+        k += 1
+        acc = acc + power * Fraction(sign, k)
+        sign = -sign
+    return acc.truncate(n)
+
+
+def assert_exp_log_match_power_sums(f):
+    """exp(f) and log(1 + f) equal the power-sum oracles in window, order
+    and values, with no inner order below the oracle's, for a series f of
+    positive valuation."""
+    for mine, oracle in ((f.exp(), power_sum_exp(f)),
+                         ((1 + f).log(), power_sum_log(1 + f))):
+        assert (mine.low, mine.order, mine.coeffs) == \
+            (oracle.low, oracle.order, oracle.coeffs)
+        for a, b in zip(mine.coeffs, oracle.coeffs):
+            if isinstance(a, TruncSeries) and isinstance(b, TruncSeries):
+                assert a.order >= b.order
+
+
 def _typed(f):
     return f.low, f.order, [(c, type(c)) for c in f.coeffs]
+
+
+def _outcome(fn, *args):
+    try:
+        p = fn(*args)
+    except ValueError as exc:
+        return type(exc)
+    return p.low, p.order, p.coeffs
 
 
 def _typed_outcome(fn, *args):
@@ -261,6 +325,13 @@ def test_integer_paths_match_loop_and_fixed_point(f, g, order):
     order = order if f.order == ORDER_INF else None
     assert _typed_outcome(TruncSeries.reciprocal, f, order) == \
         _typed_outcome(fixed_point_reciprocal, f, order)
+    # exp and log by their recurrences give the power sums' windows and
+    # values, refusals included; shifted to valuation 1 every f admits both
+    for mine, oracle in ((TruncSeries.exp, power_sum_exp),
+                         (TruncSeries.log, power_sum_log)):
+        assert _outcome(mine, f) == _outcome(oracle, f)
+    assert_exp_log_match_power_sums(
+        TruncSeries("z", 1, f.coeffs, len(f.coeffs) + 2))
 
 
 def _rf(a, b, c):
@@ -288,6 +359,8 @@ def test_rational_function_coefficients_unchanged(rfs, rats, extra):
             p = a.reciprocal(order)
             q = fixed_point_reciprocal(a, order)
             assert (p.low, p.order, p.coeffs) == (q.low, q.order, q.coeffs)
+    assert_exp_log_match_power_sums(TruncSeries("z", 1, rfs,
+                                                len(rfs) + 1 + extra))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -306,3 +379,5 @@ def test_nested_coefficients_unchanged(rows, scalars, extra):
         p, q = a + b, dict_sum(a, b)
         assert (p.low, p.order, p.coeffs) == (q.low, q.order, q.coeffs)
     assert f.reciprocal() == fixed_point_reciprocal(f)
+    # the shape of the covariance kernel's log(1 + z w D(z, w))
+    assert_exp_log_match_power_sums(f * TruncSeries.monomial("w", 1, 1))

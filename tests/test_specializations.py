@@ -1,10 +1,9 @@
-"""Nonnegative specializations: p-values, stability radius, unions."""
+"""Nonnegative specializations: p-values, unions, serialization."""
 
 from fractions import Fraction
 
 import pytest
 
-from jackwalk.errors import StabilityError
 from jackwalk.psum import PSumPoly
 from jackwalk.scalars import THETA
 from jackwalk.specializations import (
@@ -64,26 +63,6 @@ def test_negative_entries_rejected():
         Specialization(alphas=(Fraction(-1, 2),))
     with pytest.raises(ValueError):
         Specialization(betas=(Fraction(-1),))
-
-
-def test_radius_and_stability():
-    assert Specialization.single_beta(half).radius(one) == 2
-    assert Specialization.single_beta(one).radius(one) == 1
-    assert Specialization.single_beta(half).is_stable(one)
-    assert not Specialization.single_beta(one).is_stable(one)
-    # theta enters the beta radius
-    assert Specialization.single_beta(half).radius(Fraction(4)) == \
-        Fraction(1, 2)
-    # a union shares the checks and is stable only if every block is
-    stable = SpecializationUnion([Specialization.single_beta(half)])
-    assert stable.is_stable(one)
-    stable.require_stable(one)
-    unstable = SpecializationUnion([Specialization.single_beta(half),
-                                    Specialization.single_beta(one)])
-    for rho in (Specialization.single_beta(one), unstable):
-        assert not rho.is_stable(one)
-        with pytest.raises(StabilityError):
-            rho.require_stable(one)
 
 
 def test_union_adds_p_values():
