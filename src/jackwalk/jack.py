@@ -6,12 +6,27 @@ terms in dominance order).  Together with orthogonality under the deformed
 Hall pairing <p_lam, p_mu> = delta * z_lam * theta^(-len(lam)) this pins the
 basis uniquely, and at theta = 1 it reduces to the Schur functions.
 
-Construction is Gram-Schmidt over a size class processed along a linear
-extension of dominance order (least dominant first), starting each row from
-the monomial symmetric function and subtracting projections onto the rows
-already built.  Tables are memoized per theta, and each theta (symbolic or
-fixed) runs its own elimination: at a fixed theta the arithmetic stays in
-Q, which is far cheaper than building over Q(theta) and substituting.
+Construction follows the Laplace-Beltrami (Sekiguchi) operator, which has
+the J_lambda as eigenfunctions and acts triangularly on monomials (Stanley,
+Adv. Math. 77, 1989; Demmel and Koev, Math. Comp. 75, 2006).  With
+rho_mu = sum_i mu_i (mu_i - 1 - 2 theta (i - 1)), the monomial coefficients
+of J_lambda = sum_mu c_mu m_mu are c_lambda = 1 and, for mu after lambda in
+``enumerate_partitions`` order,
+
+    c_mu = 2 theta / (rho_lambda - rho_mu) * sum (mu_i - mu_j + 2t) c_nu,
+
+over positions i < j of mu and 1 <= t <= mu_j, with nu = sort(mu + t e_i
+- t e_j) (a raising, more dominant than mu).  The recursion runs in
+integral form: with theta = P/Q over Z at a numeric theta and over Z[theta]
+otherwise, E c_mu is in the ring for E = prod over boxes of
+Q a + P (l + 1) (Knop and Sahi, Invent. Math. 128, 1997), so every step is
+an exact division by Q rho_lambda / 2 - Q rho_mu / 2 and no gcd is taken.
+The power-sum coefficients are one integer dot product with the monomial
+table per term, reduced once.  Norms are the closed form
+:func:`jack_norm`; a vanishing rho_lambda - rho_mu or norm (a singular
+negative theta) raises ZeroDivisionError.  Tables are memoized per theta,
+and symbolic and fixed theta share this one construction; Gram-Schmidt is
+the test oracle, and so is the Gram matrix of the tables.
 
 Everything here is exact.  The only operation that ever approximates is
 :func:`reproducing_kernel` on inputs whose closed form is irrational, at
@@ -29,9 +44,10 @@ from .errors import DivergenceError, ResourceLimitError, ShapeError
 from .partitions import (arm, boxes, conjugate, contains,
                          enumerate_partitions, leg, length, make_partition,
                          weight)
-from .psum import (CONVERSION_SIZE_CUTOFF, PSumPoly, d_dp, monomial_to_psum,
-                   scalar_product)
-from .scalars import THETA, RationalFunction, as_exact, is_zero
+from .psum import (CONVERSION_SIZE_CUTOFF, PSumPoly, d_dp, from_numerators,
+                   monomial_to_psum, scalar_product)
+from .scalars import (THETA, RationalFunction, _numerators, _Ring, as_exact,
+                      is_zero)
 
 __all__ = [
     "JackBasis", "basis_for", "jack_polynomial", "jack_norm",
@@ -85,27 +101,104 @@ class JackBasis:
                 raise ResourceLimitError(
                     "Jack table refused at size %d (cutoff %d)"
                     % (size, CONVERSION_SIZE_CUTOFF))
-            self._build_by_elimination(size)
+            self._build(size)
             self._done.add(size)
 
-    def _build_by_elimination(self, size):
-        built = []
-        # enumerate_partitions lists the most dominant first; process in the
-        # opposite order so every projection target already exists.
-        for lam in reversed(list(enumerate_partitions(size))):
-            f = monomial_to_psum(lam)
-            for mu in built:
-                c = scalar_product(f, self._table[mu], self.theta)
-                if not is_zero(c):
-                    f = f - self._table[mu] * (c / self._norms[mu])
-            nrm = scalar_product(f, f, self.theta)
-            if is_zero(nrm):
+    def _build(self, size):
+        """One size class by the Laplace-Beltrami recursion, in integral
+        form over Z (numeric theta = P/Q) or Z[theta]: see the module
+        docstring."""
+        ring = _Ring(self.theta)
+        add, mul, const, P, Q = ring.add, ring.mul, ring.const, ring.P, ring.Q
+        order = list(enumerate_partitions(size))
+        raisings = {mu: _raisings(mu) for mu in order}
+        # r_mu = Q n(mu') - P n(mu) is Q rho_mu / 2
+        r = {mu: ring.sub(mul(const(_n(conjugate(mu))), Q),
+                          mul(const(_n(mu)), P)) for mu in order}
+        mono_den, mono = _monomial_numerators(size)
+        for at, lam in enumerate(order):
+            norm = jack_norm(lam, self.theta)
+            if is_zero(norm):
                 raise ZeroDivisionError(
                     "squared norm of J_%s vanishes at theta=%r"
                     % (lam, self.theta))
-            self._table[lam] = f
-            self._norms[lam] = nrm
-            built.append(lam)
+            # numerators of the monomial coefficients over the hook
+            # product E = prod (Q a + P (l + 1)), all in the ring
+            den = const(1)
+            for (i, j) in boxes(lam):
+                den = mul(den, add(mul(const(arm(lam, i, j)), Q),
+                                   mul(const(leg(lam, i, j) + 1), P)))
+            coeffs = {lam: den}
+            for mu in order[at + 1:]:
+                total = const(0)
+                for nu, w in raisings[mu].items():
+                    c = coeffs.get(nu)
+                    if c is not None:
+                        total = add(total, mul(const(w), c))
+                gap = ring.sub(r[lam], r[mu])
+                if not gap and (total or _dominates(lam, mu)):
+                    raise ZeroDivisionError(
+                        "rho_%s = rho_%s at theta=%r" % (lam, mu, self.theta))
+                if total:
+                    coeffs[mu] = ring.quo(mul(P, total), gap)
+            if len(coeffs) == 1:    # J_lam = m_lam, Fractions as tabled
+                row = monomial_to_psum(lam)
+            else:
+                sums = {}
+                for mu, c in coeffs.items():
+                    for kappa, m in mono[mu]:
+                        acc = sums.get(kappa)
+                        term = mul(const(m), c)
+                        sums[kappa] = term if acc is None else add(acc, term)
+                row = from_numerators(sums, mul(den, const(mono_den)), ring)
+            self._table[lam] = row
+            self._norms[lam] = norm
+
+
+def _n(mu):
+    """n(mu) = sum (i - 1) mu_i."""
+    return sum(i * part for i, part in enumerate(mu))
+
+
+def _dominates(lam, mu):
+    """lam >= mu in dominance order, for partitions of one size."""
+    return all(a >= b for a, b in zip(itertools.accumulate(lam),
+                                      itertools.accumulate(mu)))
+
+
+def _raisings(mu):
+    """{nu: weight}: the monomials the Laplace-Beltrami operator sends m_mu
+    to besides m_mu itself.  For positions i < j of mu and 1 <= t <= mu_j,
+    nu = sort(mu + t e_i - t e_j) gains mu_i - mu_j + 2t."""
+    out = {}
+    for j in range(1, len(mu)):
+        for i in range(j):
+            for t in range(1, mu[j] + 1):
+                parts = list(mu)
+                parts[i] += t
+                parts[j] -= t
+                nu = tuple(sorted((p for p in parts if p), reverse=True))
+                out[nu] = out.get(nu, 0) + mu[i] - mu[j] + 2 * t
+    return out
+
+
+_MONOMIAL_NUMERATORS = {}
+
+
+def _monomial_numerators(size):
+    """(D, {mu: [(kappa, integer)]}): every m_mu of a size class over power
+    sums, as integer numerators over one common denominator D."""
+    found = _MONOMIAL_NUMERATORS.get(size)
+    if found is None:
+        table = {mu: monomial_to_psum(mu).terms
+                 for mu in enumerate_partitions(size)}
+        nums, den = _numerators([c for terms in table.values()
+                                 for c in terms.values()])
+        nums = iter(nums)
+        found = _MONOMIAL_NUMERATORS[size] = den, {
+            mu: [(kappa, next(nums)) for kappa in terms]
+            for mu, terms in table.items()}
+    return found
 
 
 _BASES = {}
@@ -133,12 +226,13 @@ def jack_norm(lam, theta=THETA):
     """Squared norm <J_lam, J_lam> by the hook product formula.
 
     Each box contributes (a + theta*l + 1)/(a + theta*l + theta) with a, l
-    the arm and leg lengths.  Agreement with the Gram matrix of the computed
-    basis is part of the test suite.
+    the arm and leg lengths.  The tables take their norms from here;
+    agreement with the Gram matrix of the computed basis is part of the
+    test suite.
     """
     lam = make_partition(lam)
     th = as_exact(theta)
-    value = Fraction(1)
+    value = th ** 0     # 1, in the scalars of theta
     for (i, j) in boxes(lam):
         a = arm(lam, i, j)
         l = leg(lam, i, j)
@@ -228,7 +322,9 @@ def _kernel_factors(rho, sigma, theta):
     """Decompose the kernel exponent into closed-form factors.
 
     Returns (factors, linear) where factors is a list of (base, exponent)
-    pairs and linear is the part of the exponent that stays rational (the
+    pairs, one per distinct base with the exponents of its atom pairs
+    summed (so alpha against 1^N is one factor of exponent -theta N), and
+    linear is the part of the exponent that stays rational (the
     degree-one cross terms).  The exponent of each factor is exact;
     divergent inputs raise here, and so does a beta-beta pair at a
     symbolic theta, whose radius theta^2 b b' < 1 cannot be decided.
@@ -275,7 +371,10 @@ def _kernel_factors(rho, sigma, theta):
             p1b = cb.gamma + sum(cb.alphas) + sum(cb.betas)
             cross = ca.gamma * p1b + cb.gamma * p1a - ca.gamma * cb.gamma
             linear = linear + theta * m * cross
-    return factors, linear
+    merged = {}
+    for base, e in factors:
+        merged[base] = merged.get(base, 0) + e
+    return [(base, e) for base, e in merged.items() if not is_zero(e)], linear
 
 
 def reproducing_kernel(rho, sigma, theta=THETA):

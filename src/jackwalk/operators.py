@@ -29,14 +29,12 @@ to random diagrams directly from their generating functions.
 """
 
 import math
-import operator
 from fractions import Fraction
 
 from .partitions import length, make_partition
-from .psum import PSumPoly, _merge_keys
-from .scalars import (THETA, RationalFunction, _padd, _pcontent, _pgcd,
-                      _pmul, _ppow, _pquo, as_exact)
-from .series import TruncSeries, _numerators
+from .psum import _merge_keys, from_numerators
+from .scalars import THETA, _Ring
+from .series import TruncSeries
 from .specializations import specialize_ones
 
 __all__ = [
@@ -46,68 +44,6 @@ __all__ = [
 ]
 
 UVAR = "1/u"
-
-
-class _Ring:
-    """Z at a numeric theta on rational coefficients, Z[theta] (ascending
-    coefficient tuples) otherwise: theta = P/Q, the ring operations, and
-    the one reduction of a numerator over a denominator to a scalar."""
-
-    __slots__ = ("poly", "P", "Q", "add", "mul")
-
-    def __init__(self, theta, coeffs=()):
-        theta = as_exact(theta)
-        self.poly = isinstance(theta, RationalFunction) or any(
-            isinstance(c, RationalFunction) for c in coeffs)
-        if self.poly:
-            theta = RationalFunction.from_value(theta)
-            self.P, self.Q = theta.num, theta.den
-            self.add, self.mul = _padd, _pmul
-        else:
-            self.P, self.Q = theta.numerator, theta.denominator
-            self.add, self.mul = operator.add, operator.mul
-        if not self.P:
-            raise ZeroDivisionError("the operators need theta != 0")
-
-    def const(self, m):
-        if self.poly:
-            return (m,) if m else ()
-        return m
-
-    def sub(self, a, b):
-        return self.add(a, self.mul(self.const(-1), b))
-
-    def power(self, a, k):
-        return _ppow(a, k) if self.poly else a ** k
-
-    def numerators(self, coeffs):
-        """The numerators of coeffs over their least common denominator,
-        and that denominator.  Over Z[theta] the lcm of the integer
-        contents and the lcm of the primitive parts are taken separately:
-        a polynomial gcd drops the content."""
-        if not self.poly:
-            return _numerators(coeffs)
-        coeffs = [RationalFunction.from_value(c) for c in coeffs]
-        parts = {}
-        content, prim = 1, (1,)
-        for den in {c.den for c in coeffs}:
-            c = _pcontent(den)
-            q = parts[den] = c, tuple(x // c for x in den)
-            content = math.lcm(content, c)
-            prim = _pmul(prim, _pgcd(prim, q[1])[2])
-        scale = {den: _pmul((content // c,), _pquo(prim, q))
-                 for den, (c, q) in parts.items()}
-        return ([_pmul(c.num, scale[c.den]) for c in coeffs],
-                _pmul((content,), prim))
-
-    def scalar(self, c, den):
-        return RationalFunction(c, den) if self.poly else Fraction(c, den)
-
-    def psum(self, row, den):
-        """The PSumPoly of a row {partition: numerator} over den."""
-        out = PSumPoly()
-        out.terms = {key: self.scalar(c, den) for key, c in row.items() if c}
-        return out
 
 
 class _Lax:
@@ -190,7 +126,8 @@ def apply_I(k, f, theta=THETA):
     reduced once per coefficient by D P^k."""
     lax = _lax_after(k, f, theta)
     ring = lax.ring
-    return ring.psum(lax.row0(), ring.mul(lax.den, ring.power(ring.P, k)))
+    return from_numerators(lax.row0(),
+                           ring.mul(lax.den, ring.power(ring.P, k)), ring)
 
 
 def _eigen_numerators(lam, n, ring, k):
@@ -259,7 +196,7 @@ def moment_factor(k, f, n, theta=THETA):
         row[key] = c if acc is None else add(acc, c)
     den = mul(mul(lax.den, ring.power(ring.P, k + 1)),
               ring.const(n ** (k + 1)))
-    return ring.psum(row, den)
+    return from_numerators(row, den, ring)
 
 
 def joint_moment_via_operators(f, n, theta, ks):

@@ -181,6 +181,14 @@ class PSumPoly:
 # spec'd module-level operations
 # ---------------------------------------------------------------------------
 
+def from_numerators(row, den, ring):
+    """The PSumPoly of a row {partition: numerator} over den, with the
+    scalars of ring (a ``scalars._Ring``): one reduction per term."""
+    out = PSumPoly()
+    out.terms = {key: ring.scalar(c, den) for key, c in row.items() if c}
+    return out
+
+
 def d_dp(f, k):
     """Formal partial derivative with respect to the variable p_k."""
     if k < 1:

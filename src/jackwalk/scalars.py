@@ -33,8 +33,15 @@ d = gcd(a.den, b.den) and then the gcd of the new numerator with d alone,
 which is free when the denominators are coprime or one is constant.  Every
 path ends in the same content and sign step, so it yields the canonical
 pair whichever route produced it.
+
+Bulk work avoids the field altogether: ``_Ring`` writes theta = P/Q and
+runs sums of products over Z (numeric theta) or Z[theta] (ascending
+tuples) over one common denominator, with one reduction at the end.  The
+operators, the Jack tables and the Cauchy check share it.
 """
 
+import math
+import operator
 from fractions import Fraction
 from math import gcd as _igcd
 
@@ -405,6 +412,88 @@ class RationalFunction:
 
 #: the generator of Q(theta)
 THETA = RationalFunction((0, 1))
+
+
+# ---------------------------------------------------------------------------
+# integer work over one common denominator
+# ---------------------------------------------------------------------------
+
+def _numerators(coeffs):
+    """Integer numerators of int/Fraction coefficients over their least
+    common denominator, and that denominator."""
+    den = math.lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+class _Ring:
+    """Z at a numeric theta on rational coefficients, Z[theta] (ascending
+    coefficient tuples) otherwise: theta = P/Q, the ring operations, and
+    the one reduction of a numerator over a denominator to a scalar."""
+
+    __slots__ = ("poly", "P", "Q", "add", "mul")
+
+    def __init__(self, theta, coeffs=()):
+        theta = as_exact(theta)
+        self.poly = isinstance(theta, RationalFunction) or any(
+            isinstance(c, RationalFunction) for c in coeffs)
+        if self.poly:
+            theta = RationalFunction.from_value(theta)
+            self.P, self.Q = theta.num, theta.den
+            self.add, self.mul = _padd, _pmul
+        else:
+            self.P, self.Q = theta.numerator, theta.denominator
+            self.add, self.mul = operator.add, operator.mul
+        if not self.P:
+            raise ZeroDivisionError("integer work needs theta != 0")
+
+    def const(self, m):
+        if self.poly:
+            return (m,) if m else ()
+        return m
+
+    def sub(self, a, b):
+        return self.add(a, self.mul(self.const(-1), b))
+
+    def power(self, a, k):
+        return _ppow(a, k) if self.poly else a ** k
+
+    def quo(self, a, b):
+        """The exact quotient a / b; ArithmeticError if b does not divide
+        a, ZeroDivisionError if b is zero."""
+        if not b:
+            raise ZeroDivisionError("exact division by zero")
+        if self.poly:
+            q = _pquo(a, b)
+            if q is None:
+                raise ArithmeticError("%r does not divide %r" % (b, a))
+            return q
+        q, r = divmod(a, b)
+        if r:
+            raise ArithmeticError("%r does not divide %r" % (b, a))
+        return q
+
+    def numerators(self, coeffs):
+        """The numerators of coeffs over their least common denominator,
+        and that denominator.  Over Z[theta] the lcm of the integer
+        contents and the lcm of the primitive parts are taken separately:
+        a polynomial gcd drops the content."""
+        if not self.poly:
+            return _numerators(coeffs)
+        coeffs = [RationalFunction.from_value(c) for c in coeffs]
+        parts = {}
+        content, prim = 1, (1,)
+        for den in {c.den for c in coeffs}:
+            c = _pcontent(den)
+            q = parts[den] = c, tuple(x // c for x in den)
+            content = math.lcm(content, c)
+            prim = _pmul(prim, _pgcd(prim, q[1])[2])
+        scale = {den: _pmul((content // c,), _pquo(prim, q))
+                 for den, (c, q) in parts.items()}
+        return ([_pmul(c.num, scale[c.den]) for c in coeffs],
+                _pmul((content,), prim))
+
+    def scalar(self, c, den):
+        return RationalFunction(c, den) if self.poly else Fraction(c, den)
 
 
 # ---------------------------------------------------------------------------

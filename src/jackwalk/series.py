@@ -31,11 +31,10 @@ products.
 """
 
 from fractions import Fraction
-from math import lcm
 from operator import add, mul
 
 from .errors import OrderError
-from .scalars import RationalFunction
+from .scalars import RationalFunction, _numerators
 
 ORDER_INF = float("inf")
 
@@ -44,13 +43,6 @@ _SCALARS = (int, Fraction, RationalFunction)
 
 def _is_rational(coeffs):
     return all(isinstance(c, (int, Fraction)) for c in coeffs)
-
-
-def _numerators(coeffs):
-    """Integer numerators of int/Fraction coefficients over their least
-    common denominator, and that denominator."""
-    den = lcm(*[c.denominator for c in coeffs])
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def _rational_product(a, b, n):

@@ -16,7 +16,7 @@ from .measures import empirical_moments_from_pp, pp_moments_from_empirical
 from .operators import apply_I, eigenvalue_of, eigenvalue_series
 from .partitions import (enumerate_all_partitions, enumerate_partitions,
                          length, z_lambda)
-from .scalars import as_exact
+from .scalars import _Ring
 from .specializations import Specialization
 
 
@@ -50,29 +50,43 @@ def cauchy_cases(max_degree, theta):
     For each m <= max_degree, compares sum over |lam| = m of
     (J_lam tensor J_lam)/norm against sum over |nu| = m of
     theta^len(nu)/z_nu * (p_nu tensor p_nu), both written in the
-    power-sum tensor basis.
+    power-sum tensor basis.  The left side is summed over one common
+    denominator C, in Z at a numeric theta = P/Q and in Z[theta]
+    otherwise: with J_lam = N_lam / E_lam, C/K_lam is the denominator of
+    1/(E_lam^2 <J_lam, J_lam>) over the lcm C of all of them, and L(a, b)
+    = sum_lam K_lam N_lam[a] N_lam[b].  The identity holds when every
+    off-diagonal L vanishes and z_nu Q^len(nu) L(nu, nu) = P^len(nu) C.
     """
-    th = as_exact(theta)
     basis = basis_for(theta)
     basis.ensure_size(max_degree)
+    ring = _Ring(basis.theta)
+    add, mul, const = ring.add, ring.mul, ring.const
     out = []
     for m in range(max_degree + 1):
-        lhs = {}
+        rows, weights = [], []
         for lam in enumerate_partitions(m):
-            poly = basis.polynomial(lam)
-            inv_norm = 1 / basis.norm(lam)
-            for key_a, ca in poly.terms.items():
-                for key_b, cb in poly.terms.items():
+            terms = basis.polynomial(lam).terms
+            nums, den = ring.numerators(list(terms.values()))
+            rows.append(sorted(zip(terms, nums)))
+            weights.append(1 / (ring.scalar(mul(den, den), const(1))
+                                * basis.norm(lam)))
+        scales, common = ring.numerators(weights)
+        lhs = {}
+        for row, k in zip(rows, scales):
+            for at, (key_a, ca) in enumerate(row):
+                ka = mul(k, ca)
+                for key_b, cb in row[at:]:
                     pair = (key_a, key_b)
-                    val = lhs.get(pair, 0) + ca * cb * inv_norm
-                    if val:
-                        lhs[pair] = val
-                    else:
-                        lhs.pop(pair, None)
-        rhs = {}
+                    term = mul(ka, cb)
+                    acc = lhs.get(pair)
+                    lhs[pair] = term if acc is None else add(acc, term)
+        ok = all(not c for (a, b), c in lhs.items() if a != b)
         for nu in enumerate_partitions(m):
-            rhs[(nu, nu)] = th ** length(nu) / z_lambda(nu)
-        out.append(("degree=%d" % m, lhs == rhs))
+            n = length(nu)
+            diag = lhs.get((nu, nu), const(0))
+            ok = ok and mul(mul(const(z_lambda(nu)), ring.power(ring.Q, n)),
+                            diag) == mul(ring.power(ring.P, n), common)
+        out.append(("degree=%d" % m, ok))
     return out
 
 

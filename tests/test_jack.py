@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jackwalk import jack
 from jackwalk.errors import DivergenceError
 from jackwalk.jack import (
     KERNEL_TOLERANCE,
@@ -27,8 +28,9 @@ from jackwalk.partitions import (
     enumerate_partitions,
     length,
     weight,
+    z_lambda,
 )
-from jackwalk.psum import PSumPoly, scalar_product
+from jackwalk.psum import PSumPoly, monomial_to_psum, scalar_product
 from jackwalk.scalars import THETA
 from jackwalk.specializations import (
     Specialization,
@@ -36,6 +38,7 @@ from jackwalk.specializations import (
     specialize,
     specialize_ones,
 )
+from jackwalk.verify import cauchy_cases
 from test_partitions import dominance_leq
 from test_psum import monomial_expansion
 from test_scalars import substitute_theta
@@ -254,6 +257,12 @@ def test_reproducing_kernel_exact():
     # alpha-beta cross pairs are polynomial factors, never divergent
     assert reproducing_kernel(Specialization.single_beta(Fraction(3)),
                               Specialization.ones(2), two) == 49
+    # equal bases merge: (9/10)^(-theta) once per variable of 1^2 is
+    # exact when theta N is an integer, and so is (1 + theta/2)^(1/2) twice
+    assert reproducing_kernel(Specialization.single_alpha(Fraction(1, 10)),
+                              Specialization.ones(2), half) == Fraction(10, 9)
+    assert reproducing_kernel(Specialization(betas=(half,), scale=half),
+                              Specialization.ones(2), THETA) == 1 + THETA / 2
 
 
 def test_reproducing_kernel_numeric():
@@ -279,7 +288,7 @@ def test_reproducing_kernel_divergence():
     (Specialization.plancherel(one), Specialization.ones(2)),
     (Specialization.single_alpha(half), Specialization.ones(2)),
     (Specialization.single_beta(half), Specialization.single_beta(half)),
-    (Specialization(betas=(half,), scale=half), Specialization.ones(2)),
+    (Specialization(betas=(half,), scale=half), Specialization.ones(1)),
 ], ids=["gamma", "alpha-alpha", "beta-beta", "fractional-weight-cross"])
 def test_irrational_kernel_needs_a_numeric_theta(rho, sigma):
     with pytest.raises(ValueError, match="numeric theta"):
@@ -387,8 +396,47 @@ def test_kernel_matches_the_series_oracle(rho, sigma, theta):
 
 
 def test_cauchy_degreewise():
-    from jackwalk.verify import cauchy_cases
     assert all(ok for _, ok in cauchy_cases(4, THETA))
+
+
+def cauchy_by_pairs(max_degree, theta):
+    """Oracle for cauchy_cases: the sum over lam of (J_lam tensor J_lam)
+    / norm, pair by pair in Q(theta), against theta^len(nu)/z_nu on the
+    diagonal."""
+    basis = basis_for(theta)
+    out = []
+    for m in range(max_degree + 1):
+        lhs = {}
+        for lam in enumerate_partitions(m):
+            poly = basis.polynomial(lam)
+            inv_norm = 1 / basis.norm(lam)
+            for key_a, ca in poly.terms.items():
+                for key_b, cb in poly.terms.items():
+                    pair = (key_a, key_b)
+                    val = lhs.get(pair, 0) + ca * cb * inv_norm
+                    if val:
+                        lhs[pair] = val
+                    else:
+                        lhs.pop(pair, None)
+        rhs = {(nu, nu): basis.theta ** length(nu) / z_lambda(nu)
+               for nu in enumerate_partitions(m)}
+        out.append(("degree=%d" % m, lhs == rhs))
+    return out
+
+
+@pytest.mark.parametrize("theta", [THETA, half], ids=str)
+def test_cauchy_over_one_denominator_matches_the_pairs(theta):
+    assert cauchy_cases(5, theta) == cauchy_by_pairs(5, theta)
+    assert all(ok for _, ok in cauchy_cases(5, theta))
+
+
+@pytest.mark.parametrize("theta", [THETA, half], ids=str)
+def test_cauchy_sees_one_wrong_coefficient(monkeypatch, theta):
+    monkeypatch.setattr(jack, "_BASES", {})
+    terms = basis_for(theta).polynomial((2, 2)).terms
+    monkeypatch.setitem(terms, (2, 1, 1), terms[(2, 1, 1)] + 1)
+    assert [ok for _, ok in cauchy_cases(5, theta)] == \
+        [True, True, True, True, False, True]
 
 
 def test_basis_cache():
@@ -412,6 +460,33 @@ def test_fixed_theta_tables_match_substitution(th):
                                for key, c in sym.polynomial(lam).terms.items()})
             assert fixed.polynomial(lam).terms == oracle.terms, (th, lam)
             assert fixed.norm(lam) == substitute_theta(sym.norm(lam), th)
+
+
+def gram_schmidt(size, theta):
+    """Oracle for the tables: Gram-Schmidt over a size class, least
+    dominant first, each row m_lam minus its projections on the rows
+    already built; norms by the scalar product."""
+    table, norms = {}, {}
+    for lam in reversed(list(enumerate_partitions(size))):
+        f = monomial_to_psum(lam)
+        for mu in table:
+            c = scalar_product(f, table[mu], theta)
+            if c:
+                f = f - table[mu] * (c / norms[mu])
+        table[lam] = f
+        norms[lam] = scalar_product(f, f, theta)
+    return table, norms
+
+
+@pytest.mark.parametrize("th, top", [(THETA, 7), (half, 8), (one, 8),
+                                     (two, 8), (Fraction(3, 7), 8)], ids=str)
+def test_tables_match_gram_schmidt(th, top):
+    basis = basis_for(th)
+    for size in range(top + 1):
+        table, norms = gram_schmidt(size, basis.theta)
+        for lam, poly in table.items():
+            assert basis.polynomial(lam).terms == poly.terms, (th, lam)
+            assert basis.norm(lam) == norms[lam], (th, lam)
 
 
 @pytest.mark.parametrize("th, size", [(Fraction(-1), 2), (Fraction(-1, 2), 3),
