@@ -12,6 +12,10 @@ Conventions used throughout:
   exponent ``n`` means ``z^(-n)``.  A probability measure has leading
   coefficient 1 at exponent 1.
 
+The limit data of a walk (`LimitData`) is the pair (U, V) itself: the
+paper's first- and second-order coefficients are their Taylor coefficients
+up to factorials, and the residue extractors read the series directly.
+
 All residues are coefficient extractions on truncated Laurent series; an
 insufficient truncation surfaces as ``OrderError``.
 """
@@ -37,61 +41,27 @@ def default_order(ks):
 
 @dataclass(frozen=True)
 class LimitData:
-    """First- and second-order limit coefficients.
+    """A walk's limit data: the series the residue extractors read.
 
-    `cks[k-1]` is the k-th drift coefficient (k >= 1); `dkls` maps pairs
-    (k, l) to the symmetric second-order coefficients; `order` bounds the
-    indices that are present.
+    `U` is the drift series about 1 and `V` the shifted covariance kernel,
+    in the conventions above.  The first-order coefficients c_k and the
+    second-order d_{k,l} are their Taylor coefficients up to factorials:
+    c_k = (k-1)! [(z-1)^(k-1)] U and
+    d_{k,l} = (k-1)! (l-1)! [(z-1)^(k-1) (w-1)^(l-1)] V.
     """
 
-    cks: tuple
-    dkls: dict
-    order: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "cks", tuple(self.cks))
-        full = {}
-        for (k, l), v in dict(self.dkls).items():
-            if k < 1 or l < 1:
-                raise ValueError("second-order indices start at 1")
-            for key in ((k, l), (l, k)):
-                if key in full and full[key] != v:
-                    raise ValueError("asymmetric second-order data at %s" %
-                                     (key,))
-                full[key] = v
-        object.__setattr__(self, "dkls", full)
-
-    def dkl(self, k, l):
-        if (k, l) in self.dkls:
-            return self.dkls[(k, l)]
-        if k <= self.order and l <= self.order:
-            return 0
-        raise OrderError("covariance coefficient (%d,%d) beyond order %d" %
-                         (k, l, self.order))
+    U: TruncSeries
+    V: TruncSeries
 
 
 def build_U(data):
-    """Reassemble the drift series about 1: sum of ck (z-1)^(k-1)/(k-1)!."""
-    fact = 1
-    coeffs = []
-    for k, c in enumerate(data.cks, start=1):
-        if k > 1:
-            fact *= k - 1
-        coeffs.append(c * Fraction(1, fact))
-    return TruncSeries(SHIFT_VAR, 0, coeffs, data.order)
+    """The drift series about 1 of `data`."""
+    return data.U
 
 
 def build_V(data):
-    """Reassemble the shifted covariance kernel as a nested series."""
-    fact = [1]
-    for k in range(1, data.order + 1):
-        fact.append(fact[-1] * k)
-    outer = []
-    for j in range(data.order):
-        inner = [data.dkl(i + 1, j + 1) * Fraction(1, fact[i] * fact[j])
-                 for i in range(data.order)]
-        outer.append(TruncSeries("z", 0, inner, data.order))
-    return TruncSeries("w", 0, outer, data.order)
+    """The shifted covariance kernel of `data`, a nested series."""
+    return data.V
 
 
 # ---------------------------------------------------------------------------
@@ -366,18 +336,7 @@ def walk_covariance_kernel(initial_moments, order, theta=1):
 
 
 def walk_limit_data(rho, theta, tau, initial_moments, order):
-    """Package drift and covariance coefficients of the evolved shape."""
+    """Drift series at time tau and covariance kernel of the evolved shape."""
     u_series, = walk_drift_series(rho, theta, [tau], initial_moments, order)
-    v_kernel = walk_covariance_kernel(initial_moments, order, theta=theta)
-    fact = [1]
-    for k in range(1, order + 1):
-        fact.append(fact[-1] * k)
-    cks = [u_series.coefficient(j) * fact[j] for j in range(order)]
-    dkls = {}
-    for j in range(order):
-        row = v_kernel.coefficient(j)
-        for i in range(order):
-            val = row.coefficient(i) if isinstance(row, TruncSeries) else 0
-            if val:
-                dkls[(i + 1, j + 1)] = val * (fact[i] * fact[j])
-    return LimitData(cks=cks, dkls=dkls, order=order)
+    return LimitData(u_series, walk_covariance_kernel(initial_moments, order,
+                                                      theta=theta))

@@ -142,11 +142,6 @@ class WalkConfig:
         if not isinstance(obj, dict):
             raise ValueError("a walk config is a JSON object, got %r"
                              % (obj,))
-        if "step_truncation" in obj:
-            raise ValueError(
-                "step_truncation is no longer read: a step of unbounded "
-                "reach is cut where its mass law leaves a tail of at most "
-                "%s" % DEFAULT_DEFICIT_BOUND)
         refuse_unknown_keys(obj, ("N", "theta", "rho", "initial", "seed"),
                             "walk config")
         missing = [key for key in ("N", "theta", "rho") if key not in obj]
@@ -566,6 +561,8 @@ class PathStats:
         if (key_a, key_b) not in self.cross:
             key_a, key_b = key_b, key_a
         m = self.count
+        if m < 2:
+            return 0.0
         sa, sb = self.sums[key_a], self.sums[key_b]
         return (self.cross[(key_a, key_b)] - sa[0] * sb[0] / m) / (m - 1)
 

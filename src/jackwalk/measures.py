@@ -26,7 +26,7 @@ from .jack import (basis_for, jack_polynomial, lr_expand, principal_value,
 from .partitions import enumerate_all_partitions, length, make_partition
 from .psum import PSumPoly
 from .scalars import THETA, as_exact, as_fraction, is_zero
-from .series import ORDER_INF, TruncSeries
+from .series import TruncSeries
 from .specializations import specialize
 
 __all__ = [
@@ -122,18 +122,6 @@ def pp_measure(lam, n, theta=1):
     return AtomicMeasure(atoms)
 
 
-def _ddz(series):
-    """d/dz of a series in the reciprocal variable 1/z."""
-    var = series.var
-    out = {}
-    for e, c in series.items():
-        out[e + 1] = -e * c
-    order = series.order if series.order is ORDER_INF else series.order + 1
-    low = min(out) if out else 0
-    coeffs = [out.get(e, 0) for e in range(low, max(out) + 1)] if out else []
-    return TruncSeries(var, low, coeffs, order)
-
-
 def _pp_series_from_empirical(c, n, order):
     """Expand prod(1 + 1/(n(z - y_i))) - 1 given empirical moments c.
 
@@ -148,7 +136,8 @@ def _pp_series_from_empirical(c, n, order):
     r = 1
     while t_r and t_r.valuation() <= order:
         exponent = exponent + t_r * Fraction((-1) ** (r - 1), r * n ** r)
-        t_r = _ddz(t_r) * Fraction(-1, r)
+        # -(1/r) d/dz, and d/dz = -u^2 d/du in u = 1/z
+        t_r = t_r.derivative() * TruncSeries.monomial(ZVAR, 2, Fraction(1, r))
         r += 1
     return exponent.exp() - 1
 

@@ -3,7 +3,10 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import types
 from fractions import Fraction
 
@@ -717,6 +720,19 @@ def test_walk_predict_calls_limit_layer_through_cli(tmp_path, monkeypatch):
                    "--out", str(tmp_path / "pred.csv")])
     assert rc == 0
     assert all(calls.values()), calls
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy costs about 0.1 s to import and only the mass-marginal route
+    # needs it, so it loads there, not with the CLI
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import sys, jackwalk.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 PREDICT_CONFIG = {"N": 10, "theta": "1", "rho": {"betas": ["1"]}}

@@ -635,6 +635,13 @@ def test_path_stats():
     assert s.mean((1, 1)) == 3.0
     with pytest.raises(ValueError):
         s.merge(PathStats([(2, 1)]))
+    # one sample: no spread to estimate, so every second moment is 0
+    one_sample = PathStats([(1, 1), (1, 2)])
+    one_sample.add_sample({(1, 1): 1.0, (1, 2): 2.0})
+    assert one_sample.variance((1, 1)) == 0.0
+    assert one_sample.covariance((1, 1), (1, 1)) == 0.0
+    assert one_sample.covariance((1, 1), (1, 2)) == 0.0
+    assert one_sample.covariance((1, 2), (1, 1)) == 0.0
     buf = io.StringIO()
     s.write_csv(buf)
     text = buf.getvalue()
