@@ -1,7 +1,8 @@
 """The single-beta step kernel.
 
 Enumerates the vertical-strip successors of a diagram and their transition
-probabilities for the single-beta walk at theta = p/q, in integers only.
+probabilities for the single-beta walk at theta = p/q, in integers only,
+and draws one successor without enumerating them.
 For mu = lam + e_S, where S is the set of rows that grow, and
 d_ij = lam_i - lam_j + theta (j - i),
 
@@ -13,7 +14,7 @@ Macdonald's psi' for e_r (Symmetric Functions and Hall Polynomials,
 VI (6.24); Stanley 1989).
 """
 
-__all__ = ["bernoulli_row"]
+__all__ = ["bernoulli_draw", "bernoulli_row"]
 
 
 def bernoulli_row(lam, n, b_num, b_den, p=1, q=1):
@@ -69,3 +70,138 @@ def bernoulli_row(lam, n, b_num, b_den, p=1, q=1):
                 append((mu + keep_part, zs + keep_z, keep))
         states = extended
     return [(mu, num) for mu, _, num in states], den
+
+
+def bernoulli_draw(rng, lam, n, b_num, b_den, p=1, q=1):
+    """One random step from ``lam``: the mu that a draw from the cumulative
+    sums of ``bernoulli_row(lam, n, b_num, b_den, p, q)`` picks with the
+    same random bits, found without listing the row.
+
+    The draw takes r = rng.getrandbits(64), u = r / 2^64, and picks the
+    strip whose cell [c', c) of the row's cumulative numerators holds
+    u * den.  While u * den equals a cell's lower end c' > 0 exactly (a
+    tie), 64 more bits are appended to r and the draw is redone, as in
+    ``dynamics._draw_index``.
+
+    The strips are the leaves of a binary tree that decides rows 0..n-1 in
+    turn, kept before grown, which is the row's own order.  The draw
+    descends it, keeping row i unless floor(u * den) reaches past the
+    total numerator of the strips below the kept branch.  Row k has the
+    shifted part y_k = q lam_k - p k, and z_k = y_k if it is kept or
+    y_k + p if it grows.  Below a node that has decided z_0..z_i, the
+    numerators of bernoulli_row sum to
+
+        w * prod_{j<k<=i} (z_j - z_k) * det M,
+
+    where w is the product of the decided rows' weights (gw = p b_num for
+    a grown row, kw = q b_den for a kept one).  M has one row per
+    undecided row k, with entries
+
+        kw P(y_k) y_k^c + gw P(y_k + p) (y_k + p)^c,  c = 0, ..., m-1,
+
+    P(x) = prod_{j<=i} (z_j - x) and m = n-1-i: the Vandermonde product
+    is a determinant, linear in each row, so one row may carry the sum
+    over that row's two choices.  A strip that is not a partition has a
+    zero factor z_{k-1} - z_k and adds nothing.  Taking the rows of M
+    last first gives prod_{j<k} (z_j - z_k) with no sign, and makes every
+    term of each leading principal minor nonnegative and the all-kept
+    term positive, so fraction-free elimination never meets a zero pivot.
+    Replacing y^c by (y - s)^c, for any fixed s, leaves every leading
+    minor as it is and keeps the entries small.
+    """
+    if len(lam) > n:
+        raise ValueError("diagram has more than %d rows" % n)
+    padded = list(lam) + [0] * (n - len(lam))
+    grow_weight, keep_weight = p * b_num, q * b_den
+    ys = [q * part - p * i for i, part in enumerate(padded)]
+    den = (grow_weight + keep_weight) ** n
+    for i, y in enumerate(ys):
+        for j in range(i):
+            den *= ys[j] - y
+    bits = 64
+    scaled = rng.getrandbits(bits) * den  # u * den * 2^bits
+    while True:
+        floor = scaled >> bits
+        zs, low = _descend(floor, ys, grow_weight, keep_weight, p)
+        if not (low and low == floor and scaled & ((1 << bits) - 1) == 0):
+            break
+        scaled = (scaled << 64) + rng.getrandbits(64) * den
+        bits += 64
+    # a grown row has z = y + p; zero rows left as they are add no part
+    return tuple(part + (z != y) for part, y, z in zip(padded, ys, zs)
+                 if part or z != y)
+
+
+def _descend(floor, ys, grow_weight, keep_weight, p):
+    """The leaf of the strip tree (see bernoulli_draw) whose cell holds
+    floor: its shifted parts z, and the lower end of its cell.
+
+    keeps[k] = kw P(y_k) and grows[k] = gw P(y_k + p) are updated for
+    every undecided row k as rows are decided; grows[i] is 0 exactly
+    when row i cannot grow (b = 0, or the row above is only as long as
+    row i would be)."""
+    n = len(ys)
+    keeps, grows = [keep_weight] * n, [grow_weight] * n
+    shift = ys[n // 2] if n else 0
+    powers = [(_powers(y - shift, n - 1), _powers(y + p - shift, n - 1))
+              for y in ys]
+    zs = []
+    low = 0  # total numerator of the strips left of this node
+    scale = 1  # w times the Vandermonde product of the decided rows
+    for i, y in enumerate(ys):
+        z = y
+        ks = [keeps[k] * (y - ys[k]) for k in range(i + 1, n)]
+        gs = [grows[k] * (y - ys[k] - p) for k in range(i + 1, n)]
+        if grows[i]:
+            # M of bernoulli_draw, rows last first
+            m = n - 1 - i
+            matrix = [[a * s + b * t for s, t in zip(sp[:m], tp[:m])]
+                      for a, b, (sp, tp) in zip(reversed(ks), reversed(gs),
+                                                reversed(powers[i + 1:]))]
+            kept = scale * keeps[i] * _det(matrix)
+            if floor >= low + kept:
+                low += kept
+                z = y + p
+        if z == y:
+            scale *= keeps[i]
+        else:
+            scale *= grows[i]
+            ks = [keeps[k] * (z - ys[k]) for k in range(i + 1, n)]
+            gs = [grows[k] * (z - ys[k] - p) for k in range(i + 1, n)]
+        keeps[i + 1:], grows[i + 1:] = ks, gs
+        zs.append(z)
+    return zs, low
+
+
+def _powers(x, count):
+    """[1, x, x^2, ..., x^(count - 1)]."""
+    out = [1] * count
+    for c in range(1, count):
+        out[c] = out[c - 1] * x
+    return out
+
+
+def _det(matrix):
+    """Determinant of a square integer matrix whose leading principal
+    minors are positive, by fraction-free (Bareiss) elimination of two
+    columns per pass.  A pass replaces each entry of the remaining rows
+    and columns by the 3 x 3 determinant it forms with the two pivot rows
+    and columns, divided by the square of the last leading minor: by
+    Sylvester's identity the quotient is exact, and it is the entry's
+    bordered leading minor."""
+    prev = 1
+    while len(matrix) > 2:
+        (p11, p12, *top1), (p21, p22, *top2) = matrix[0], matrix[1]
+        pivot = p11 * p22 - p12 * p21
+        square = prev * prev
+        rest = []
+        for f1, f2, *row in matrix[2:]:
+            g1, g2 = p21 * f2 - p22 * f1, p12 * f1 - p11 * f2
+            rest.append([(a * pivot + g1 * t1 + g2 * t2) // square
+                         for a, t1, t2 in zip(row, top1, top2)])
+        matrix = rest
+        prev = pivot // prev
+    if len(matrix) == 2:
+        (a, b), (c, d) = matrix
+        return (a * d - b * c) // prev
+    return matrix[0][0] if matrix else 1

@@ -33,16 +33,20 @@ since their keys come from rows.  Every other step (a symbolic theta,
 alpha atoms, gamma, several atoms or a larger scale) is built from skew
 Jack functions over a Jack table.
 
-The row cache keeps each row as its support in increasing order and
-integer cumulative numerators over one common denominator.  A kernel row
-enters it as the kernel's own integers, with no Fraction built and its
-denominator left unreduced; a table row is scaled by the lcm of its weight
-denominators.  Sampling draws a uniform dyadic rational r / 2^64
-and finds its cell by bisection, comparing r * denom with c_i * 2^64 in
-integers and appending 64 more bits whenever a comparison ties, so path
-laws inherit the rows' exactness.  Scaling a row's numerators and
-denominator alike moves no comparison, so the draws do not depend on
-which common denominator a row carries.
+Sampling draws a uniform dyadic rational u = r / 2^64 and picks the cell
+of a row's cumulative numerators that holds u times their common
+denominator, comparing in integers and appending 64 more bits whenever
+u lands exactly on a boundary between two cells, so path laws inherit
+the rows' exactness.  Scaling a row's numerators and denominator alike moves no
+comparison, so the draws do not depend on which common denominator a
+row carries.  A table row is drawn from the row cache, which keeps it as
+its support in increasing order and integer cumulative numerators, its
+weights scaled by the lcm of their denominators, and finds the cell by
+bisection.  A single-beta step builds no row: the kernel's
+`bernoulli_draw` descends the tree of its strips, one row of the diagram
+at a time, weighing each branch by one integer determinant, and picks
+the strip that the same bits pick from the kernel's row.  That costs
+polynomial time in N where the row has up to 2^N strips.
 
 In a single-beta row the strips of size d together weigh
 C(N, d) q^d (1-q)^(N-d), q = theta*b/(1+theta*b), at every theta (Pieri,
@@ -268,14 +272,13 @@ def _is_single_beta_step(cfg):
             and comps[0].scale == 1)
 
 
-def _kernel_row(lam, cfg):
-    """The step kernel's (entries, den) for a single-beta step from the
-    canonical diagram lam: (mu, num) pairs in increasing mu order, each
-    num positive, over the common denominator den."""
+def _kernel_args(cfg):
+    """(n, b_num, b_den, p, q) of a single-beta step with b = b_num/b_den
+    at theta = p/q: the step kernel's arguments after the diagram."""
     theta = Fraction(cfg.theta)
     b = Fraction(cfg.rho.components[0].betas[0])
-    return _stepimpl.bernoulli_row(lam, cfg.n, b.numerator, b.denominator,
-                                   theta.numerator, theta.denominator)
+    return (cfg.n, b.numerator, b.denominator,
+            theta.numerator, theta.denominator)
 
 
 def transition_row(lam, cfg):
@@ -287,7 +290,7 @@ def transition_row(lam, cfg):
         raise ShapeError("diagram has more than %d rows" % cfg.n)
     if _is_single_beta_step(cfg):
         # the step kernel's keys are canonical and its numerators positive
-        entries, den = _kernel_row(lam, cfg)
+        entries, den = _stepimpl.bernoulli_row(lam, *_kernel_args(cfg))
         return MeasureOnYoung._trusted(
             cfg.n, {mu: Fraction(num, den) for mu, num in entries})
 
@@ -341,35 +344,38 @@ def path_seed(seed, index):
 
 
 class _RowCache:
-    """Transition rows keyed by diagram, as (mus, cums, denom): the support
-    in increasing order, and integer cumulative weights over a common
-    denominator (mus[i] holds the cell [cums[i-1], cums[i]) / denom).
+    """Table-route transition rows keyed by diagram, as (mus, cums, denom):
+    the support in increasing order, and integer cumulative weights over
+    a common denominator (mus[i] holds the cell [cums[i-1], cums[i]) /
+    denom).
 
-    A single-beta step takes the step kernel's numerators and denominator
-    as they come, unreduced: a draw compares u * denom with the cums, so
-    any common scale picks the same cell with the same random bits.  Other
-    steps go through transition_row and scale its weights by the lcm of
-    their denominators.  Their rows keep a tail of at most
+    Each row comes from transition_row, its weights scaled by the lcm of
+    their denominators.  Rows keep a tail of at most
     DEFAULT_DEFICIT_BOUND (see _step_cap); a row past it would raise
     DeficitError, and so does a draw into the tail (sample_path).
     ResourceLimitError is raised once more than _MAX_CACHED_ENTRIES cells
-    are held."""
+    are held.  Single-beta steps draw from the step kernel and hold no
+    rows (sample_path)."""
 
     def __init__(self, cfg):
         self.cfg = cfg
-        self.kernel = _is_single_beta_step(cfg)
         self.rows = {}
         self.entries = 0
 
     def cumulative(self, lam):
         entry = self.rows.get(lam)
         if entry is None:
-            if self.kernel:
-                entries, denom = _kernel_row(lam, self.cfg)
-                mus = [mu for mu, _ in entries]
-                cums = list(accumulate(num for _, num in entries))
-            else:
-                mus, cums, denom = self._table_row(lam)
+            row = transition_row(lam, self.cfg)
+            if row.tail_deficit > DEFAULT_DEFICIT_BOUND:
+                raise DeficitError(
+                    "row deficit %s exceeds bound %s at %r"
+                    % (row.tail_deficit, DEFAULT_DEFICIT_BOUND, lam))
+            support = row.support
+            mus = sorted(support)
+            weights = [support[mu] for mu in mus]
+            denom = math.lcm(*(w.denominator for w in weights))
+            cums = list(accumulate(w.numerator * (denom // w.denominator)
+                                   for w in weights))
             self.entries += len(mus)
             if self.entries > _MAX_CACHED_ENTRIES:
                 raise ResourceLimitError(
@@ -377,20 +383,6 @@ class _RowCache:
                     % _MAX_CACHED_ENTRIES)
             entry = self.rows[lam] = (mus, cums, denom)
         return entry
-
-    def _table_row(self, lam):
-        row = transition_row(lam, self.cfg)
-        if row.tail_deficit > DEFAULT_DEFICIT_BOUND:
-            raise DeficitError(
-                "row deficit %s exceeds bound %s at %r"
-                % (row.tail_deficit, DEFAULT_DEFICIT_BOUND, lam))
-        support = row.support
-        mus = sorted(support)
-        weights = [support[mu] for mu in mus]
-        denom = math.lcm(*(w.denominator for w in weights))
-        cums = list(accumulate(w.numerator * (denom // w.denominator)
-                               for w in weights))
-        return mus, cums, denom
 
 
 def _draw_index(rng, cums, denom):
@@ -414,21 +406,35 @@ def _draw_index(rng, cums, denom):
 
 def sample_path(cfg, steps, _cache=None, _rng=None):
     """One trajectory [lam^(0), ..., lam^(steps)], reproducible from
-    cfg.seed.  Raises DeficitError if a row's truncated tail exceeds
-    DEFAULT_DEFICIT_BOUND (or if a draw lands inside the tail), and
-    ValueError for a symbolic theta."""
+    cfg.seed.  A single-beta step is drawn by the step kernel's
+    bernoulli_draw, which picks what _draw_index would pick from the
+    kernel's row with the same random bits, without building the row;
+    any other step draws from the row cache (``_cache``, a _RowCache of
+    cfg, or a fresh one).  Raises DeficitError if a row's truncated tail
+    exceeds DEFAULT_DEFICIT_BOUND (or if a draw lands inside the tail),
+    and ValueError for a symbolic theta."""
     if isinstance(as_exact(cfg.theta), RationalFunction):
         raise ValueError("sampling needs a numeric theta, not a symbolic one")
-    cache = _cache if _cache is not None else _RowCache(cfg)
     rng = _rng if _rng is not None else random.Random(cfg.seed)
+    if _is_single_beta_step(cfg):
+        args = _kernel_args(cfg)
+
+        def step(lam):
+            return _stepimpl.bernoulli_draw(rng, lam, *args)
+    else:
+        cache = _cache if _cache is not None else _RowCache(cfg)
+
+        def step(lam):
+            mus, cums, denom = cache.cumulative(lam)
+            idx = _draw_index(rng, cums, denom)
+            if idx is None:
+                raise DeficitError(
+                    "draw landed in the truncated tail of a row")
+            return mus[idx]
     state = cfg.initial
     path = [state]
     for _ in range(steps):
-        mus, cums, denom = cache.cumulative(state)
-        idx = _draw_index(rng, cums, denom)
-        if idx is None:
-            raise DeficitError("draw landed in the truncated tail of a row")
-        state = mus[idx]
+        state = step(state)
         path.append(state)
     return path
 

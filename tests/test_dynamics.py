@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jackwalk import dynamics, jack
-from jackwalk._steppure import bernoulli_row
+from jackwalk._steppure import bernoulli_draw, bernoulli_row
 from jackwalk.dynamics import (
     PathStats,
     WalkConfig,
@@ -463,14 +463,17 @@ def _no_measure_rows(*args):
 
 
 def test_row_cache_resource_guard(monkeypatch):
-    cfg = WalkConfig(3, one, Specialization.single_beta(one), seed=2)
-    assert path_statistics(cfg, 4, 3, [1, 2]).count == 3
-    # the row out of the empty diagram alone has four entries; the kernel
-    # route trips the guard without building a measure
+    # a two-atom step takes the table route, whose rows the cache holds:
+    # the row out of the empty diagram alone has six entries
+    doubled = WalkConfig(2, one, SpecializationUnion([b23, b23]), seed=2)
+    assert path_statistics(doubled, 2, 3, [1, 2]).count == 3
     monkeypatch.setattr(dynamics, "_MAX_CACHED_ENTRIES", 5)
-    monkeypatch.setattr(dynamics, "transition_row", _no_measure_rows)
     with pytest.raises(ResourceLimitError):
-        path_statistics(cfg, 4, 3, [1, 2])
+        path_statistics(doubled, 2, 3, [1, 2])
+    # single-beta draws hold no rows, so the bound does not stop them
+    single = WalkConfig(3, one, Specialization.single_beta(one), seed=2)
+    monkeypatch.setattr(dynamics, "transition_row", _no_measure_rows)
+    assert path_statistics(single, 4, 3, [1, 2]).count == 3
 
 
 @pytest.mark.parametrize("theta", [one, half], ids=str)
@@ -830,6 +833,64 @@ def test_draw_tie_refinement():
     assert rng.bits == 64
 
 
+BETAS = [Fraction(0), one, Fraction(2, 3), Fraction(5, 2)]
+
+
+def _kernel_args(n, b, theta):
+    return dynamics._kernel_args(WalkConfig(n, theta,
+                                            Specialization.single_beta(b)))
+
+
+def _row_draw(rng, lam, args):
+    """The oracle for bernoulli_draw: _draw_index on the cumulative sums of
+    the step kernel's whole row."""
+    entries, den = bernoulli_row(lam, *args)
+    cums = list(itertools.accumulate(num for _, num in entries))
+    return entries[dynamics._draw_index(rng, cums, den)][0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(THETAS), st.sampled_from(BETAS), st.integers(0, 9),
+       st.lists(st.integers(1, 6), max_size=9), st.integers(1, 4), WORD)
+def test_kernel_draw_matches_row_oracle(theta, b, n, parts, steps, seed):
+    # a short walk, each step drawn both ways from one random stream
+    lam = tuple(sorted(parts, reverse=True))[:n]
+    args = _kernel_args(n, b, theta)
+    new, oracle = random.Random(seed), random.Random(seed)
+    for _ in range(steps):
+        mu = bernoulli_draw(new, lam, *args)
+        assert mu == _row_draw(oracle, lam, args)
+        assert new.getstate() == oracle.getstate()
+        lam = mu
+
+
+def test_kernel_draw_ties_match_row_oracle():
+    # every first word that lands exactly on a cell boundary c of a row,
+    # r / 2^64 = c / den, then words that tie again or do not; c = 0, the
+    # lower end of the first cell, is no tie
+    cases = 0
+    for theta, b, n in itertools.product(THETAS, BETAS, range(7)):
+        args = _kernel_args(n, b, theta)
+        for size in range(n + 1):
+            for lam in itertools.combinations_with_replacement((3, 2, 1),
+                                                               size):
+                entries, den = bernoulli_row(lam, *args)
+                cums = list(itertools.accumulate(num for _, num in entries))
+                for c in [0] + cums[:-1]:
+                    if (c << 64) % den:
+                        continue
+                    for extra in ([], [0], [5], [0, 2 ** 63]):
+                        words = [(c << 64) // den] + extra
+                        new, oracle = StubRandom(words), StubRandom(words)
+                        assert bernoulli_draw(new, lam, *args) == \
+                            entries[dynamics._draw_index(oracle, cums,
+                                                         den)][0]
+                        assert new.bits == oracle.bits
+                        assert (new.bits > 64) == (c > 0)
+                        cases += c > 0
+    assert cases > 1000
+
+
 def _assert_cache_matches_row(lam, cfg):
     """The cached row of lam is transition_row's measure: its support in
     increasing order, with the running sums of its weights over denom."""
@@ -846,8 +907,8 @@ def _assert_cache_matches_row(lam, cfg):
 @settings(max_examples=100, deadline=None)
 @given(beta_rows(THETAS))
 def test_row_cache_integer_cumulative_sums(case):
-    # the cache takes the step kernel's unreduced integers; the measure
-    # route reduces every weight to a Fraction
+    # the cache scales a row's reduced weights by the lcm of their
+    # denominators; kernel rows give it many shapes and thetas
     theta, n, lam, b = case
     _assert_cache_matches_row(lam, WalkConfig(n, theta,
                                               Specialization.single_beta(b)))
@@ -863,8 +924,9 @@ def test_table_route_row_cache_integer_cumulative_sums(monkeypatch):
 
 @pytest.mark.parametrize("theta", [one, half], ids=str)
 def test_kernel_and_table_caches_draw_alike(monkeypatch, theta):
-    # the kernel's denominators are not reduced, the table route's are: a
-    # draw is scale-invariant, so the two caches give the same bits
+    # the kernel draws by descending its strips over an unreduced
+    # denominator, the table route bisects a cached row over reduced ones:
+    # a draw is scale-invariant, so both give the same bits
     cfg = WalkConfig(3, theta, Specialization.single_beta(one), seed=6)
     kernel = path_statistics(cfg, 2, 30, [1, 2])
     with _table_route(monkeypatch) as calls:
