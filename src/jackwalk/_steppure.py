@@ -12,9 +12,12 @@ where F_ij = 1 when both rows or neither are in S, (d_ij + theta)/d_ij when
 only i is, and (d_ij - theta)/d_ij when only j is: the Jack limit of
 Macdonald's psi' for e_r (Symmetric Functions and Hall Polynomials,
 VI (6.24); Stanley 1989).
+
+`exact_draw` is the walk's one exact dyadic draw: the strip-tree descent
+here and the row cache's bisection in `dynamics` both go through it.
 """
 
-__all__ = ["bernoulli_draw", "bernoulli_row"]
+__all__ = ["bernoulli_draw", "bernoulli_row", "exact_draw"]
 
 
 def bernoulli_row(lam, n, b_num, b_den, p=1, q=1):
@@ -77,11 +80,8 @@ def bernoulli_draw(rng, lam, n, b_num, b_den, p=1, q=1):
     sums of ``bernoulli_row(lam, n, b_num, b_den, p, q)`` picks with the
     same random bits, found without listing the row.
 
-    The draw takes r = rng.getrandbits(64), u = r / 2^64, and picks the
-    strip whose cell [c', c) of the row's cumulative numerators holds
-    u * den.  While u * den equals a cell's lower end c' > 0 exactly (a
-    tie), 64 more bits are appended to r and the draw is redone, as in
-    ``dynamics._draw_index``.
+    The draw is `exact_draw` over the cells [c', c) of the row's
+    cumulative numerators, as in ``dynamics._draw_index``.
 
     The strips are the leaves of a binary tree that decides rows 0..n-1 in
     turn, kept before grown, which is the row's own order.  The draw
@@ -118,18 +118,32 @@ def bernoulli_draw(rng, lam, n, b_num, b_den, p=1, q=1):
     for i, y in enumerate(ys):
         for j in range(i):
             den *= ys[j] - y
+    zs = exact_draw(rng, den, lambda floor: _descend(
+        floor, ys, grow_weight, keep_weight, p))
+    # a grown row has z = y + p; zero rows left as they are add no part
+    return tuple(part + (z != y) for part, y, z in zip(padded, ys, zs)
+                 if part or z != y)
+
+
+def exact_draw(rng, den, cell):
+    """The choice whose cell holds u * den, for an exact uniform variate u.
+
+    The cells tile [0, den) in integers; ``cell(floor)`` returns the choice
+    whose cell holds floor and the lower end of that cell.  The draw takes
+    r = rng.getrandbits(64), u = r / 2^64, and looks up floor(u * den).
+    While u * den equals that lower end exactly and it is not 0 (a tie),
+    64 more bits are appended to r and the draw is redone, so the choice
+    is the one an exact uniform variate picks.  Scaling den and the cells
+    alike moves no comparison."""
     bits = 64
     scaled = rng.getrandbits(bits) * den  # u * den * 2^bits
     while True:
         floor = scaled >> bits
-        zs, low = _descend(floor, ys, grow_weight, keep_weight, p)
-        if not (low and low == floor and scaled & ((1 << bits) - 1) == 0):
-            break
+        choice, low = cell(floor)
+        if not low or low != floor or scaled & ((1 << bits) - 1):
+            return choice
         scaled = (scaled << 64) + rng.getrandbits(64) * den
         bits += 64
-    # a grown row has z = y + p; zero rows left as they are add no part
-    return tuple(part + (z != y) for part, y, z in zip(padded, ys, zs)
-                 if part or z != y)
 
 
 def _descend(floor, ys, grow_weight, keep_weight, p):

@@ -336,7 +336,7 @@ def cmd_walk_sample(args):
         taus = sorted({Fraction(t, cfg.n)
                        for t in (times or range(args.steps + 1))})
         rows = _limit_predictions(cfg, taus, ks)
-    except (StabilityError, ValueError, TypeError) as exc:
+    except (StabilityError, ValueError) as exc:
         sys.stderr.write("limit predictions unavailable: %s\n" % exc)
         return 0
     if cfg.initial:

@@ -25,28 +25,27 @@ limit of Macdonald's psi' for e_r gives
 with F_ij = 1 when both rows or neither grow, (d_ij + theta)/d_ij when
 only i grows and (d_ij - theta)/d_ij when only j grows.  The kernel lists
 each vertical strip once, as a canonical partition within N rows, with a
-positive numerator over one common denominator.  The row's measure is
-built through the trusted `MeasureOnYoung._trusted` constructor, which
-relies on exactly that invariant and skips the per-key canonicalization
-of the public one; `exact_evolve` builds its pushforwards the same way,
-since their keys come from rows.  Every other step (a symbolic theta,
-alpha atoms, gamma, several atoms or a larger scale) is built from skew
-Jack functions over a Jack table.
+positive numerator over one common denominator.  Every other step (a
+symbolic theta, alpha atoms, gamma, several atoms or a larger scale) is
+built from skew Jack functions over a Jack table.  `_kernel_args` decides
+the route.
 
 Sampling draws a uniform dyadic rational u = r / 2^64 and picks the cell
 of a row's cumulative numerators that holds u times their common
 denominator, comparing in integers and appending 64 more bits whenever
 u lands exactly on a boundary between two cells, so path laws inherit
-the rows' exactness.  Scaling a row's numerators and denominator alike moves no
+the rows' exactness.  One function, `_steppure.exact_draw`, makes every
+draw; each route only says how to find the cell that holds a given
+integer.  Scaling a row's numerators and denominator alike moves no
 comparison, so the draws do not depend on which common denominator a
 row carries.  A table row is drawn from the row cache, which keeps it as
-its support in increasing order and integer cumulative numerators, its
-weights scaled by the lcm of their denominators, and finds the cell by
-bisection.  A single-beta step builds no row: the kernel's
-`bernoulli_draw` descends the tree of its strips, one row of the diagram
-at a time, weighing each branch by one integer determinant, and picks
-the strip that the same bits pick from the kernel's row.  That costs
-polynomial time in N where the row has up to 2^N strips.
+its support in increasing order and integer cumulative numerators over
+the lcm of its weights' denominators, and finds the cell by bisection.
+A single-beta step builds no row: the kernel's `bernoulli_draw` descends
+the tree of its strips, one row of the diagram at a time, weighing each
+branch by one integer determinant, and picks the strip that the same
+bits pick from the kernel's row.  That costs polynomial time in N where
+the row has up to 2^N strips.
 
 In a single-beta row the strips of size d together weigh
 C(N, d) q^d (1-q)^(N-d), q = theta*b/(1+theta*b), at every theta (Pieri,
@@ -79,8 +78,8 @@ from .jack import basis_for, principal_value, reproducing_kernel, skew_jack
 from .measures import MeasureOnYoung, particle_locations, particle_numerators
 from .partitions import length, make_partition, weight
 from .psum import CONVERSION_SIZE_CUTOFF
-from .scalars import (RationalFunction, as_exact, as_fraction, is_zero,
-                      refuse_unknown_keys)
+from .scalars import (RationalFunction, _numerators, as_exact, as_fraction,
+                      is_zero, refuse_unknown_keys)
 from .series import TruncSeries
 from .specializations import Specialization, SpecializationUnion, specialize
 
@@ -262,21 +261,18 @@ def _superpartitions(lam, n, cap):
     return out
 
 
-def _is_single_beta_step(cfg):
-    """True when the step kernel builds the rows: a numeric theta and a
-    single unit-scale beta atom."""
-    comps = cfg.rho.components
-    return (not isinstance(as_exact(cfg.theta), RationalFunction)
-            and len(comps) == 1 and comps[0].gamma == 0
-            and not comps[0].alphas and len(comps[0].betas) == 1
-            and comps[0].scale == 1)
-
-
 def _kernel_args(cfg):
-    """(n, b_num, b_den, p, q) of a single-beta step with b = b_num/b_den
-    at theta = p/q: the step kernel's arguments after the diagram."""
+    """(n, b_num, b_den, p, q), the step kernel's arguments after the
+    diagram, when the kernel builds the rows: a single unit-scale beta
+    atom b = b_num/b_den at a numeric theta = p/q.  None for any other
+    step, whose rows come from a Jack table."""
+    comps = cfg.rho.components
+    if (isinstance(as_exact(cfg.theta), RationalFunction)
+            or len(comps) != 1 or comps[0].gamma != 0 or comps[0].alphas
+            or len(comps[0].betas) != 1 or comps[0].scale != 1):
+        return None
     theta = Fraction(cfg.theta)
-    b = Fraction(cfg.rho.components[0].betas[0])
+    b = Fraction(comps[0].betas[0])
     return (cfg.n, b.numerator, b.denominator,
             theta.numerator, theta.denominator)
 
@@ -288,10 +284,10 @@ def transition_row(lam, cfg):
     lam = make_partition(lam)
     if length(lam) > cfg.n:
         raise ShapeError("diagram has more than %d rows" % cfg.n)
-    if _is_single_beta_step(cfg):
-        # the step kernel's keys are canonical and its numerators positive
-        entries, den = _stepimpl.bernoulli_row(lam, *_kernel_args(cfg))
-        return MeasureOnYoung._trusted(
+    args = _kernel_args(cfg)
+    if args is not None:
+        entries, den = _stepimpl.bernoulli_row(lam, *args)
+        return MeasureOnYoung(
             cfg.n, {mu: Fraction(num, den) for mu, num in entries})
 
     theta = cfg.theta
@@ -349,8 +345,8 @@ class _RowCache:
     a common denominator (mus[i] holds the cell [cums[i-1], cums[i]) /
     denom).
 
-    Each row comes from transition_row, its weights scaled by the lcm of
-    their denominators.  Rows keep a tail of at most
+    Each row comes from transition_row, its weights as integer numerators
+    over the lcm of their denominators.  Rows keep a tail of at most
     DEFAULT_DEFICIT_BOUND (see _step_cap); a row past it would raise
     DeficitError, and so does a draw into the tail (sample_path).
     ResourceLimitError is raised once more than _MAX_CACHED_ENTRIES cells
@@ -370,12 +366,9 @@ class _RowCache:
                 raise DeficitError(
                     "row deficit %s exceeds bound %s at %r"
                     % (row.tail_deficit, DEFAULT_DEFICIT_BOUND, lam))
-            support = row.support
-            mus = sorted(support)
-            weights = [support[mu] for mu in mus]
-            denom = math.lcm(*(w.denominator for w in weights))
-            cums = list(accumulate(w.numerator * (denom // w.denominator)
-                                   for w in weights))
+            mus = sorted(row.support)
+            nums, denom = _numerators([row.support[mu] for mu in mus])
+            cums = list(accumulate(nums))
             self.entries += len(mus)
             if self.entries > _MAX_CACHED_ENTRIES:
                 raise ResourceLimitError(
@@ -390,18 +383,14 @@ def _draw_index(rng, cums, denom):
     u * denom < cums[i], found by bisection on floor(u * denom).  While
     u * denom equals some cums[i] exactly (a tie), 64 more random bits are
     appended to r, so the cell is the one an exact uniform variate picks.
-    Returns None when u falls past the last cell, into a truncated tail."""
-    bits = 64
-    scaled = rng.getrandbits(bits) * denom  # u * denom * 2^bits
-    while True:
-        floor = scaled >> bits
+    Returns None when u falls past the last cell, into a truncated tail.
+    The draw is `_steppure.exact_draw`."""
+    def cell(floor):
         i = bisect_right(cums, floor)
-        tie = i > 0 and cums[i - 1] == floor \
-            and scaled & ((1 << bits) - 1) == 0
-        if not tie:
-            return i if i < len(cums) else None
-        scaled = (scaled << 64) + rng.getrandbits(64) * denom
-        bits += 64
+        return i, cums[i - 1] if i else 0
+
+    i = _stepimpl.exact_draw(rng, denom, cell)
+    return i if i < len(cums) else None
 
 
 def sample_path(cfg, steps, _cache=None, _rng=None):
@@ -416,9 +405,8 @@ def sample_path(cfg, steps, _cache=None, _rng=None):
     if isinstance(as_exact(cfg.theta), RationalFunction):
         raise ValueError("sampling needs a numeric theta, not a symbolic one")
     rng = _rng if _rng is not None else random.Random(cfg.seed)
-    if _is_single_beta_step(cfg):
-        args = _kernel_args(cfg)
-
+    args = _kernel_args(cfg)
+    if args is not None:
         def step(lam):
             return _stepimpl.bernoulli_draw(rng, lam, *args)
     else:
@@ -457,10 +445,9 @@ def exact_evolve(measure, cfg, steps):
                 weights[mu] = weights.get(mu, 0) + mass * w
             if len(weights) > _MAX_EVOLVE_STATES:
                 raise ResourceLimitError("evolved support too large")
-        # keys come from rows; a signed start measure may cancel a weight
-        current = MeasureOnYoung._trusted(
-            cfg.n, {mu: w for mu, w in weights.items() if not is_zero(w)},
-            deficit)
+        # a signed start measure may cancel a weight, which the
+        # constructor drops
+        current = MeasureOnYoung(cfg.n, weights, deficit)
         out.append(current)
     return out
 
@@ -685,13 +672,14 @@ def path_statistics(cfg, steps, samples, ks, times=None, on_path=None):
     if any(k < 0 for k in ks):
         raise ValueError("moment indices k must be nonnegative")
 
-    if (ks == [1] and _is_single_beta_step(cfg) and cfg.n > 0
-            and on_path is None):
+    kernel = _kernel_args(cfg) is not None
+    if kernel and ks == [1] and cfg.n > 0 and on_path is None:
         return _mass_marginal_stats(cfg, steps, samples, times)
 
     keys = [(t, k) for t in times for k in ks]
     stats = PathStats(keys)
-    cache = _RowCache(cfg)
+    # kernel steps are drawn without rows (sample_path)
+    cache = None if kernel else _RowCache(cfg)
     for index in range(samples):
         rng = random.Random(path_seed(cfg.seed, index))
         path = sample_path(cfg, steps, _cache=cache, _rng=rng)

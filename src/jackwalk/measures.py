@@ -17,6 +17,7 @@ renormalizing silently.
 """
 
 import csv
+import math
 import warnings
 from fractions import Fraction
 
@@ -125,21 +126,26 @@ def pp_measure(lam, n, theta=1):
 def _pp_series_from_empirical(c, n, order):
     """Expand prod(1 + 1/(n(z - y_i))) - 1 given empirical moments c.
 
-    Only the power sums sum_i (z - y_i)^{-r} = n * (r-th repeated moment
-    series) enter, and those follow from the empirical Stieltjes transform
-    by differentiation; no atom locations are needed.
+    The product is the exp of sum_{i, r >= 1} (-1)^(r-1) (z - y_i)^(-r) /
+    (r n^r), and the z^-K coefficient of sum_i (z - y_i)^(-r) is the power
+    sum C(K-1, r-1) n c^(K-r), so the exponent's z^-K coefficient is
+
+        E_K = (1/K) sum_{r=1..K} (-1)^(r-1) C(K, r) n^(1-r) c^(K-r),
+
+    with c^(0) = 1 and the moments past c taken as 0.  No atom locations
+    are needed.
     """
-    coeffs = [Fraction(1)] + [as_exact(x) for x in c]
-    s = TruncSeries(ZVAR, 1, coeffs, order + 1)
-    t_r = s * n                     # sum_i (z - y_i)^(-1)
-    exponent = TruncSeries.zero(ZVAR, order + 1)
-    r = 1
-    while t_r and t_r.valuation() <= order:
-        exponent = exponent + t_r * Fraction((-1) ** (r - 1), r * n ** r)
-        # -(1/r) d/dz, and d/dz = -u^2 d/du in u = 1/z
-        t_r = t_r.derivative() * TruncSeries.monomial(ZVAR, 2, Fraction(1, r))
-        r += 1
-    return exponent.exp() - 1
+    if not n:  # no atoms: the empty product
+        return TruncSeries.zero(ZVAR, order + 1)
+    c = [Fraction(1)] + [as_exact(x) for x in c]
+    while not c[-1]:  # a zero moment, even symbolic, counts as missing
+        c.pop()
+    c += [0] * (order - len(c))
+    exponent = [sum(Fraction((-1) ** (r - 1) * math.comb(K, r),
+                             K * n ** (r - 1)) * c[K - r]
+                    for r in range(1, K + 1))
+                for K in range(1, order + 1)]
+    return TruncSeries(ZVAR, 1, exponent, order + 1).exp() - 1
 
 
 def pp_moments_from_empirical(c, n, k):
@@ -181,11 +187,8 @@ class MeasureOnYoung:
     contamination bounds instead of silently renormalizing.
 
     The constructor canonicalizes every key, checks it fits in n rows and
-    drops zero weights.  `_trusted` skips all of that for callers whose
-    data already holds the invariant it establishes: keys are canonical
-    partitions with at most n rows and weights are nonzero exact scalars
-    (the single-beta step kernel's rows, and `exact_evolve`'s pushforwards,
-    whose keys come from transition rows).
+    drops zero weights; every measure, the walk's transition rows and
+    pushforwards included, is built through it.
     """
 
     __slots__ = ("n", "support", "tail_deficit")
@@ -201,19 +204,6 @@ class MeasureOnYoung:
             if not is_zero(w):
                 self.support[lam] = as_exact(w)
         self.tail_deficit = as_exact(tail_deficit)
-
-    @classmethod
-    def _trusted(cls, n, support, tail_deficit=Fraction(0)):
-        """A measure that adopts ``support`` as it is, without validation.
-
-        Every key must already be a canonical partition with at most n
-        rows, every weight a nonzero Fraction or RationalFunction, and
-        ``tail_deficit`` exact; the dict is not copied."""
-        self = object.__new__(cls)
-        self.n = n
-        self.support = support
-        self.tail_deficit = tail_deficit
-        return self
 
     def weight(self, lam):
         return self.support.get(make_partition(lam), Fraction(0))

@@ -328,6 +328,22 @@ def test_walk_sample_deterministic(tmp_path):
     assert pred_lines[1] == "tau,k,l,statistic,value,exact"
 
 
+def test_walk_sample_without_predictions(tmp_path, capsys):
+    # a walk with no particles has no limit to predict: the stats are
+    # written, one line says why no predictions are, and the exit is 0
+    config = beta_config(tmp_path, n=0)
+    out = tmp_path / "stats.csv"
+    rc = cli.main(["walk", "sample", "--config", config, "--steps", "2",
+                   "--samples", "3", "--k", "1", "--out", str(out)])
+    assert rc == 0
+    lines = out.read_text().splitlines()
+    assert lines[1] == "time,k,mean,var,stderr" and len(lines) == 5
+    err = capsys.readouterr().err.splitlines()
+    assert len([line for line in err
+                if line.startswith("limit predictions unavailable:")]) == 1
+    assert not (tmp_path / "stats.csv.predictions.csv").exists()
+
+
 def test_walk_sample_paths_file(tmp_path):
     config = beta_config(tmp_path)
     paths = tmp_path / "paths.jsonl"

@@ -134,7 +134,7 @@ def _table_route(monkeypatch):
         return skew_jack(*args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(dynamics, "_is_single_beta_step", lambda cfg: False)
+        patch.setattr(dynamics, "_kernel_args", lambda cfg: None)
         patch.setattr(dynamics, "skew_jack", counted)
         yield calls
 
@@ -265,8 +265,8 @@ def test_unit_beta_row_is_vertical_strips(case):
 @settings(max_examples=60, deadline=None)
 @given(beta_rows(THETAS))
 def test_kernel_rows_hold_the_trusted_invariant(case):
-    # kernel rows reach MeasureOnYoung without its validation, so the
-    # validating constructor must find nothing to change
+    # the kernel emits canonical keys and positive weights, so the
+    # validating constructor that its rows pass through changes nothing
     theta, n, lam, b = case
     row = transition_row(lam, WalkConfig(n, theta,
                                          Specialization.single_beta(b)))
@@ -827,6 +827,10 @@ def test_draw_tie_refinement():
     # the old refinement put the variate near 2^-64, in the first cell
     assert _old_draw_index(StubRandom([2 ** 63, 5]),
                            [Fraction(1, 2), Fraction(1)]) == 0
+    # u = 0 is the lower end of the first cell, which is no tie
+    rng = StubRandom([0])
+    assert dynamics._draw_index(rng, cums, denom) == 0
+    assert rng.bits == 64
     # past the last cell of a deficient row: the truncated tail
     rng = StubRandom([2 ** 64 - 1])
     assert dynamics._draw_index(rng, [1, 2], 3) is None

@@ -5,7 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jackwalk import measures
 from jackwalk.errors import ShapeError
 from jackwalk.measures import (
     AtomicMeasure,
@@ -19,6 +22,7 @@ from jackwalk.measures import (
     pp_measure,
     pp_moments_from_empirical,
 )
+from jackwalk.scalars import THETA
 from jackwalk.series import TruncSeries
 from jackwalk.specializations import Specialization, specialize_ones
 from jackwalk.verify import moment_roundtrip_cases
@@ -108,6 +112,45 @@ def test_pp_stieltjes_product_identity():
         rhs = pp_measure(lam, n, th).stieltjes_series(order)
         for k in range(1, order):
             assert lhs.coefficient(k) == rhs.coefficient(k)
+
+
+def _pp_series_by_derivatives(c, n, order):
+    """The exponent of the moment conversion as a sum of the power sums
+    sum_i (z - y_i)^(-r), each the derivative of the one before: the loop
+    that the closed-form exponent replaced."""
+    coeffs = [Fraction(1)] + [measures.as_exact(x) for x in c]
+    s = TruncSeries("1/z", 1, coeffs, order + 1)
+    t_r = s * n                     # sum_i (z - y_i)^(-1)
+    exponent = TruncSeries.zero("1/z", order + 1)
+    r = 1
+    while t_r and t_r.valuation() <= order:
+        exponent = exponent + t_r * Fraction((-1) ** (r - 1), r * n ** r)
+        # -(1/r) d/dz, and d/dz = -u^2 d/du in u = 1/z
+        t_r = t_r.derivative() * TruncSeries.monomial("1/z", 2,
+                                                      Fraction(1, r))
+        r += 1
+    return exponent.exp() - 1
+
+
+MOMENT = st.one_of(
+    st.builds(Fraction, st.integers(-8, 8), st.integers(1, 6)),
+    st.just(0),
+    st.builds(lambda a, b: THETA * a + b,
+              st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+              st.integers(-2, 2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda order: st.tuples(
+    st.just(order), st.integers(0, 5),
+    st.lists(MOMENT, max_size=order - 1))))
+def test_pp_series_closed_form_matches_derivatives(case):
+    order, n, c = case
+    got = measures._pp_series_from_empirical(c, n, order)
+    want = _pp_series_by_derivatives(c, n, order)
+    assert (got.var, got.low, got.order) == (want.var, want.low, want.order)
+    assert [(type(x), x) for x in got.coeffs] == \
+        [(type(x), x) for x in want.coeffs]
 
 
 def test_moment_conversion_round_trip():
