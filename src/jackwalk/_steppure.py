@@ -13,8 +13,13 @@ only i is, and (d_ij - theta)/d_ij when only j is: the Jack limit of
 Macdonald's psi' for e_r (Symmetric Functions and Hall Polynomials,
 VI (6.24); Stanley 1989).
 
-`exact_draw` is the walk's one exact dyadic draw: the strip-tree descent
-here and the row cache's bisection in `dynamics` both go through it.
+`bernoulli_draw` draws one successor by descending the tree of strips a
+row at a time.  It carries the bordered leading minors of one integer
+matrix from node to node, starting from a closed form in complete
+homogeneous symmetric polynomials, at O(n^2) products per decided row
+and O(n^3) per draw, where the row holds up to 2^n strips.  `exact_draw`
+is the walk's one exact dyadic draw: the strip-tree descent here and the
+row cache's bisection in `dynamics` both go through it.
 """
 
 __all__ = ["bernoulli_draw", "bernoulli_row", "exact_draw"]
@@ -88,26 +93,32 @@ def bernoulli_draw(rng, lam, n, b_num, b_den, p=1, q=1):
     descends it, keeping row i unless floor(u * den) reaches past the
     total numerator of the strips below the kept branch.  Row k has the
     shifted part y_k = q lam_k - p k, and z_k = y_k if it is kept or
-    y_k + p if it grows.  Below a node that has decided z_0..z_i, the
+    y_k + p if it grows.  Below a node that has decided z_0..z_(i-1), the
     numerators of bernoulli_row sum to
 
-        w * prod_{j<k<=i} (z_j - z_k) * det M,
+        w * prod_{j<k<i} (z_j - z_k) * det R_i,
 
     where w is the product of the decided rows' weights (gw = p b_num for
-    a grown row, kw = q b_den for a kept one).  M has one row per
-    undecided row k, with entries
+    a grown row, kw = q b_den for a kept one).  R_i has one row per
+    undecided row k >= i, last first, with entries
 
-        kw P(y_k) y_k^c + gw P(y_k + p) (y_k + p)^c,  c = 0, ..., m-1,
+        keeps[k] (y_k - s)^c + grows[k] (y_k + p - s)^c,  0 <= c < n - i,
 
-    P(x) = prod_{j<=i} (z_j - x) and m = n-1-i: the Vandermonde product
-    is a determinant, linear in each row, so one row may carry the sum
-    over that row's two choices.  A strip that is not a partition has a
-    zero factor z_{k-1} - z_k and adds nothing.  Taking the rows of M
-    last first gives prod_{j<k} (z_j - z_k) with no sign, and makes every
-    term of each leading principal minor nonnegative and the all-kept
-    term positive, so fraction-free elimination never meets a zero pivot.
-    Replacing y^c by (y - s)^c, for any fixed s, leaves every leading
-    minor as it is and keeps the entries small.
+    keeps[k] = kw P(y_k), grows[k] = gw P(y_k + p) and
+    P(x) = prod_{j<i} (z_j - x): the Vandermonde product is a
+    determinant, linear in each row, so one row may carry the sum over
+    that row's two choices, and any fixed shift s leaves the leading
+    minors as they are.  A strip that is not a partition has a zero factor
+    z_{k-1} - z_k and adds nothing.  Taken last first, every term of each
+    leading principal minor of R_i is nonnegative and the all-kept term
+    positive.
+
+    Deciding z_i multiplies row k's two parts by z_i - y_k = t - x and
+    z_i - y_k - p = t - (x + p), where t = z_i - s and x = y_k - s.
+    Since (t - x) x^c = t x^c - x^(c+1), the child's matrix is R_i
+    without its last row (row i) times the bidiagonal matrix with t on
+    the diagonal and -1 below it, so the descent carries R_i only through
+    its bordered leading minors and never builds it; see _descend.
     """
     if len(lam) > n:
         raise ValueError("diagram has more than %d rows" % n)
@@ -150,72 +161,114 @@ def _descend(floor, ys, grow_weight, keep_weight, p):
     """The leaf of the strip tree (see bernoulli_draw) whose cell holds
     floor: its shifted parts z, and the lower end of its cell.
 
-    keeps[k] = kw P(y_k) and grows[k] = gw P(y_k + p) are updated for
-    every undecided row k as rows are decided; grows[i] is 0 exactly
-    when row i cannot grow (b = 0, or the row above is only as long as
-    row i would be)."""
+    The descent carries the bordered leading minors
+
+        G[r][c] = det R_i[0..r, (0..r-1) and c],  0 <= r <= c < n - i,
+
+    of the node's matrix R_i, whose last one G[n-1-i][n-1-i] is det R_i.
+    At the root they have the closed form of _start_minors,
+
+        G_0[r][c] = (kw + gw)^r prod_{a<b<=r} (x_b - x_a)
+                    * (kw h_(c-r)(x_0..x_r) + gw h_(c-r)(x_0+p..x_r+p)),
+
+    x_r = y_(n-1-r) - s, and _next_minors takes them from a node to a
+    child with O(n^2) products, so a draw costs O(n^3) and runs no
+    elimination.  With keeps[i] = kw P(y_i), grows[i] = gw P(y_i + p)
+    and scale = w prod_{j<k<i} (z_j - z_k), the node's cell is
+    [low, low + scale det R_i), and the kept branch weighs
+    scale * keeps[i] times its child's determinant, the grown branch
+    scale * grows[i] times its own.  Either one gives the other, so the
+    descent weighs first the child that floor's place in the cell points
+    to, reading kw / (kw + gw) as the kept share, and builds the other
+    child's minors only when the guess was wrong.  grows[i] is 0 exactly
+    when row i cannot grow (b = 0, or the row above is kept and as long
+    as row i), and then the kept branch holds the whole cell.  Once row i
+    is kept and every row below is as long as row i, no row below can
+    grow either: every z left is y and the descent ends."""
     n = len(ys)
-    keeps, grows = [keep_weight] * n, [grow_weight] * n
-    shift = ys[n // 2] if n else 0
-    powers = [(_powers(y - shift, n - 1), _powers(y + p - shift, n - 1))
-              for y in ys]
+    if not (grow_weight and ys):
+        return list(ys), 0
+    shift = ys[n // 2]
+    minors = _start_minors([y - shift for y in reversed(ys)], grow_weight,
+                           keep_weight, p)
     zs = []
     low = 0  # total numerator of the strips left of this node
     scale = 1  # w times the Vandermonde product of the decided rows
     for i, y in enumerate(ys):
+        keep, grow = keep_weight, grow_weight  # keeps[i], grows[i]
+        for decided in zs:
+            keep *= decided - y
+            grow *= decided - y - p
         z = y
-        ks = [keeps[k] * (y - ys[k]) for k in range(i + 1, n)]
-        gs = [grows[k] * (y - ys[k] - p) for k in range(i + 1, n)]
-        if grows[i]:
-            # M of bernoulli_draw, rows last first
-            m = n - 1 - i
-            matrix = [[a * s + b * t for s, t in zip(sp[:m], tp[:m])]
-                      for a, b, (sp, tp) in zip(reversed(ks), reversed(gs),
-                                                reversed(powers[i + 1:]))]
-            kept = scale * keeps[i] * _det(matrix)
+        child = None
+        if grow:
+            total = scale * minors[-1][0]  # the cell is [low, low + total)
+            guess = y
+            if (floor - low) * (keep_weight + grow_weight) >= \
+                    keep_weight * total:
+                guess = y + p
+            child = _next_minors(minors, guess - shift)
+            weight = scale * (keep if guess == y else grow)
+            if child:
+                weight *= child[-1][0]
+            kept = weight if guess == y else total - weight
             if floor >= low + kept:
                 low += kept
                 z = y + p
-        if z == y:
-            scale *= keeps[i]
-        else:
-            scale *= grows[i]
-            ks = [keeps[k] * (z - ys[k]) for k in range(i + 1, n)]
-            gs = [grows[k] * (z - ys[k] - p) for k in range(i + 1, n)]
-        keeps[i + 1:], grows[i + 1:] = ks, gs
+            if z != guess:
+                child = None
         zs.append(z)
+        if z == y and ys[-1] == y - p * (n - 1 - i):
+            return zs + ys[i + 1:], low
+        scale *= keep if z == y else grow
+        minors = child if child is not None else \
+            _next_minors(minors, z - shift)
     return zs, low
 
 
-def _powers(x, count):
-    """[1, x, x^2, ..., x^(count - 1)]."""
-    out = [1] * count
-    for c in range(1, count):
-        out[c] = out[c - 1] * x
+def _start_minors(xs, grow_weight, keep_weight, p):
+    """The root's bordered leading minors G_0 (see _descend) for
+    x_r = xs[r], as rows G[r] = [G[r][r], G[r][r+1], ...].  The complete
+    homogeneous symmetric polynomials come from
+    h_d(x_0..x_r) = h_d(x_0..x_(r-1)) + x_r h_(d-1)(x_0..x_r)."""
+    n = len(xs)
+    total = grow_weight + keep_weight
+    kept_h, grown_h = [1] + [0] * (n - 1), [1] + [0] * (n - 1)
+    factor = 1  # (kw + gw)^r prod_{a<b<=r} (x_b - x_a)
+    minors = []
+    for r, x in enumerate(xs):
+        grown_x = x + p
+        for d in range(1, n - r):
+            kept_h[d] += x * kept_h[d - 1]
+            grown_h[d] += grown_x * grown_h[d - 1]
+        if r:
+            for earlier in xs[:r]:
+                factor *= x - earlier
+            factor *= total
+        minors.append([factor * (keep_weight * k + grow_weight * g)
+                       for k, g in zip(kept_h[:n - r], grown_h[:n - r])])
+    return minors
+
+
+def _next_minors(minors, t):
+    """The bordered leading minors of R' = R C, given those of R (one row
+    fewer in R', which drops R's last row), where C has t on the diagonal
+    and -1 below it, so that column c of R' is t R_c - R_(c+1):
+
+        G'[0][c] = t G[0][c] - G[0][c+1],
+        G'[r+1][c] = ((t G[r+1][c] - G[r+1][c+1]) G'[r][r]
+                      + G[r+1][r+1] G'[r][c]) / G[r][r].
+
+    Every division is exact (G' are minors of an integer matrix) and every
+    G[r][r] is positive (bernoulli_draw)."""
+    if len(minors) < 2:
+        return []
+    top = minors[0]
+    row = [t * g - h for g, h in zip(top, top[1:])]
+    out = [row]
+    for above, below in zip(minors, minors[1:-1]):
+        pivot, lead, corner = above[0], below[0], row[0]
+        row = [((t * g - h) * corner + lead * e) // pivot
+               for g, h, e in zip(below, below[1:], row[1:])]
+        out.append(row)
     return out
-
-
-def _det(matrix):
-    """Determinant of a square integer matrix whose leading principal
-    minors are positive, by fraction-free (Bareiss) elimination of two
-    columns per pass.  A pass replaces each entry of the remaining rows
-    and columns by the 3 x 3 determinant it forms with the two pivot rows
-    and columns, divided by the square of the last leading minor: by
-    Sylvester's identity the quotient is exact, and it is the entry's
-    bordered leading minor."""
-    prev = 1
-    while len(matrix) > 2:
-        (p11, p12, *top1), (p21, p22, *top2) = matrix[0], matrix[1]
-        pivot = p11 * p22 - p12 * p21
-        square = prev * prev
-        rest = []
-        for f1, f2, *row in matrix[2:]:
-            g1, g2 = p21 * f2 - p22 * f1, p12 * f1 - p11 * f2
-            rest.append([(a * pivot + g1 * t1 + g2 * t2) // square
-                         for a, t1, t2 in zip(row, top1, top2)])
-        matrix = rest
-        prev = pivot // prev
-    if len(matrix) == 2:
-        (a, b), (c, d) = matrix
-        return (a * d - b * c) // prev
-    return matrix[0][0] if matrix else 1

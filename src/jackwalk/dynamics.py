@@ -43,9 +43,10 @@ its support in increasing order and integer cumulative numerators over
 the lcm of its weights' denominators, and finds the cell by bisection.
 A single-beta step builds no row: the kernel's `bernoulli_draw` descends
 the tree of its strips, one row of the diagram at a time, weighing each
-branch by one integer determinant, and picks the strip that the same
-bits pick from the kernel's row.  That costs polynomial time in N where
-the row has up to 2^N strips.
+branch by an integer determinant whose bordered leading minors it
+carries from row to row, and picks the strip that the same bits pick
+from the kernel's row.  That costs O(N^3) integer products where the
+row has up to 2^N strips.
 
 In a single-beta row the strips of size d together weigh
 C(N, d) q^d (1-q)^(N-d), q = theta*b/(1+theta*b), at every theta (Pieri,
@@ -510,13 +511,17 @@ class PathStats:
         for j, key in enumerate(self.keys):
             x = columns[key] = values[:, j]
             # Python's float ** (libm pow) and numpy.power can differ in
-            # the last bit, so the third and fourth powers are taken here
-            xs = x.tolist()
+            # the last bit, so the third and fourth powers are taken here,
+            # once per distinct bit pattern (-0.0 apart from 0.0) and
+            # gathered back into sample order
+            distinct, at = numpy.unique(x.view(numpy.int64),
+                                        return_inverse=True)
+            vs = distinct.view(numpy.float64).tolist()
             s = self.sums[key]
             s[0] = running(s[0], x)
             s[1] = running(s[1], x * x)
-            s[2] = running(s[2], [v ** 3 for v in xs])
-            s[3] = running(s[3], [v ** 4 for v in xs])
+            s[2] = running(s[2], numpy.array([v ** 3 for v in vs])[at])
+            s[3] = running(s[3], numpy.array([v ** 4 for v in vs])[at])
         for a, b in self.cross:
             self.cross[(a, b)] = running(self.cross[(a, b)],
                                          columns[a] * columns[b])

@@ -12,7 +12,7 @@ import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jackwalk import dynamics, jack
+from jackwalk import _steppure, dynamics, jack
 from jackwalk._steppure import bernoulli_draw, bernoulli_row
 from jackwalk.dynamics import (
     PathStats,
@@ -895,6 +895,97 @@ def test_kernel_draw_ties_match_row_oracle():
     assert cases > 1000
 
 
+def _bordered_minors(matrix):
+    """Row r holds the bordered leading minors det A[0..r, (0..r-1) and c],
+    c >= r, of a square integer matrix whose leading principal minors are
+    nonzero: the entries of row r after r passes of fraction-free
+    (Bareiss) elimination."""
+    rows = [list(row) for row in matrix]
+    out, prev = [], 1
+    for r, top in enumerate(rows):
+        out.append(top[r:])
+        pivot = top[r]
+        for k in range(r + 1, len(rows)):
+            row = rows[k]
+            rows[k] = [(pivot * a - row[r] * t) // prev
+                       for a, t in zip(row, top)]
+        prev = pivot
+    return out
+
+
+def _determinant_descend(floor, ys, grow_weight, keep_weight, p):
+    """The oracle for _steppure._descend: the strip-tree descent that
+    builds the kept branch's matrix M of bernoulli_draw at every row and
+    takes its determinant by elimination."""
+    n = len(ys)
+    keeps, grows = [keep_weight] * n, [grow_weight] * n
+    zs, low, scale = [], 0, 1
+    for i, y in enumerate(ys):
+        z = y
+        if grows[i]:
+            # M of bernoulli_draw, rows last first, with the shift s = 0
+            matrix = [[keeps[k] * (y - ys[k]) * ys[k] ** c
+                       + grows[k] * (y - ys[k] - p) * (ys[k] + p) ** c
+                       for c in range(n - 1 - i)]
+                      for k in reversed(range(i + 1, n))]
+            minors = _bordered_minors(matrix)
+            kept = scale * keeps[i] * (minors[-1][0] if minors else 1)
+            if floor >= low + kept:
+                low += kept
+                z = y + p
+        scale *= keeps[i] if z == y else grows[i]
+        for k in range(i + 1, n):
+            keeps[k] *= z - ys[k]
+            grows[k] *= z - ys[k] - p
+        zs.append(z)
+    return zs, low
+
+
+def _descent_args(lam, n, b_num, b_den, p, q):
+    """(ys, grow_weight, keep_weight, p) for _descend from lam, as
+    bernoulli_draw passes them, and the row's den."""
+    padded = list(lam) + [0] * (n - len(lam))
+    ys = [q * part - p * i for i, part in enumerate(padded)]
+    den = (p * b_num + q * b_den) ** n
+    for i, y in enumerate(ys):
+        for j in range(i):
+            den *= ys[j] - y
+    return (ys, p * b_num, q * b_den, p), den
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(THETAS), st.sampled_from(BETAS), st.integers(0, 20),
+       st.lists(st.integers(1, 12), max_size=20), WORD)
+def test_descend_matches_determinant_oracle(theta, b, n, parts, word):
+    # past the sizes whose whole rows the row oracle can list; the floors
+    # are a random one, the lower end of its cell and the integer below
+    lam = tuple(sorted(parts, reverse=True))[:n]
+    args, den = _descent_args(lam, *_kernel_args(n, b, theta))
+    floor = (word * den) >> 64
+    zs, low = _determinant_descend(floor, *args)
+    assert _steppure._descend(floor, *args) == (zs, low)
+    assert _steppure._descend(low, *args) == (zs, low)
+    if low:
+        assert _steppure._descend(low - 1, *args) == \
+            _determinant_descend(low - 1, *args)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(THETAS), st.sampled_from(BETAS), st.integers(0, 12),
+       st.lists(st.integers(1, 12), max_size=12), st.integers(-20, 20))
+def test_start_minors_match_elimination(theta, b, n, parts, shift):
+    # the closed form of the root's bordered minors is exactly what
+    # fraction-free elimination of R_0 gives, for any shift
+    lam = tuple(sorted(parts, reverse=True))[:n]
+    (ys, grow_weight, keep_weight, p), _ = _descent_args(
+        lam, *_kernel_args(n, b, theta))
+    xs = [y - shift for y in reversed(ys)]
+    matrix = [[keep_weight * x ** c + grow_weight * (x + p) ** c
+               for c in range(n)] for x in xs]
+    assert _steppure._start_minors(xs, grow_weight, keep_weight, p) == \
+        _bordered_minors(matrix)
+
+
 def _assert_cache_matches_row(lam, cfg):
     """The cached row of lam is transition_row's measure: its support in
     increasing order, with the running sums of its weights over denom."""
@@ -953,18 +1044,26 @@ def _bits(stats):
 def test_add_batch_matches_add_sample(blocks):
     keys = [(0, 1), (4, 1), (4, 2)]
     rng = random.Random(sum(blocks) * 31 + len(blocks))
-    batched, single = PathStats(keys), PathStats(keys)
-    for m in blocks:
+    draws = [
         # mixed signs and magnitudes around a large mean, where the order
         # and rounding of every addition show in the last bits
-        values = numpy.array([[rng.choice([-1, 1]) * rng.uniform(0, 10)
-                               * 10 ** rng.randint(-3, 4) + 1e4
-                               for _ in keys] for _ in range(m)])
-        values = values.reshape(m, len(keys))
-        batched.add_batch(values)
-        for row in values.tolist():
-            single.add_sample(dict(zip(keys, row)))
-    assert _bits(batched) == _bits(single)
+        lambda: (rng.choice([-1, 1]) * rng.uniform(0, 10)
+                 * 10 ** rng.randint(-3, 4) + 1e4),
+        # lattice values (base + step a) / den, as the mass-marginal route
+        # gives: few distinct values, each repeated across the block
+        lambda: (-1234.5 + 3 * rng.randint(0, 6)) / 7,
+        # signed zeros beside values whose powers underflow to them
+        lambda: rng.choice([0.0, -0.0, 1e-300, -1e-300, 0.5, -0.5]),
+    ]
+    for draw in draws:
+        batched, single = PathStats(keys), PathStats(keys)
+        for m in blocks:
+            values = numpy.array([[draw() for _ in keys] for _ in range(m)])
+            values = values.reshape(m, len(keys))
+            batched.add_batch(values)
+            for row in values.tolist():
+                single.add_sample(dict(zip(keys, row)))
+        assert _bits(batched) == _bits(single)
 
 
 def _per_sample_marginal_stats(cfg, samples, times):
