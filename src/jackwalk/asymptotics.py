@@ -20,7 +20,7 @@ All residues are coefficient extractions on truncated Laurent series; an
 insufficient truncation surfaces as ``OrderError``.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import OrderError, StabilityError
@@ -39,8 +39,7 @@ def default_order(ks):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LimitData:
+class LimitData(namedtuple("LimitData", "U V")):
     """A walk's limit data: the series the residue extractors read.
 
     `U` is the drift series about 1 and `V` the shifted covariance kernel,
@@ -48,10 +47,10 @@ class LimitData:
     second-order d_{k,l} are their Taylor coefficients up to factorials:
     c_k = (k-1)! [(z-1)^(k-1)] U and
     d_{k,l} = (k-1)! (l-1)! [(z-1)^(k-1) (w-1)^(l-1)] V.
+    It is a tuple: iterable, and equal to the plain tuple (U, V).
     """
 
-    U: TruncSeries
-    V: TruncSeries
+    __slots__ = ()
 
 
 def build_U(data):

@@ -18,7 +18,6 @@ arguments or config conflicts, 3 resource-budget overruns.
 
 import argparse
 import csv
-import dataclasses
 import hashlib
 import json
 import sys
@@ -241,7 +240,7 @@ def _load_walk_config(args):
             raise ValueError(
                 "seed %d from --seed conflicts with seed %s in %s"
                 % (args.seed, raw["seed"], args.config))
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+        cfg = WalkConfig(cfg.n, cfg.theta, cfg.rho, cfg.initial, args.seed)
     elif "seed" not in raw:
         if args.strict:
             raise ValueError("--strict requires a seed (flag or config)")
@@ -251,7 +250,7 @@ def _load_walk_config(args):
 
 def _limit_predictions(cfg, taus, ks, pairs_only_diagonal=True):
     """Rows (tau, k, l, statistic, value) of the limiting mean/covariance.
-    No k, no tau, a negative k or a negative tau raises ValueError."""
+    No k, no tau, or a negative or repeated k or tau raises ValueError."""
     if not ks:
         raise ValueError("need at least one moment index k")
     if not taus:
@@ -260,6 +259,8 @@ def _limit_predictions(cfg, taus, ks, pairs_only_diagonal=True):
         raise ValueError("moment indices k must be nonnegative")
     if any(tau < 0 for tau in taus):
         raise ValueError("times tau must be nonnegative")
+    if len(set(ks)) < len(ks) or len(set(taus)) < len(taus):
+        raise ValueError("moment indices k and times tau must not repeat")
     theta = as_fraction(cfg.theta)
     order = default_order(ks)
     moments = packed_limit_moments(2 * order + 1)

@@ -69,7 +69,7 @@ import hashlib
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
 
@@ -91,8 +91,7 @@ _MAX_EVOLVE_STATES = 20000
 _MAX_CACHED_ENTRIES = 10 * _MAX_ROW_STATES
 
 
-@dataclass(frozen=True)
-class WalkConfig:
+class WalkConfig(namedtuple("WalkConfig", "n theta rho initial seed")):
     """Immutable description of a walk: alphabet size, deformation, step
     data, start diagram and seed.
 
@@ -100,30 +99,29 @@ class WalkConfig:
     atom may only be repeated a whole number of times, so a component
     with atoms needs an integer scale (a fractional copy of an atom gives
     rows with negative weights).  A numeric theta must be positive.  How
-    far a row reaches is not a setting: see _step_cap."""
+    far a row reaches is not a setting: see _step_cap.  Every construction
+    validates; the config is a tuple: iterable, and equal to the plain
+    tuple of its fields."""
 
-    n: int
-    theta: object
-    rho: object
-    initial: tuple = ()
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "initial", make_partition(self.initial))
-        if self.n < 0:
+    def __new__(cls, n, theta, rho, initial=(), seed=0):
+        initial = make_partition(initial)
+        if n < 0:
             raise ShapeError("alphabet size must be nonnegative")
-        if length(self.initial) > self.n:
-            raise ShapeError("initial diagram has more than %d rows" % self.n)
-        if not 0 <= self.seed < 2 ** 64:
+        if length(initial) > n:
+            raise ShapeError("initial diagram has more than %d rows" % n)
+        if not 0 <= seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
-        theta = as_exact(self.theta)
-        if isinstance(theta, Fraction) and theta <= 0:
-            raise ValueError("theta must be positive, got %s" % theta)
-        for comp in self.rho.components:
+        exact = as_exact(theta)
+        if isinstance(exact, Fraction) and exact <= 0:
+            raise ValueError("theta must be positive, got %s" % exact)
+        for comp in rho.components:
             if (comp.alphas or comp.betas) and comp.scale.denominator != 1:
                 raise ValueError(
                     "a step with alpha or beta atoms needs an integer "
                     "scale, got %s" % comp.scale)
+        return super().__new__(cls, n, theta, rho, initial, seed)
 
     def to_json(self):
         from .scalars import scalar_to_json
@@ -657,8 +655,8 @@ def path_statistics(cfg, steps, samples, ks, times=None, on_path=None):
     ``on_path``; "rows" walks exact transition rows otherwise.
     ``on_path``, if given, is called with each full path
     [lam^(0), ..., lam^(steps)] in sample order.  Negative steps, an
-    empty list of times, no k, fewer than one sample, a negative k and a
-    symbolic theta raise ValueError.
+    empty list of times, no k, fewer than one sample, a negative or
+    repeated k and a symbolic theta raise ValueError.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -676,6 +674,8 @@ def path_statistics(cfg, steps, samples, ks, times=None, on_path=None):
         raise ValueError("need at least one sample")
     if any(k < 0 for k in ks):
         raise ValueError("moment indices k must be nonnegative")
+    if len(set(ks)) < len(ks):
+        raise ValueError("moment indices k must not repeat")
 
     kernel = _kernel_args(cfg) is not None
     if kernel and ks == [1] and cfg.n > 0 and on_path is None:

@@ -12,7 +12,7 @@ basis this package orthogonalizes, so they serve as probability data.  The
 duplicating lists.  Unions of specializations add their p_k values.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .scalars import as_exact, parse_fraction, refuse_unknown_keys
@@ -25,20 +25,20 @@ def _sorted_nonneg(values, label):
     return out
 
 
-@dataclass(frozen=True)
-class Specialization:
-    gamma: Fraction = Fraction(0)
-    alphas: tuple = ()
-    betas: tuple = ()
-    scale: Fraction = Fraction(1)
+class Specialization(namedtuple("Specialization",
+                                 "gamma alphas betas scale")):
+    """Fractions, atoms in descending order, none negative.  A tuple:
+    iterable, and equal to the plain tuple of its fields."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", Fraction(self.gamma))
-        object.__setattr__(self, "alphas", _sorted_nonneg(self.alphas, "alpha"))
-        object.__setattr__(self, "betas", _sorted_nonneg(self.betas, "beta"))
-        object.__setattr__(self, "scale", Fraction(self.scale))
-        if self.gamma < 0 or self.scale < 0:
+    __slots__ = ()
+
+    def __new__(cls, gamma=0, alphas=(), betas=(), scale=1):
+        gamma, scale = Fraction(gamma), Fraction(scale)
+        alphas = _sorted_nonneg(alphas, "alpha")
+        betas = _sorted_nonneg(betas, "beta")
+        if gamma < 0 or scale < 0:
             raise ValueError("gamma and scale must be nonnegative")
+        return super().__new__(cls, gamma, alphas, betas, scale)
 
     # -- canonical instances -------------------------------------------------
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jackwalk.asymptotics import (
+    LimitData,
     _drift_factor,
     build_U,
     build_V,
@@ -364,6 +365,16 @@ def test_burgers_time_zero():
     m0 = moments_to_stieltjes(packed_limit_moments(17))
     ev = burgers_evolve(m0, Specialization.single_beta(half), 0, one, 6)
     assert stieltjes_moments(ev, 6) == packed_limit_moments(6)
+
+
+def test_limit_data_is_the_pair_of_series():
+    data = walk_limit_data(Specialization.single_beta(one), one, one,
+                           packed_limit_moments(9), 4)
+    u_series, v_kernel = data
+    assert (build_U(data), build_V(data)) == (u_series, v_kernel)
+    assert data == LimitData(u_series, v_kernel) == (u_series, v_kernel)
+    with pytest.raises(AttributeError):
+        data.U = v_kernel
 
 
 def test_toeplitz_examples():

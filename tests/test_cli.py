@@ -547,6 +547,8 @@ BAD_SHAPES = {
     (_walk("1", BETA_ONE), ["--k", "-1"]),
     (_walk("1", BETA_ONE), ["--k", ""]),
     (_walk("1", BETA_ONE), ["--times", ","]),
+    (_walk("1", BETA_ONE), ["--k", "1,1"]),
+    (_walk("1", BETA_ONE), ["--k", "1,2,1"]),
     (_walk("1", BETA_ONE), ["--steps", "-1", "--k", "1,2"]),
     (_walk("1", GAMMA_ONE, step_truncation="3"), []),
     (_walk("1", GAMMA_ONE, step_truncation=0), []),
@@ -561,7 +563,8 @@ BAD_SHAPES = {
 ] + [(config, []) for config in BAD_SHAPES.values()],
     ids=["fractional-beta-scale", "symbolic-theta", "negative-theta",
          "divergent-alpha", "no-samples", "negative-k", "empty-k",
-         "empty-times", "negative-steps", "string-truncation",
+         "empty-times", "repeated-k", "one-repeated-k", "negative-steps",
+         "string-truncation",
          "zero-truncation", "negative-truncation", "bool-truncation",
          "zero-denominator-theta", "float-coefficient-theta",
          "zero-polynomial-denominator-theta", "bool-coefficient-theta",
@@ -570,14 +573,28 @@ BAD_SHAPES = {
 def test_walk_sample_bad_input_exits_2(tmp_path, capsys, config, argv):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
+    out = tmp_path / "s.csv"
     rc = cli.main(["walk", "sample", "--config", str(path), "--steps", "2",
-                   "--samples", "3", "--out", str(tmp_path / "s.csv")]
-                  + argv)
+                   "--samples", "3", "--out", str(out)] + argv)
     err = capsys.readouterr().err
     assert rc == 2
     assert len([line for line in err.splitlines()
                 if line.startswith("error:")]) == 1
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_walk_sample_seed_flag_is_validated(tmp_path, capsys, seed):
+    # --seed on a config without one builds a new config, which validates
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"N": 2, "theta": "1", "rho": BETA_ONE}))
+    out = tmp_path / "s.csv"
+    rc = cli.main(["walk", "sample", "--config", str(path), "--steps", "2",
+                   "--samples", "3", "--seed", seed, "--out", str(out)])
+    assert rc == 2
+    assert "error: seed must fit in 64 bits" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_walk_sample_deficit_exit_code(tmp_path, monkeypatch, capsys):
@@ -738,17 +755,31 @@ def test_walk_predict_calls_limit_layer_through_cli(tmp_path, monkeypatch):
     assert all(calls.values()), calls
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # numpy costs about 0.1 s to import and only the mass-marginal route
-    # needs it, so it loads there, not with the CLI
+def _modules_cli_import_adds(names):
+    """Which of `names` a fresh interpreter loads by importing the CLI;
+    modules a site hook loaded before the import do not count."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
-    probe = "import sys, jackwalk.cli; print('numpy' in sys.modules)"
+    probe = ("import sys; before = set(sys.modules); import jackwalk.cli; "
+             "print(' '.join(sorted(set(%r) & (set(sys.modules) - before))))"
+             % (names,))
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    return out.split()
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy costs about 0.1 s to import and only the mass-marginal route
+    # needs it, so it loads there, not with the CLI
+    assert _modules_cli_import_adds(["numpy"]) == []
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    # dataclasses pulls in inspect, ast, dis and tokenize, about 17 ms of
+    # every process's start-up: the records are namedtuples instead
+    assert _modules_cli_import_adds(["dataclasses", "inspect"]) == []
 
 
 PREDICT_CONFIG = {"N": 10, "theta": "1", "rho": {"betas": ["1"]}}
@@ -763,10 +794,14 @@ PREDICT_CONFIG = {"N": 10, "theta": "1", "rho": {"betas": ["1"]}}
     (PREDICT_CONFIG, ["--tau", ","]),
     (PREDICT_CONFIG, ["--tau", "1/0"]),
     (PREDICT_CONFIG, ["--tau", "1/2,3/0"]),
+    (PREDICT_CONFIG, ["--k", "1,1"]),
+    (PREDICT_CONFIG, ["--tau", "1,1"]),
+    (PREDICT_CONFIG, ["--tau", "1/2,1,2/4"]),
 ] + [(config, []) for config in BAD_SHAPES.values()],
     ids=["negative-k", "one-negative-k", "negative-tau", "one-negative-tau",
          "empty-k", "empty-tau", "zero-denominator-tau",
-         "one-zero-denominator-tau"] + list(BAD_SHAPES))
+         "one-zero-denominator-tau", "repeated-k", "repeated-tau",
+         "equal-taus"] + list(BAD_SHAPES))
 def test_walk_predict_bad_input_exits_2(tmp_path, capsys, config, argv):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))

@@ -63,6 +63,23 @@ def test_config_validation():
     WalkConfig(2, THETA, b23)
 
 
+def test_config_is_a_validating_value():
+    cfg = WalkConfig(3, one, b23, initial=[2, 1, 0], seed=5)
+    assert cfg.initial == (2, 1)
+    same = WalkConfig(3, one, b23, (2, 1), 5)
+    assert cfg == same and hash(cfg) == hash(same)
+    assert cfg != WalkConfig(3, one, b23, (2, 1), 6)
+    # a tuple: equal to the plain tuple of its fields
+    assert cfg == (3, one, b23, (2, 1), 5)
+    with pytest.raises(AttributeError):
+        cfg.seed = 6
+    with pytest.raises(AttributeError):
+        cfg.extra = 6
+    # positional construction validates like keyword construction
+    with pytest.raises(ValueError):
+        WalkConfig(cfg.n, cfg.theta, cfg.rho, cfg.initial, 2 ** 64)
+
+
 def test_fractional_gamma_scale_still_samples():
     rho = Specialization.plancherel(Fraction(1, 64)).scaled(half)
     cfg = WalkConfig(1, one, rho, seed=3)

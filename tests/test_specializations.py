@@ -65,6 +65,27 @@ def test_negative_entries_rejected():
         Specialization(betas=(Fraction(-1),))
 
 
+def test_specialization_is_a_normalised_value():
+    s = Specialization(half, [1, 3], (Fraction(2),), 2)
+    # atoms become Fractions in descending order, gamma and scale Fractions
+    assert s.alphas == (3, 1) and s.betas == (2,)
+    assert all(type(v) is Fraction
+               for v in (s.gamma, s.scale) + s.alphas + s.betas)
+    same = Specialization(gamma=half, alphas=(Fraction(3), 1), betas=[2],
+                          scale=Fraction(2))
+    assert s == same and hash(s) == hash(same)
+    assert s != s.scaled(3)
+    # a tuple: equal to the plain tuple of its fields
+    assert s == (half, (3, 1), (2,), 2)
+    with pytest.raises(AttributeError):
+        s.gamma = one
+    with pytest.raises(AttributeError):
+        s.extra = one
+    for bad in ({"gamma": -1}, {"scale": Fraction(-1, 3)}):
+        with pytest.raises(ValueError):
+            Specialization(**bad)
+
+
 def test_union_adds_p_values():
     b = Specialization.single_beta(half)
     a = Specialization.single_alpha(Fraction(1, 3))
