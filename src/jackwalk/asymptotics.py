@@ -11,6 +11,11 @@ Conventions used throughout:
 * Stieltjes-type data lives in the reciprocal variable tag ``"1/z"``:
   exponent ``n`` means ``z^(-n)``.  A probability measure has leading
   coefficient 1 at exponent 1.
+* The start enters only through P(x) = x H'(x), for H its profile
+  integral, stored about 1 in ``"x-1"``.  `profile_series` builds it by
+  one series reversion; the route through H itself (a reversion, a
+  reciprocal, an integral, a composition with log x and a second log) is
+  the test oracle.
 
 The limit data of a walk (`LimitData`) is the pair (U, V) itself: the
 paper's first- and second-order coefficients are their Taylor coefficients
@@ -202,7 +207,7 @@ def toeplitz_wienerhopf_check(symbol, max_power):
 
 
 # ---------------------------------------------------------------------------
-# Stieltjes transform, R-transform, and the exponential profile integral
+# Stieltjes transform and the limit profile
 # ---------------------------------------------------------------------------
 
 
@@ -211,35 +216,24 @@ def moments_to_stieltjes(moments):
     return TruncSeries("1/z", 1, [1] + list(moments), len(moments) + 2)
 
 
-def stieltjes_inverse(m, var="z"):
-    """Functional inverse 1/u + k_0 + k_1 u + ... of a Stieltjes series."""
-    if m.valuation() != 1 or m.coefficient(1) != 1:
-        raise ValueError("expected a Stieltjes series with leading mass 1")
-    return revert(m, var).reciprocal()
+def profile_series(moments, order):
+    """P(x) = x H'(x) about x = 1, in "x-1", truncated at `order`.
 
-
-def stieltjes_R_H(moments, order):
-    """Moment list -> (Stieltjes m, R-transform, profile integral H).
-
-    m is a series in "1/z"; R(z) = m^(-1)(z) - 1/z is a power series in z;
-    H(x) = int_0^(ln x) (R(u)+1) du + ln(ln x / (x-1)) expanded about x = 1
-    in the shifted variable "x-1".  H(1) = 0 by construction.
+    H is the profile integral of the start whose moments are `moments`
+    (Bufetov-Gorin, GAFA 2015): H(x) = int_0^(ln x) (R(u)+1) du
+    + ln(ln x / (x-1)), for R(u) = K(u) - 1/u and K = m^(-1) the inverse
+    of the Stieltjes series m.  Differentiating gives
+    P(x) = K(ln x) - 1/(x-1), so y = P + 1/(x-1) solves exp(m(y)) = x.
+    As exp(m(1/w)) - 1 = w + ... has valuation 1 in w = 1/z, its
+    compositional inverse v gives y = 1/v(x-1): one reversion, with no
+    integral, composition or second logarithm.  P(1) = m_1 + 1/2, and
+    the packed start gives P = 0, since there exp(m(y)) = 1 + 1/y.
     """
     if order > len(moments):
         raise OrderError("need %d moments, got %d" % (order, len(moments)))
     m = moments_to_stieltjes(list(moments)[:order])
-    k_series = stieltjes_inverse(m)
-    r_series = k_series - TruncSeries.monomial("z", -1, 1)
-
-    work = order + 2
-    log_x = TruncSeries.polynomial("x-1", [1, 1]).truncate(work).log()
-    anti = (r_series + 1).integrate()
-    first = anti.compose(log_x).retag("x-1")
-    ratio = TruncSeries("x-1", 0,
-                        [Fraction((-1) ** n, n + 1) for n in range(work)],
-                        work)
-    second = ratio.log()
-    return m, r_series, (first + second).truncate(order + 1)
+    v = revert(m.exp() - 1, "x-1")
+    return v.reciprocal() - TruncSeries.monomial("x-1", -1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +290,15 @@ def walk_drift_series(rho, theta, taus, initial_moments, order):
     """Drift series about 1 of the evolved shape at each time tau in taus.
 
     U^(tau) = theta * (tau W'(z) + H'(z)) where H is the profile integral of
-    the initial shape and both factors are expanded about z = 1; they do
-    not depend on tau, so they are built once for all the times.
+    the initial shape, H'(z) = P(z)/z for P its `profile_series`, and both
+    factors are expanded about z = 1; they do not depend on tau, so they
+    are built once for all the times.  Right for any start; fewer than
+    `order` moments raise OrderError.
     """
     _require_regular_at_one(rho)
-    _, _, h_series = stieltjes_R_H(initial_moments, order)
-    h_prime = h_series.derivative().retag(SHIFT_VAR)
     one_plus = TruncSeries.polynomial(SHIFT_VAR, [1, 1])
+    p_series = profile_series(initial_moments, order).retag(SHIFT_VAR)
+    h_prime = p_series * one_plus.reciprocal(order)
     w_prime = w_prime_of(rho, theta, one_plus, order)
     return [((w_prime * Fraction(tau) + h_prime) * theta).truncate(order)
             for tau in taus]
@@ -314,10 +310,16 @@ def walk_covariance_kernel(initial_moments, order, theta=1):
     V(z,w) = theta d_z d_w log(1 + (z-1)(w-1) D(z,w)) where D is the divided
     difference of P(x) = x H'(x) between z and w; in shifted coordinates the
     coefficient of (z-1)^i (w-1)^j in D is the (i+j+1)-st shifted Taylor
-    coefficient of P.
+    coefficient of P.  Fewer than 2*order + 1 moments raise OrderError.
+
+    Checked only at the packed start, where it is zero.  For other starts
+    it is known to be wrong: for the two-block start, uniform on
+    [-1, -1/2] and [0, 1/2], at theta = b = 1 and tau = 0, where a
+    deterministic start does not fluctuate, the limit variances it gives
+    are 3/8 for k = 1 and -3/16 for k = 2.  The drift
+    (`walk_drift_series`) is right for any start.
     """
-    _, _, h_series = stieltjes_R_H(initial_moments, 2 * order + 1)
-    p_series = TruncSeries.polynomial("x-1", [1, 1]) * h_series.derivative()
+    p_series = profile_series(initial_moments, 2 * order + 1)
     outer = []
     for j in range(order):
         inner = [p_series.coefficient(i + j + 1) for i in range(order)]
@@ -335,7 +337,13 @@ def walk_covariance_kernel(initial_moments, order, theta=1):
 
 
 def walk_limit_data(rho, theta, tau, initial_moments, order):
-    """Drift series at time tau and covariance kernel of the evolved shape."""
+    """Drift series at time tau and covariance kernel of the evolved shape.
+
+    It needs 2*order + 1 moments of the start, and raises OrderError on
+    fewer.  The drift is right for any start; the kernel is checked only
+    at the packed start and is known to be wrong for others (see
+    `walk_covariance_kernel`).
+    """
     u_series, = walk_drift_series(rho, theta, [tau], initial_moments, order)
     return LimitData(u_series, walk_covariance_kernel(initial_moments, order,
                                                       theta=theta))

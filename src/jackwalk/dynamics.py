@@ -317,10 +317,23 @@ def step_mass_law(n, b, theta=1):
     """Exact law of the mass added by one single-beta step at a numeric
     theta.
 
-    By Pieri (e_d(1^n) = C(n, d)) the strips of size d together weigh
-    C(n, d) q^d (1-q)^(n-d), q = theta b/(1 + theta b), whatever the
-    current diagram: the added mass is Binomial(n, q).  Returns
-    [(d, probability)] for d = 0..n.
+    The strips of size d together weigh C(n, d) q^d (1-q)^(n-d),
+    q = theta b/(1 + theta b), whatever the current diagram: the added
+    mass is Binomial(n, q).  Returns [(d, probability)] for d = 0..n.
+
+    Proof.  Write theta = p/r, w = theta b and y_i = r lam_i - p i for
+    the n rows, distinct nodes.  The step grows the rows of a set S with
+    probability w^|S| Delta(y + p e_S) / ((1 + w)^n Delta(y)), Delta the
+    Vandermonde product (`_steppure.bernoulli_row`); a set that is not a
+    strip has y_i + p = y_(i-1) for some i, so Delta(y + p e_S) = 0.
+    Replacing the rows in S of the Vandermonde matrix V(y) by those of
+    V(y + p) gives Delta(y + p e_S) / Delta(y) = det T_SS for
+    T = V(y + p) V(y)^(-1), T_ij = l_j(y_i + p) with l_j the Lagrange
+    basis at the nodes y.  Summing over S, E z^|S| =
+    det(I + z w T) / det(I + w T).  T is the shift by p on polynomials of
+    degree below n, exp(p d/dx) with d/dx nilpotent, so T is unipotent
+    and det(I + z w T) = (1 + z w)^n: E z^|S| = ((1 + z w)/(1 + w))^n,
+    the generating function of Binomial(n, w/(1 + w)).
     """
     tb = Fraction(theta) * Fraction(b)
     q = tb / (1 + tb)

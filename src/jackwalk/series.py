@@ -27,7 +27,10 @@ O(n^2) recurrence b_k = -(a_1 b_(k-1) + ... + a_k b_0) / a_0, and exp
 and log follow theirs, from b' = a' b and f' = c' f.  Callers
 that need one coefficient of a product read it off the factors instead:
 the limit residues in ``asymptotics`` are finite sums of coefficient
-products.
+products.  ``revert`` inverts a series under composition by Lagrange
+inversion.  There is no composition or antiderivative: the limit profile
+takes one reversion (``asymptotics.profile_series``), and the test suite
+keeps both, with the profile integral they built, as its oracle.
 """
 
 from fractions import Fraction
@@ -285,20 +288,6 @@ class TruncSeries:
         order = self.order if self.order == ORDER_INF else self.order - 1
         return TruncSeries(self.var, self.low - 1, out, order)
 
-    def integrate(self):
-        """Antiderivative with zero constant term; rejects a 1/x term."""
-        out = []
-        for k, c in zip(range(self.low, self.low + len(self.coeffs)),
-                        self.coeffs):
-            if k == -1:
-                if c:
-                    raise ValueError("cannot integrate a 1/%s term" % self.var)
-                out.append(0)
-            else:
-                out.append(c * Fraction(1, k + 1))
-        order = self.order if self.order == ORDER_INF else self.order + 1
-        return TruncSeries(self.var, self.low + 1, out, order)
-
     # -- multiplicative structure -------------------------------------------
 
     def reciprocal(self, order=None):
@@ -326,27 +315,6 @@ class TruncSeries:
                     acc = acc + a[i] * out[k - i]
             out.append(-acc * c0i)
         return TruncSeries(self.var, -v, out, rel - v)
-
-    def compose(self, inner):
-        """Substitute `inner` (positive valuation) for this series' variable."""
-        if self.low < 0:
-            raise ValueError("cannot compose a Laurent series")
-        if not inner.coeffs:
-            return TruncSeries.constant(inner.var, self.coefficient(0),
-                                        inner.order)
-        v = inner.valuation()
-        if v < 1:
-            raise ValueError("inner series must have positive valuation")
-        bound = self.order if self.order == ORDER_INF else self.order * v
-        acc = TruncSeries.zero(inner.var, bound)
-        power = TruncSeries.constant(inner.var, 1)
-        exponent = 0
-        for k, c in self.items():
-            while exponent < k:
-                power = (power * inner).truncate(bound)
-                exponent += 1
-            acc = acc + power * c
-        return acc.truncate(bound)
 
     def exp(self):
         """exp of a series with positive valuation: b_0 = 1 and

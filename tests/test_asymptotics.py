@@ -1,5 +1,6 @@
 """Limit-shape and fluctuation series: transforms, drifts, covariances."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -17,11 +18,11 @@ from jackwalk.asymptotics import (
     limit_moment,
     moments_to_stieltjes,
     packed_limit_moments,
-    stieltjes_R_H,
-    stieltjes_inverse,
+    profile_series,
     toeplitz_wienerhopf_check,
     w_prime_of,
     walk_covariance_kernel,
+    walk_drift_series,
     walk_limit_data,
 )
 from jackwalk.errors import OrderError, StabilityError
@@ -32,6 +33,76 @@ from jackwalk.verify import toeplitz_cases
 
 half = Fraction(1, 2)
 one = Fraction(1)
+
+
+# -- the profile-integral oracle: H by inversion, integral and composition ----
+
+
+def integrate(f):
+    """Antiderivative with zero constant term; rejects a 1/x term."""
+    out = []
+    for k, c in zip(range(f.low, f.low + len(f.coeffs)), f.coeffs):
+        if k == -1:
+            if c:
+                raise ValueError("cannot integrate a 1/%s term" % f.var)
+            out.append(0)
+        else:
+            out.append(c * Fraction(1, k + 1))
+    order = f.order if f.order == ORDER_INF else f.order + 1
+    return TruncSeries(f.var, f.low + 1, out, order)
+
+
+def compose(f, inner):
+    """Substitute `inner` (positive valuation) for the variable of f."""
+    if f.low < 0:
+        raise ValueError("cannot compose a Laurent series")
+    if not inner.coeffs:
+        return TruncSeries.constant(inner.var, f.coefficient(0), inner.order)
+    v = inner.valuation()
+    if v < 1:
+        raise ValueError("inner series must have positive valuation")
+    bound = f.order if f.order == ORDER_INF else f.order * v
+    acc = TruncSeries.zero(inner.var, bound)
+    power = TruncSeries.constant(inner.var, 1)
+    exponent = 0
+    for k, c in f.items():
+        while exponent < k:
+            power = (power * inner).truncate(bound)
+            exponent += 1
+        acc = acc + power * c
+    return acc.truncate(bound)
+
+
+def stieltjes_inverse(m, var="z"):
+    """Functional inverse 1/u + k_0 + k_1 u + ... of a Stieltjes series."""
+    if m.valuation() != 1 or m.coefficient(1) != 1:
+        raise ValueError("expected a Stieltjes series with leading mass 1")
+    return revert(m, var).reciprocal()
+
+
+def stieltjes_R_H(moments, order):
+    """Moment list -> (Stieltjes m, R-transform, profile integral H).
+
+    m is a series in "1/z"; R(z) = m^(-1)(z) - 1/z is a power series in z;
+    H(x) = int_0^(ln x) (R(u)+1) du + ln(ln x / (x-1)) expanded about x = 1
+    in the shifted variable "x-1".  H(1) = 0 by construction.  The oracle
+    for profile_series, which is (1 + t) H'(t) about t = x - 1 = 0.
+    """
+    if order > len(moments):
+        raise OrderError("need %d moments, got %d" % (order, len(moments)))
+    m = moments_to_stieltjes(list(moments)[:order])
+    k_series = stieltjes_inverse(m)
+    r_series = k_series - TruncSeries.monomial("z", -1, 1)
+
+    work = order + 2
+    log_x = TruncSeries.polynomial("x-1", [1, 1]).truncate(work).log()
+    anti = integrate(r_series + 1)
+    first = compose(anti, log_x).retag("x-1")
+    ratio = TruncSeries("x-1", 0,
+                        [Fraction((-1) ** n, n + 1) for n in range(work)],
+                        work)
+    second = ratio.log()
+    return m, r_series, (first + second).truncate(order + 1)
 
 
 # -- the Burgers oracle: limit moments by evolving the Stieltjes series ---------
@@ -243,7 +314,8 @@ def test_stieltjes_R_H_point_mass():
 
 
 def test_H_prime_at_one_is_mean_shifted():
-    # H'(1) = m_1 + 1/2 across atomic measures
+    # H'(1) = P(1) = m_1 + 1/2 across atomic measures, on the oracle and
+    # on profile_series alike
     rng = random.Random(43)
     for _ in range(8):
         atoms = [(Fraction(rng.randint(-3, 3), 4), Fraction(1, 4))
@@ -251,13 +323,121 @@ def test_H_prime_at_one_is_mean_shifted():
         mu = AtomicMeasure(atoms)
         _, _, H = stieltjes_R_H(mu.moments(9), 9)
         assert H.derivative().coefficient(0) == mu.moment(1) + half
+        assert profile_series(mu.moments(9), 9).coefficient(0) == \
+            mu.moment(1) + half
     # packed and symmetric-uniform values used by the trend checks
     _, _, Hp = stieltjes_R_H(packed_limit_moments(9), 9)
     assert Hp.derivative().coefficient(0) == 0
+    assert profile_series(packed_limit_moments(9), 9).coefficient(0) == 0
     uniform = [Fraction(0) if k % 2 else Fraction(1, k + 1)
                for k in range(1, 10)]
     _, _, Hu = stieltjes_R_H(uniform, 9)
     assert Hu.derivative().coefficient(0) == half
+    assert profile_series(uniform, 9).coefficient(0) == half
+
+
+@st.composite
+def atomic_measures(draw):
+    """A probability measure on up to four rational atoms."""
+    atoms = draw(st.lists(
+        st.tuples(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+                  st.integers(1, 5)), min_size=1, max_size=4))
+    total = sum(w for _, w in atoms)
+    return AtomicMeasure([(x, Fraction(w, total)) for x, w in atoms])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(atomic_measures(), st.integers(1, 25))
+def test_profile_series_matches_profile_integral_oracle(mu, order):
+    moments = mu.moments(order)
+    _, _, H = stieltjes_R_H(moments, order)
+    oracle = TruncSeries.polynomial("x-1", [1, 1]) * H.derivative()
+    P = profile_series(moments, order)
+    assert (P.var, P.low, P.order, P.coeffs) == \
+        (oracle.var, oracle.low, oracle.order, oracle.coeffs)
+    assert list(map(type, P.coeffs)) == list(map(type, oracle.coeffs))
+
+
+def test_profile_series_of_packed_start_is_zero():
+    # the uniform law on [-1, 0] has exp(m(y)) = 1 + 1/y, so
+    # y = 1/(x - 1) and P = 0
+    for order in range(1, 26):
+        P = profile_series(packed_limit_moments(order), order)
+        assert not P and P.order == order
+
+
+def test_profile_series_of_point_mass():
+    # exp(m(y)) = exp(1/y) = x gives y = 1/ln x: P(1 + t) = 1/ln(1+t) - 1/t,
+    # whose coefficients are the Gregory coefficients
+    P = profile_series([Fraction(0)] * 12, 12)
+    assert [P.coefficient(k) for k in range(6)] == \
+        [half, Fraction(-1, 12), Fraction(1, 24), Fraction(-19, 720),
+         Fraction(3, 160), Fraction(-863, 60480)]
+    ratio = TruncSeries("x-1", 0, [Fraction((-1) ** n, n + 1)
+                                   for n in range(13)], 13)  # ln(1+t)/t
+    expected = (ratio.reciprocal() - 1) * TruncSeries.monomial("x-1", -1, 1)
+    assert (P.low, P.order, P.coeffs) == \
+        (expected.low, expected.order, expected.coeffs)
+
+
+def test_too_few_moments_are_refused():
+    # the off-center two-atom start; each builder needs its order's
+    # moments (the kernel 2*order + 1) and refuses fewer
+    mu = AtomicMeasure([(half, Fraction(3, 4)), (-half, Fraction(1, 4))])
+    rho = Specialization.single_beta(one)
+    with pytest.raises(OrderError, match=r"^need 8 moments, got 3$"):
+        walk_drift_series(rho, one, [one], mu.moments(3), 8)
+    with pytest.raises(OrderError, match=r"^need 3 moments, got 2$"):
+        walk_covariance_kernel(mu.moments(2), 1)
+    with pytest.raises(OrderError, match=r"^need 8 moments, got 3$"):
+        walk_limit_data(rho, one, one, mu.moments(3), 8)
+    with pytest.raises(OrderError, match=r"^need 17 moments, got 16$"):
+        walk_limit_data(rho, one, one, mu.moments(16), 8)
+    with pytest.raises(OrderError, match=r"^need 5 moments, got 4$"):
+        profile_series(mu.moments(4), 5)
+    # and exactly enough is accepted
+    walk_drift_series(rho, one, [one], mu.moments(8), 8)
+    walk_covariance_kernel(mu.moments(3), 1)
+    walk_limit_data(rho, one, one, mu.moments(17), 8)
+
+
+#: sha256 of _packed_limit_data_dump(), recorded while the profile was
+#: still built from H: it pins truncation orders and coefficient types as
+#: well as values
+GOLDEN_PACKED_LIMIT_DATA = \
+    "e64feda51e9374a3365df4a94294b46b3a61b6be3ef7c927011968d1554110be"
+
+
+def _dump(value):
+    """var, low, order and every coefficient with its type, recursively."""
+    if isinstance(value, TruncSeries):
+        return "S(%s,%r,%r,[%s])" % (value.var, value.low, value.order,
+                                     ",".join(map(_dump, value.coeffs)))
+    return "%s:%r" % (type(value).__name__, value)
+
+
+def _packed_limit_data_dump():
+    """U, V and every limit moment and covariance for k, l <= order/3 of
+    the packed start, on a grid of steps, orders, thetas and times."""
+    lines = []
+    for rho in (Specialization.single_beta(one),
+                Specialization(half, [Fraction(1, 3)], [Fraction(2)])):
+        for order in (4, 8, 12):
+            moments = packed_limit_moments(2 * order + 1)
+            for theta in (half, one, Fraction(2)):
+                for tau in (Fraction(0), half, one):
+                    U, V = walk_limit_data(rho, theta, tau, moments, order)
+                    lines += [_dump(U), _dump(V)]
+                    for k in range(1, order // 3 + 1):
+                        lines.append(_dump(limit_moment(k, U, theta)))
+                        lines += [_dump(limit_covariance(k, l, U, V, theta))
+                                  for l in range(1, order // 3 + 1)]
+    return "\n".join(lines) + "\n"
+
+
+def test_packed_limit_data_is_unchanged():
+    digest = hashlib.sha256(_packed_limit_data_dump().encode()).hexdigest()
+    assert digest == GOLDEN_PACKED_LIMIT_DATA
 
 
 def test_limit_moment_zero_drift():

@@ -341,6 +341,65 @@ def test_step_mass_law_is_the_row_mass_by_size(theta):
             assert by_size == law, (lam, n, b)
 
 
+def _fraction_det(matrix):
+    """Determinant by elimination over Fractions, with row swaps."""
+    rows = [[Fraction(a) for a in row] for row in matrix]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        pivot = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        top = rows[c]
+        det *= top[c]
+        for r in range(c + 1, len(rows)):
+            ratio = rows[r][c] / top[c]
+            rows[r] = [a - ratio * t for a, t in zip(rows[r], top)]
+    return det
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(THETAS), st.sampled_from([one, Fraction(2, 3),
+                                                 Fraction(5, 2)]),
+       st.integers(0, 6), st.lists(st.integers(1, 5), max_size=6))
+def test_single_beta_step_is_determinantal(theta, b, n, parts):
+    # the rows S that grow have P(S) = w^|S| det T_SS / (1 + w)^N, for
+    # w = theta b, y_i = q lam_i - p i at theta = p/q and T_ij = l_j(y_i + p),
+    # l_j the Lagrange basis at the nodes y; a set that is not a strip gets
+    # det T_SS = 0
+    lam = tuple(sorted(parts, reverse=True))[:n]
+    padded = list(lam) + [0] * (n - len(lam))
+    p, q = theta.numerator, theta.denominator
+    w = theta * b
+    ys = [q * part - p * i for i, part in enumerate(padded)]
+
+    def lagrange(j, x):
+        out = Fraction(1)
+        for k, yk in enumerate(ys):
+            if k != j:
+                out *= Fraction(x - yk, ys[j] - yk)
+        return out
+
+    T = [[lagrange(j, y + p) for j in range(n)] for y in ys]
+    entries, den = bernoulli_row(lam, n, b.numerator, b.denominator, p, q)
+    row = {tuple(mu) + (0,) * (n - len(mu)): Fraction(num, den)
+           for mu, num in entries}
+    for size in range(n + 1):
+        for S in itertools.combinations(range(n), size):
+            grown = tuple(part + (i in S) for i, part in enumerate(padded))
+            minor = _fraction_det([[T[i][j] for j in S] for i in S])
+            assert w ** size * minor / (1 + w) ** n == row.get(grown, 0)
+    # T is the shift by p on polynomials of degree below N: unipotent
+    nil = [[T[i][j] - (i == j) for j in range(n)] for i in range(n)]
+    power = nil
+    for _ in range(n - 1):
+        power = [[sum(a * nil[k][j] for k, a in enumerate(r))
+                  for j in range(n)] for r in power]
+    assert not any(any(r) for r in power)
+
+
 @settings(max_examples=100, deadline=None)
 @given(beta_rows(THETAS + [Fraction(9, 4), Fraction(5, 11)]),
        st.integers(0, 20))

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from jackwalk.errors import OrderError
 from jackwalk.scalars import RationalFunction
 from jackwalk.series import ORDER_INF, TruncSeries, _coeff_inv, revert
+from test_asymptotics import compose, integrate
 
 
 def random_series(rng, var="z", low_range=(-2, 2), width=6):
@@ -105,12 +106,12 @@ def test_exp_log():
 def test_derivative_integrate():
     s = TruncSeries("z", 0, [1, 2, 3], 5)
     assert list(s.derivative().items()) == [(0, 2), (1, 6)]
-    assert [(k, v) for k, v in s.integrate().items()] == \
+    assert [(k, v) for k, v in integrate(s).items()] == \
         [(1, Fraction(1)), (2, Fraction(1)), (3, Fraction(1))]
     rng = random.Random(31)
     for _ in range(15):
         f = random_series(rng, low_range=(0, 2))
-        d = f.integrate().derivative() - f
+        d = integrate(f).derivative() - f
         assert not any(v for _, v in d.items())
 
 
@@ -120,19 +121,19 @@ def test_compose_and_revert():
     # signed Catalan numbers
     assert [r.coefficient(k) for k in range(1, 8)] == \
         [1, -1, 2, -5, 14, -42, 132]
-    back = f.compose(r)
+    back = compose(f, r)
     assert [(k, v) for k, v in back.items()] == [(1, 1)]
     with pytest.raises(ValueError):
         revert(TruncSeries("z", 0, [1, 1], 5), "w")
     with pytest.raises(ValueError):
-        f.compose(TruncSeries("w", 0, [1, 1], 5))
+        compose(f, TruncSeries("w", 0, [1, 1], 5))
     rng = random.Random(37)
     for _ in range(10):
         coeffs = [Fraction(1)] + [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                                   for _ in range(5)]
         g = TruncSeries("z", 1, coeffs, 7)
         h = revert(g, "w")
-        d = g.compose(h) - TruncSeries.monomial("w", 1, 1, 7)
+        d = compose(g, h) - TruncSeries.monomial("w", 1, 1, 7)
         assert not any(v for _, v in d.items())
 
 
