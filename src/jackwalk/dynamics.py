@@ -57,12 +57,13 @@ marginal.  When k = 1 alone is requested of a single-beta walk,
 walks that per-row enumeration never could.  Since the sum of dt
 independent Binomial(N, q) steps is Binomial(N dt, q), that route draws
 one Binomial per interval between consecutive requested times (the first
-from t = 0) and cumulates the intervals, in numpy blocks of samples.  A
+from t = 0) and cumulates the intervals, in numpy blocks of samples that
+hold at most _BLOCK_BUDGET values each (one per sample and time).  A
 zero-width interval draws nothing, so when every time is requested the
 random stream, and every byte, is that of one draw per step.  Each
 statistic is one correctly rounded division of integers below 2^53, and
 the blocks are accumulated in sample order, so its output matches a
-per-sample exact loop bit for bit.
+per-sample exact loop bit for bit, whatever the block size.
 """
 
 import hashlib
@@ -89,6 +90,7 @@ DEFAULT_DEFICIT_BOUND = Fraction(1, 2 ** 32)
 _MAX_ROW_STATES = 200000
 _MAX_EVOLVE_STATES = 20000
 _MAX_CACHED_ENTRIES = 10 * _MAX_ROW_STATES
+_BLOCK_BUDGET = 2 ** 18  # values per mass-marginal block
 
 
 class WalkConfig(namedtuple("WalkConfig", "n theta rho initial seed")):
@@ -478,8 +480,9 @@ class PathStats:
 
     Keys are (time, k) pairs; each sample contributes the scaled moment
     n * integral of x^k against the state's empirical law at that time.
-    Stores raw power sums (up to fourth order per key, plus pairwise
-    products), so merging accumulators is plain addition.
+    Per key it keeps four raw power sums: sum x and sum x^2 feed the CSV,
+    sum x^3 and sum x^4 feed variance_stderr.  Nothing is kept per pair
+    of keys, so a sample costs O(keys) and merging is plain addition.
     """
 
     def __init__(self, keys, method="rows"):
@@ -487,29 +490,25 @@ class PathStats:
         self.method = method
         self.count = 0
         self.sums = {key: [0.0, 0.0, 0.0, 0.0] for key in self.keys}
-        self.cross = {}
-        for i, a in enumerate(self.keys):
-            for b in self.keys[i + 1:]:
-                self.cross[(a, b)] = 0.0
 
     def add_sample(self, values):
         """Record one path's statistics; `values` maps key -> float."""
         self.count += 1
         for key in self.keys:
             x = values[key]
+            x2 = x * x
             s = self.sums[key]
             s[0] += x
-            s[1] += x * x
-            s[2] += x ** 3
-            s[3] += x ** 4
-        for a, b in self.cross:
-            self.cross[(a, b)] += values[a] * values[b]
+            s[1] += x2
+            s[2] += x2 * x
+            s[3] += x2 * x2
 
     def add_batch(self, values):
         """Record a block of paths: `values` is a 2-D float64 numpy array
         with one row per path and one column per key, in self.keys order.
-        Every sum is accumulated in path order, so the result is bit for
-        bit that of add_sample on each row in turn."""
+        Powers are the products add_sample takes, which round alike in
+        Python and numpy, and every sum is accumulated in path order, so
+        the result is bit for bit that of add_sample on each row in turn."""
         import numpy
 
         def running(total, terms):
@@ -518,24 +517,14 @@ class PathStats:
             return float(numpy.add.accumulate(
                 numpy.concatenate(([total], terms)))[-1])
 
-        columns = {}
         for j, key in enumerate(self.keys):
-            x = columns[key] = values[:, j]
-            # Python's float ** (libm pow) and numpy.power can differ in
-            # the last bit, so the third and fourth powers are taken here,
-            # once per distinct bit pattern (-0.0 apart from 0.0) and
-            # gathered back into sample order
-            distinct, at = numpy.unique(x.view(numpy.int64),
-                                        return_inverse=True)
-            vs = distinct.view(numpy.float64).tolist()
+            x = values[:, j]
+            x2 = x * x
             s = self.sums[key]
             s[0] = running(s[0], x)
-            s[1] = running(s[1], x * x)
-            s[2] = running(s[2], numpy.array([v ** 3 for v in vs])[at])
-            s[3] = running(s[3], numpy.array([v ** 4 for v in vs])[at])
-        for a, b in self.cross:
-            self.cross[(a, b)] = running(self.cross[(a, b)],
-                                         columns[a] * columns[b])
+            s[1] = running(s[1], x2)
+            s[2] = running(s[2], x2 * x)
+            s[3] = running(s[3], x2 * x2)
         self.count += len(values)
 
     def merge(self, other):
@@ -546,8 +535,6 @@ class PathStats:
             mine, theirs = self.sums[key], other.sums[key]
             for i in range(4):
                 mine[i] += theirs[i]
-        for pair in self.cross:
-            self.cross[pair] += other.cross[pair]
         return self
 
     # -- estimates -----------------------------------------------------------
@@ -562,18 +549,6 @@ class PathStats:
             return 0.0
         s = self.sums[key]
         return max(0.0, (s[1] - s[0] * s[0] / m) / (m - 1))
-
-    def covariance(self, key_a, key_b):
-        key_a, key_b = tuple(key_a), tuple(key_b)
-        if key_a == key_b:
-            return self.variance(key_a)
-        if (key_a, key_b) not in self.cross:
-            key_a, key_b = key_b, key_a
-        m = self.count
-        if m < 2:
-            return 0.0
-        sa, sb = self.sums[key_a], self.sums[key_b]
-        return (self.cross[(key_a, key_b)] - sa[0] * sb[0] / m) / (m - 1)
 
     def mean_stderr(self, key):
         return math.sqrt(self.variance(key) / self.count)
@@ -646,7 +621,7 @@ def _mass_marginal_stats(cfg, steps, samples, times):
     stats = PathStats([(t, 1) for t in times], method="mass-marginal")
     rng = numpy.random.Generator(numpy.random.PCG64(cfg.seed))
     trials = n * numpy.diff(times, prepend=0)  # per interval
-    block = 20000
+    block = max(1, min(20000, _BLOCK_BUDGET // len(times)))
     done = 0
     while done < samples:
         m = min(block, samples - done)
@@ -658,7 +633,7 @@ def _mass_marginal_stats(cfg, steps, samples, times):
 
 
 def path_statistics(cfg, steps, samples, ks, times=None, on_path=None):
-    """Monte Carlo means/variances/covariances of the scaled moments
+    """Monte Carlo means and variances of the scaled moments
     n * integral x^k at the requested times (default: every time), over
     `samples` independent paths seeded from (cfg.seed, path index).
 

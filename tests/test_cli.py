@@ -431,6 +431,13 @@ GOLDEN_WALKS = {
         "b5a2b42dea3e5210e1ba9c9661b0133fae8df346dbb85741c0b13f83cd6f3c19",
         None,
         "c30396b2f3c4f3cbdac8e14a89a65f37925f4c28de996aeb0da796b07fce3abd"),
+    # the paper's regime, t = N = 256 with every time requested: 257 keys,
+    # so the samples fill two blocks of the element budget
+    "paper-regime": (
+        {"n": 256}, ["--steps", "256", "--samples", "2000"],
+        "3c3280ecc0321b48c992ee40bdd67e79aac7baff144f1f1c722ade2c430fc862",
+        None,
+        "e9796a7d0a412d732622fc32f0a95b25068cffde23158122aa2b0c31af124c75"),
 }
 
 

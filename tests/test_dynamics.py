@@ -448,14 +448,19 @@ def test_marginal_route_at_theta_half_within_4_se():
 
 
 @pytest.mark.parametrize("theta", [one, half], ids=str)
-def test_marginal_at_subsampled_times_within_4_se(theta):
+def test_marginal_at_subsampled_times_within_4_se(monkeypatch, theta):
     # one Binomial(N dt, q) draw per interval must keep the increments
     # independent: X_t = x0 + D_t / (theta N), with D_t the sum of t
     # independent step masses, so Cov(X_s, X_t) = Var(D_min(s,t)) / (theta N)^2
     n, m, times = 8, 25000, [0, 2, 4, 6, 8]
     cfg = WalkConfig(n, theta, b23, seed=5)
+    blocks = _spy_on_add_batch(monkeypatch)
     stats = path_statistics(cfg, 8, m, [1], times=times)
     assert stats.method == "mass-marginal"
+    # PathStats keeps no co-moments: the sampled covariances come from the
+    # statistics themselves, one column per time
+    sampled = numpy.cov(numpy.concatenate(blocks), rowvar=False)
+    assert sampled.shape == (len(times), len(times))
     law = step_mass_law(n, b23.betas[0], theta)
     mu = sum(d * p for d, p in law)
     mu2, mu4 = (sum((d - mu) ** j * p for d, p in law) for j in (2, 4))
@@ -486,8 +491,8 @@ def test_marginal_at_subsampled_times_within_4_se(theta):
                      for a, pa in increment(s)
                      for b, pb in increment(t - s)) / scale ** 4
         se_cov = math.sqrt((second - cov ** 2) / m)
-        assert abs(stats.covariance((s, 1), (t, 1)) - cov) \
-            <= 4 * se_cov + 1e-9, (s, t)
+        i, j = times.index(s), times.index(t)
+        assert abs(sampled[i, j] - cov) <= 4 * se_cov + 1e-9, (s, t)
 
 
 def test_sample_path_reproducible():
@@ -706,7 +711,6 @@ def test_path_stats():
     assert s.mean((1, 1)) == 2.0
     assert s.variance((1, 1)) == 2.0
     assert s.variance((1, 2)) == 0.0
-    assert s.covariance((1, 1), (1, 2)) == 0.0
     t = PathStats([(1, 1), (1, 2)])
     t.add_sample({(1, 1): 5.0, (1, 2): 0.0})
     s.merge(t)
@@ -718,9 +722,6 @@ def test_path_stats():
     one_sample = PathStats([(1, 1), (1, 2)])
     one_sample.add_sample({(1, 1): 1.0, (1, 2): 2.0})
     assert one_sample.variance((1, 1)) == 0.0
-    assert one_sample.covariance((1, 1), (1, 1)) == 0.0
-    assert one_sample.covariance((1, 1), (1, 2)) == 0.0
-    assert one_sample.covariance((1, 2), (1, 1)) == 0.0
     buf = io.StringIO()
     s.write_csv(buf)
     text = buf.getvalue()
@@ -1111,13 +1112,47 @@ def test_kernel_and_table_caches_draw_alike(monkeypatch, theta):
 
 def _bits(stats):
     return (stats.count,
-            {key: [x.hex() for x in s] for key, s in stats.sums.items()},
-            {pair: x.hex() for pair, x in stats.cross.items()})
+            {key: [x.hex() for x in s] for key, s in stats.sums.items()})
+
+
+def _spy_on_add_batch(monkeypatch):
+    """Copies of the value blocks PathStats.add_batch is given, in order."""
+    blocks = []
+    add_batch = PathStats.add_batch
+
+    def spy(self, values):
+        blocks.append(values.copy())
+        return add_batch(self, values)
+
+    monkeypatch.setattr(PathStats, "add_batch", spy)
+    return blocks
+
+
+# zeros of both signs, subnormals, and magnitudes whose square (1e300) or
+# only fourth power (1e80) overflows, beside any other finite float
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-300,
+                     1e80, -1e80, 1e300, -1e300, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _edge_blocks(draw, width):
+    """A few blocks of edge-case rows, `width` values each; a block may be
+    empty."""
+    sizes = draw(st.lists(st.integers(0, 4), min_size=1, max_size=5))
+    return [numpy.array(draw(st.lists(st.lists(_EDGE_FLOATS, min_size=width,
+                                               max_size=width),
+                                      min_size=m, max_size=m)),
+                        dtype=numpy.float64).reshape(m, width)
+            for m in sizes]
 
 
 @pytest.mark.parametrize("blocks", [[7], [5, 5, 5], [6, 6, 2], [0], [1],
                                     [0, 3, 1, 0]])
-def test_add_batch_matches_add_sample(blocks):
+@settings(max_examples=25, deadline=None)
+@given(edge=_edge_blocks(3))
+def test_add_batch_matches_add_sample(blocks, edge):
     keys = [(0, 1), (4, 1), (4, 2)]
     rng = random.Random(sum(blocks) * 31 + len(blocks))
     draws = [
@@ -1131,12 +1166,14 @@ def test_add_batch_matches_add_sample(blocks):
         # signed zeros beside values whose powers underflow to them
         lambda: rng.choice([0.0, -0.0, 1e-300, -1e-300, 0.5, -0.5]),
     ]
-    for draw in draws:
+    families = [[numpy.array([[draw() for _ in keys] for _ in range(m)])
+                 .reshape(m, len(keys)) for m in blocks] for draw in draws]
+    for family in families + [edge]:
         batched, single = PathStats(keys), PathStats(keys)
-        for m in blocks:
-            values = numpy.array([[draw() for _ in keys] for _ in range(m)])
-            values = values.reshape(m, len(keys))
-            batched.add_batch(values)
+        for values in family:
+            # an overflowing power is inf, and inf - inf nan, in both
+            with numpy.errstate(over="ignore", invalid="ignore"):
+                batched.add_batch(values)
             for row in values.tolist():
                 single.add_sample(dict(zip(keys, row)))
         assert _bits(batched) == _bits(single)
@@ -1169,3 +1206,22 @@ def test_mass_marginal_matches_per_sample_loop():
     assert batched.method == "mass-marginal"
     assert _bits(batched) == _bits(
         _per_sample_marginal_stats(cfg, 20003, times))
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_mass_marginal_blocks_fit_the_budget(monkeypatch, rows):
+    # the budget only sizes the blocks: a few rows per block draw the same
+    # random stream and sum the same values in the same order
+    cfg = WalkConfig(6, one, Specialization.single_beta(one), seed=3)
+    steps, samples = 24, 40
+    times = list(range(steps + 1))  # 25 keys
+    default = path_statistics(cfg, steps, samples, [1])
+    budget = rows * len(times)
+    monkeypatch.setattr(dynamics, "_BLOCK_BUDGET", budget)
+    blocks = _spy_on_add_batch(monkeypatch)
+    small = path_statistics(cfg, steps, samples, [1])
+    assert small.method == "mass-marginal"
+    assert _bits(small) == _bits(default)
+    assert [len(b) for b in blocks] == [rows] * (samples // rows) \
+        + [samples % rows] * (samples % rows > 0)
+    assert all(b.size <= budget for b in blocks)
