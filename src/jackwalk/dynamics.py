@@ -58,12 +58,13 @@ walks that per-row enumeration never could.  Since the sum of dt
 independent Binomial(N, q) steps is Binomial(N dt, q), that route draws
 one Binomial per interval between consecutive requested times (the first
 from t = 0) and cumulates the intervals, in numpy blocks of samples that
-hold at most _BLOCK_BUDGET values each (one per sample and time).  A
-zero-width interval draws nothing, so when every time is requested the
-random stream, and every byte, is that of one draw per step.  Each
-statistic is one correctly rounded division of integers below 2^53, and
-the blocks are accumulated in sample order, so its output matches a
-per-sample exact loop bit for bit, whatever the block size.
+hold at most _BLOCK_BUDGET = 2^14 values each (one per sample and time)
+and are accumulated in one pass for every time.  A zero-width interval
+draws nothing, so when every time is requested the random stream, and
+every byte, is that of one draw per step.  Each statistic is one
+correctly rounded division of integers below 2^53, and the blocks are
+accumulated in sample order, so its output matches a per-sample exact
+loop bit for bit, whatever the block size.
 """
 
 import hashlib
@@ -90,7 +91,7 @@ DEFAULT_DEFICIT_BOUND = Fraction(1, 2 ** 32)
 _MAX_ROW_STATES = 200000
 _MAX_EVOLVE_STATES = 20000
 _MAX_CACHED_ENTRIES = 10 * _MAX_ROW_STATES
-_BLOCK_BUDGET = 2 ** 18  # values per mass-marginal block
+_BLOCK_BUDGET = 2 ** 14  # values per mass-marginal block; bounds its memory
 
 
 class WalkConfig(namedtuple("WalkConfig", "n theta rho initial seed")):
@@ -504,27 +505,26 @@ class PathStats:
             s[3] += x2 * x2
 
     def add_batch(self, values):
-        """Record a block of paths: `values` is a 2-D float64 numpy array
-        with one row per path and one column per key, in self.keys order.
-        Powers are the products add_sample takes, which round alike in
-        Python and numpy, and every sum is accumulated in path order, so
-        the result is bit for bit that of add_sample on each row in turn."""
+        """Record a block of paths: a float64 numpy array of shape (paths,
+        len(keys)), one column per key in self.keys order.  Each power
+        add_sample takes fills a plane below a row of running totals, and
+        one add.accumulate down the path axis adds them in path order, so
+        a few numpy calls give every key add_sample's sums, bit for bit."""
         import numpy
 
-        def running(total, terms):
-            # add.accumulate adds left to right; add.reduce and sum add
-            # pairwise and round differently
-            return float(numpy.add.accumulate(
-                numpy.concatenate(([total], terms)))[-1])
-
-        for j, key in enumerate(self.keys):
-            x = values[:, j]
-            x2 = x * x
-            s = self.sums[key]
-            s[0] = running(s[0], x)
-            s[1] = running(s[1], x2)
-            s[2] = running(s[2], x2 * x)
-            s[3] = running(s[3], x2 * x2)
+        if values.shape[1:] != (len(self.keys),):
+            raise ValueError("need a (paths, %d) block" % len(self.keys))
+        acc = numpy.empty((4, len(values) + 1, len(self.keys)))
+        acc[:, 0] = numpy.array([self.sums[key] for key in self.keys]).T
+        x, x2 = acc[0, 1:], acc[1, 1:]
+        x[...] = values
+        numpy.multiply(x, x, out=x2)
+        numpy.multiply(x2, x, out=acc[2, 1:])
+        numpy.multiply(x2, x2, out=acc[3, 1:])
+        # add.accumulate adds in order; add.reduce and sum add pairwise
+        numpy.add.accumulate(acc, axis=1, out=acc)
+        for key, totals in zip(self.keys, acc[:, -1].T.tolist()):
+            self.sums[key] = totals
         self.count += len(values)
 
     def merge(self, other):
@@ -621,14 +621,14 @@ def _mass_marginal_stats(cfg, steps, samples, times):
     stats = PathStats([(t, 1) for t in times], method="mass-marginal")
     rng = numpy.random.Generator(numpy.random.PCG64(cfg.seed))
     trials = n * numpy.diff(times, prepend=0)  # per interval
-    block = max(1, min(20000, _BLOCK_BUDGET // len(times)))
-    done = 0
-    while done < samples:
-        m = min(block, samples - done)
-        added = rng.binomial(trials, q, size=(m, len(times)))
+    block = max(1, _BLOCK_BUDGET // len(times))
+    for done in range(0, samples, block):
+        added = rng.binomial(trials, q,
+                             size=(min(block, samples - done), len(times)))
         numpy.cumsum(added, axis=1, out=added)
-        stats.add_batch((base + step * added) / den)
-        done += m
+        added *= step
+        added += base
+        stats.add_batch(numpy.true_divide(added, den))
     return stats
 
 

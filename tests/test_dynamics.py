@@ -1,16 +1,19 @@
 """Markov growth dynamics: rows, sampling, exact evolution, statistics."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import itertools
 import math
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jackwalk import _steppure, dynamics, jack
 from jackwalk._steppure import bernoulli_draw, bernoulli_row
@@ -1136,25 +1139,32 @@ _EDGE_FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False))
 
 
-@st.composite
-def _edge_blocks(draw, width):
-    """A few blocks of edge-case rows, `width` values each; a block may be
-    empty."""
-    sizes = draw(st.lists(st.integers(0, 4), min_size=1, max_size=5))
-    return [numpy.array(draw(st.lists(st.lists(_EDGE_FLOATS, min_size=width,
-                                               max_size=width),
-                                      min_size=m, max_size=m)),
-                        dtype=numpy.float64).reshape(m, width)
-            for m in sizes]
+def _laid_out(values, layout):
+    """`values` as a C-ordered block, a Fortran-ordered one, or a strided
+    slice of a larger array whose other entries are nan."""
+    if layout == "C":
+        return numpy.ascontiguousarray(values)
+    if layout == "F":
+        return numpy.asfortranarray(values)
+    m, width = values.shape
+    wide = numpy.full((2 * m + 1, 3 * width), numpy.nan)
+    wide[1::2, 2::3] = values
+    return wide[1::2, 2::3]
 
 
 @pytest.mark.parametrize("blocks", [[7], [5, 5, 5], [6, 6, 2], [0], [1],
                                     [0, 3, 1, 0]])
 @settings(max_examples=25, deadline=None)
-@given(edge=_edge_blocks(3))
-def test_add_batch_matches_add_sample(blocks, edge):
-    keys = [(0, 1), (4, 1), (4, 2)]
-    rng = random.Random(sum(blocks) * 31 + len(blocks))
+@given(width=st.integers(1, 300),
+       layout=st.sampled_from(["C", "F", "strided"]),
+       pool=st.lists(_EDGE_FLOATS, min_size=1, max_size=12),
+       edge_sizes=st.lists(st.integers(0, 4), min_size=1, max_size=5))
+@example(width=257, layout="strided", pool=[1e80, -0.0, 5e-324],
+         edge_sizes=[0, 4])
+def test_add_batch_matches_add_sample(blocks, width, layout, pool,
+                                      edge_sizes):
+    keys = [(t, 1 + t % 3) for t in range(width)]
+    rng = random.Random(sum(blocks) * 31 + len(blocks) + width)
     draws = [
         # mixed signs and magnitudes around a large mean, where the order
         # and rounding of every addition show in the last bits
@@ -1165,18 +1175,82 @@ def test_add_batch_matches_add_sample(blocks, edge):
         lambda: (-1234.5 + 3 * rng.randint(0, 6)) / 7,
         # signed zeros beside values whose powers underflow to them
         lambda: rng.choice([0.0, -0.0, 1e-300, -1e-300, 0.5, -0.5]),
+        # edge floats, a few blocks of which may be empty
+        lambda: rng.choice(pool),
     ]
     families = [[numpy.array([[draw() for _ in keys] for _ in range(m)])
-                 .reshape(m, len(keys)) for m in blocks] for draw in draws]
-    for family in families + [edge]:
+                 .reshape(m, width) for m in sizes]
+                for draw, sizes in zip(draws, [blocks] * 3 + [edge_sizes])]
+    for family in families:
         batched, single = PathStats(keys), PathStats(keys)
         for values in family:
             # an overflowing power is inf, and inf - inf nan, in both
             with numpy.errstate(over="ignore", invalid="ignore"):
-                batched.add_batch(values)
+                batched.add_batch(_laid_out(values, layout))
             for row in values.tolist():
                 single.add_sample(dict(zip(keys, row)))
         assert _bits(batched) == _bits(single)
+
+
+def test_add_batch_refuses_a_block_of_the_wrong_shape():
+    # one column per key: extra columns are not ignored, and one column is
+    # not copied into every key
+    keys = [(0, 1), (4, 1), (4, 2)]
+    stats = PathStats(keys)
+    for shape in [(2, 4), (2, 1), (3,), (1, 2, 3)]:
+        with pytest.raises(ValueError):
+            stats.add_batch(numpy.ones(shape))
+    assert _bits(stats) == _bits(PathStats(keys))
+
+
+def test_add_batch_makes_the_same_calls_whatever_the_width():
+    # every key is summed in one pass: add_batch makes the same calls for a
+    # block of 9 keys as for one of 257 (with the collector off, so that no
+    # garbage collection callback adds its own)
+    def calls(width):
+        stats = PathStats([(t, 1) for t in range(width)])
+        values = numpy.arange(5.0 * width).reshape(5, width)
+        names = []
+
+        def profile(frame, event, arg):
+            if event == "c_call":
+                names.append(arg.__name__)
+
+        gc.disable()
+        sys.setprofile(profile)
+        try:
+            stats.add_batch(values)
+        finally:
+            sys.setprofile(None)
+            gc.enable()
+        return names
+
+    assert "accumulate" in calls(9)
+    assert calls(9) == calls(257)
+
+
+_MARGINAL_PEAK_BOUND = 1.5 * 2 ** 20  # bytes
+
+
+@pytest.mark.parametrize("width", [9, 257])
+def test_mass_marginal_working_set_is_fixed(width):
+    # the marginal streams its samples through blocks of at most
+    # _BLOCK_BUDGET values: the traced peak stays under a fixed bound and
+    # does not grow with the number of samples
+    cfg = WalkConfig(256, one, Specialization.single_beta(one), seed=7)
+    times = range(0, 257, 256 // (width - 1))
+    path_statistics(cfg, 256, 10, [1], times=times)  # lazy imports
+    peaks = {}
+    for samples in (2000, 8000):
+        tracemalloc.start()
+        try:
+            stats = path_statistics(cfg, 256, samples, [1], times=times)
+            peaks[samples] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.method == "mass-marginal" and len(stats.keys) == width
+    assert max(peaks.values()) < _MARGINAL_PEAK_BOUND, peaks
+    assert peaks[8000] <= peaks[2000] + 2 ** 16, peaks
 
 
 def _per_sample_marginal_stats(cfg, samples, times):
