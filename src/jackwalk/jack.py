@@ -21,12 +21,12 @@ integral form: with theta = P/Q over Z at a numeric theta and over Z[theta]
 otherwise, E c_mu is in the ring for E = prod over boxes of
 Q a + P (l + 1) (Knop and Sahi, Invent. Math. 128, 1997), so every step is
 an exact division by Q rho_lambda / 2 - Q rho_mu / 2 and no gcd is taken.
-The power-sum coefficients are one integer dot product with the monomial
-table per term, reduced once.  Norms are the closed form
-:func:`jack_norm`; a vanishing rho_lambda - rho_mu or norm (a singular
-negative theta) raises ZeroDivisionError.  Tables are memoized per theta,
-and symbolic and fixed theta share this one construction; Gram-Schmidt is
-the test oracle, and so is the Gram matrix of the tables.
+The power-sum coefficients are one integer dot product per term with the
+class's table ``psum.monomial_numerators``, reduced once.  Norms are the
+closed form :func:`jack_norm`; a vanishing rho_lambda - rho_mu or norm (a
+singular negative theta) raises ZeroDivisionError.  Tables are memoized per
+theta, and symbolic and fixed theta share this one construction;
+Gram-Schmidt is the test oracle, and so is the Gram matrix of the tables.
 
 Everything here is exact.  The only operation that ever approximates is
 :func:`reproducing_kernel` on inputs whose closed form is irrational, at
@@ -45,9 +45,8 @@ from .partitions import (arm, boxes, conjugate, contains,
                          enumerate_partitions, leg, length, make_partition,
                          weight)
 from .psum import (CONVERSION_SIZE_CUTOFF, PSumPoly, d_dp, from_numerators,
-                   monomial_to_psum, scalar_product)
-from .scalars import (THETA, RationalFunction, _numerators, _Ring, as_exact,
-                      is_zero)
+                   monomial_numerators, monomial_to_psum, scalar_product)
+from .scalars import THETA, RationalFunction, _Ring, as_exact, is_zero
 
 __all__ = [
     "JackBasis", "basis_for", "jack_polynomial", "jack_norm",
@@ -115,7 +114,7 @@ class JackBasis:
         # r_mu = Q n(mu') - P n(mu) is Q rho_mu / 2
         r = {mu: ring.sub(mul(const(_n(conjugate(mu))), Q),
                           mul(const(_n(mu)), P)) for mu in order}
-        mono_den, mono = _monomial_numerators(size)
+        mono_den, mono = monomial_numerators(size)
         for at, lam in enumerate(order):
             norm = jack_norm(lam, self.theta)
             if is_zero(norm):
@@ -180,25 +179,6 @@ def _raisings(mu):
                 nu = tuple(sorted((p for p in parts if p), reverse=True))
                 out[nu] = out.get(nu, 0) + mu[i] - mu[j] + 2 * t
     return out
-
-
-_MONOMIAL_NUMERATORS = {}
-
-
-def _monomial_numerators(size):
-    """(D, {mu: [(kappa, integer)]}): every m_mu of a size class over power
-    sums, as integer numerators over one common denominator D."""
-    found = _MONOMIAL_NUMERATORS.get(size)
-    if found is None:
-        table = {mu: monomial_to_psum(mu).terms
-                 for mu in enumerate_partitions(size)}
-        nums, den = _numerators([c for terms in table.values()
-                                 for c in terms.values()])
-        nums = iter(nums)
-        found = _MONOMIAL_NUMERATORS[size] = den, {
-            mu: [(kappa, next(nums)) for kappa in terms]
-            for mu, terms in table.items()}
-    return found
 
 
 _BASES = {}

@@ -9,10 +9,11 @@ The monomial basis enters only through the change-of-basis maps
 :func:`psum_to_monomial` and :func:`monomial_to_psum`.  Both directions are
 driven by the same combinatorial product rule (multiplying a monomial
 symmetric function by a power sum merges one part), so no coefficient tables
-are hard-coded; the inverse direction solves the triangular system per size
-class and caches it.
+are hard-coded.  The inverse direction is one integer table per size class,
+:func:`monomial_numerators` (the triangular solve scaled by size!, cached).
 """
 
+import math
 from fractions import Fraction
 
 from .errors import ResourceLimitError
@@ -237,8 +238,7 @@ def scalar_product(f, g, theta):
 # monomial basis conversions
 # ---------------------------------------------------------------------------
 
-_PSUM_IN_MONOMIAL = {}   # partition -> {partition: int}
-_MONOMIAL_IN_PSUM = {}   # size -> {partition: {partition: Fraction}}
+_MONOMIAL_NUMERATORS = {}   # size -> (size!, {mu: [(kappa, int)]})
 
 
 def _check_cutoff(size):
@@ -275,45 +275,48 @@ def psum_to_monomial(lam):
     integers, supported on mu that dominate lam (so len(mu) <= len(lam))."""
     lam = tuple(lam)
     _check_cutoff(sum(lam))
-    cached = _PSUM_IN_MONOMIAL.get(lam)
-    if cached is None:
-        expansion = {(): 1}
-        for r in lam:
-            expansion = _multiply_monomial_by_psum(expansion, r)
-        _PSUM_IN_MONOMIAL[lam] = cached = expansion
-    return dict(cached)
+    expansion = {(): 1}
+    for r in lam:
+        expansion = _multiply_monomial_by_psum(expansion, r)
+    return expansion
 
 
-def _monomial_class_in_psum(size):
-    """Express every m_mu of a size class over the p basis (triangular solve)."""
-    cached = _MONOMIAL_IN_PSUM.get(size)
-    if cached is not None:
-        return cached
-    order = list(enumerate_partitions(size))
+def monomial_numerators(size):
+    """(size!, {mu: [(kappa, integer)]}): every m_mu of a size class over
+    power sums, as integer numerators over the one denominator size!.
+
+    p_mu = prod m_i(mu)! m_mu + (m_nu with nu more dominant), so in
+    ``enumerate_partitions`` order (reverse-lex, which refines dominance
+    from above) m_mu = (p_mu - sum c_{mu nu} m_nu) / prod m_i(mu)!.  The
+    solve runs scaled by size!, and each division by the diagonal is exact:
+    prod m_i(mu)! m_mu has integer power-sum coefficients (Moebius
+    inversion over set partitions; Doubilet, Stud. Appl. Math. 51, 1972),
+    and prod m_i(mu)! divides len(mu)!, which divides size!.  No gcd is
+    taken: size! is already the least common denominator, since
+    e_n = m_(1^n) has 1/n! on p_1^n.
+    """
+    _check_cutoff(size)
+    if size in _MONOMIAL_NUMERATORS:
+        return _MONOMIAL_NUMERATORS[size]
+    scale = math.factorial(size)
     table = {}
-    for mu in order:  # reverse-lex refines dominance from above
-        acc = {mu: Fraction(1)}          # start from p_mu ...
+    for mu in enumerate_partitions(size):
+        acc = {mu: scale}                # start from size! p_mu ...
         row = psum_to_monomial(mu)
         diag = row.pop(mu)
         for nu, c in row.items():        # ... subtract the earlier m_nu
-            for plam, d in table[nu].items():
-                val = acc.get(plam, Fraction(0)) - c * d
+            for kappa, d in table[nu]:
+                val = acc.get(kappa, 0) - c * d
                 if val:
-                    acc[plam] = val
+                    acc[kappa] = val
                 else:
-                    acc.pop(plam, None)
-        if diag != 1:
-            acc = {k: v / diag for k, v in acc.items()}
-        table[mu] = acc
-    _MONOMIAL_IN_PSUM[size] = table
-    return table
+                    acc.pop(kappa, None)
+        table[mu] = [(kappa, v // diag) for kappa, v in acc.items()]
+    _MONOMIAL_NUMERATORS[size] = scale, table
+    return scale, table
 
 
 def monomial_to_psum(lam):
     """The monomial symmetric function m_lam as a PSumPoly."""
-    lam = tuple(lam)
-    _check_cutoff(sum(lam))
-    if not lam:
-        return PSumPoly.one()
-    table = _monomial_class_in_psum(sum(lam))
-    return PSumPoly(table[lam])
+    den, table = monomial_numerators(sum(lam))
+    return PSumPoly({k: Fraction(c, den) for k, c in table[tuple(lam)]})

@@ -439,6 +439,13 @@ def test_cauchy_sees_one_wrong_coefficient(monkeypatch, theta):
         [True, True, True, True, False, True]
 
 
+@pytest.mark.parametrize("theta", [one, half, Fraction(3, 7)], ids=str)
+def test_cauchy_holds_past_the_gram_schmidt_reach(theta):
+    # Gram-Schmidt checks the tables to size 8; the Cauchy identity checks
+    # every power-sum coefficient of every table to size 12
+    assert all(ok for _, ok in cauchy_cases(12, theta))
+
+
 def test_basis_cache():
     b1 = basis_for(one)
     assert basis_for(one) is b1

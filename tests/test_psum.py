@@ -1,10 +1,12 @@
 """Power-sum polynomial ring: arithmetic, basis changes, scalar product."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from jackwalk import psum
 from jackwalk.partitions import enumerate_partitions, z_lambda
 from jackwalk.psum import (
     PSumPoly,
@@ -108,6 +110,46 @@ def test_monomial_basis_change():
                 back = back + monomial_to_psum(mu) * c
             assert back.terms == {tuple(lam): Fraction(1)} if lam else \
                 back.terms == {(): Fraction(1)}
+
+
+def monomial_class_in_psum(size):
+    """Oracle for the integer table: every m_mu of a size class over power
+    sums in Fractions, by the triangular solve, most dominant first."""
+    table = {}
+    for mu in enumerate_partitions(size):
+        acc = {mu: Fraction(1)}
+        row = psum_to_monomial(mu)
+        diag = row.pop(mu)
+        for nu, c in row.items():
+            for kappa, d in table[nu].items():
+                val = acc.get(kappa, Fraction(0)) - c * d
+                if val:
+                    acc[kappa] = val
+                else:
+                    acc.pop(kappa, None)
+        table[mu] = {k: v / diag for k, v in acc.items()}
+    return table
+
+
+def test_monomial_numerators_match_the_fraction_solve():
+    for size in range(13):
+        den, table = psum.monomial_numerators(size)
+        assert den == math.factorial(size)
+        oracle = monomial_class_in_psum(size)
+        assert list(table) == list(oracle)
+        for mu, row in table.items():
+            assert dict(row) == {k: v * den for k, v in oracle[mu].items()}
+
+
+def test_monomial_numerators_take_no_fractions(monkeypatch):
+    expected = psum.monomial_numerators(10)
+
+    def refuse(*args):
+        raise AssertionError("Fraction in the integer solve")
+
+    monkeypatch.setattr(psum, "_MONOMIAL_NUMERATORS", {})
+    monkeypatch.setattr(psum, "Fraction", refuse)
+    assert psum.monomial_numerators(10) == expected
 
 
 def test_scalar_product_orthogonality():
