@@ -12,8 +12,12 @@ Exactness carries through the surface: theta is an exact fraction string
 CSV starts with a provenance comment (tool version + config hash) and a
 header row, and identical invocations produce identical bytes.
 
+One table, `_SUITES`, declares each verify suite: the parser, the size
+checks, the provenance line and the dispatch all read it.
+
 Exit codes: 0 success, 1 failed checks or a sampling deficit, 2 bad
-arguments or config conflicts, 3 resource-budget overruns.
+arguments, config conflicts, or a config or output path that cannot be
+opened, 3 resource-budget overruns.
 """
 
 import argparse
@@ -74,6 +78,19 @@ def _open_out(path):
     if path in (None, "-"):
         return sys.stdout, False
     return open(path, "w", newline=""), True
+
+
+def _write_csv(path, params, header, rows):
+    """A provenance line, a header row and `rows`, to `path` or stdout."""
+    stream, close = _open_out(path)
+    try:
+        stream.write(_provenance(params) + "\r\n")
+        writer = csv.writer(stream, lineterminator="\r\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    finally:
+        if close:
+            stream.close()
 
 
 def _write_table(rows, stream):
@@ -152,70 +169,51 @@ def _resolve_seed(args):
     return 0
 
 
-#: the size options of each suite; a negative one would check nothing
-_SUITE_SIZES = {
-    "ns": ("max_size", "max_rows", "max_order"),
-    "cauchy": ("degree",),
-    "stochastic": ("max_rows", "max_size"),
-    "toeplitz": ("symbols", "order"),
-    "moments": ("count", "max_index"),
+#: each verify suite: (help, name of its checker in `verify`, size options
+#: with their defaults, default theta or None for a seeded suite)
+_SUITES = {
+    "ns": ("operator eigenrelations", "eigenrelation_cases",
+           {"max_size": 4, "max_rows": 4, "max_order": 4}, "1"),
+    "cauchy": ("kernel expansion", "cauchy_cases", {"degree": 6},
+               "symbolic"),
+    "stochastic": ("row sums", "stochasticity_cases",
+                   {"max_rows": 3, "max_size": 4}, "1"),
+    "toeplitz": ("resolvent factorization", "toeplitz_cases",
+                 {"symbols": 20, "order": 6}, None),
+    "moments": ("moment round trips", "moment_roundtrip_cases",
+                {"count": 20, "max_index": 6}, None),
 }
 
 
 def cmd_verify(args):
     suite = args.suite
-    for name in _SUITE_SIZES[suite]:
-        value = getattr(args, name)
+    _, checker, sizes, theta = _SUITES[suite]
+    # a negative size would check nothing
+    inputs = {name: getattr(args, name) for name in sizes}
+    for name, value in inputs.items():
         if value < 0:
             raise ValueError("--%s must be nonnegative, got %d"
                              % (name.replace("_", "-"), value))
-    if suite == "moments" and args.max_index == 0:
+    if inputs.get("max_index") == 0:
         raise ValueError("--max-index must be positive: a round trip of "
                          "no moments checks nothing")
-    if suite == "ns":
-        cases = verify_suites.eigenrelation_cases(
-            args.max_size, args.max_rows, args.max_order,
-            _parse_positive_theta(args.theta))
-        params = {"suite": suite, "max_size": args.max_size,
-                  "max_rows": args.max_rows, "max_order": args.max_order,
-                  "theta": args.theta}
-    elif suite == "cauchy":
-        cases = verify_suites.cauchy_cases(
-            args.degree, _parse_positive_theta(args.theta))
-        params = {"suite": suite, "degree": args.degree, "theta": args.theta}
-    elif suite == "stochastic":
-        cases = verify_suites.stochasticity_cases(
-            args.max_rows, args.max_size, _parse_positive_theta(args.theta),
-            beta=parse_fraction(args.beta))
-        params = {"suite": suite, "max_rows": args.max_rows,
-                  "max_size": args.max_size, "theta": args.theta,
-                  "beta": args.beta}
-    elif suite == "toeplitz":
-        seed = _resolve_seed(args)
-        cases = verify_suites.toeplitz_cases(args.symbols, args.order, seed)
-        params = {"suite": suite, "symbols": args.symbols,
-                  "order": args.order, "seed": seed}
-    else:  # moments
-        seed = _resolve_seed(args)
-        cases = verify_suites.moment_roundtrip_cases(
-            args.count, args.max_index, seed)
-        params = {"suite": suite, "count": args.count,
-                  "max_index": args.max_index, "seed": seed}
-
+    params = dict(inputs, suite=suite)
+    if theta is None:
+        params["seed"] = inputs["seed"] = _resolve_seed(args)
+    else:
+        params["theta"] = args.theta
+        inputs["theta"] = _parse_positive_theta(args.theta)
+    if suite == "stochastic":
+        params["beta"] = args.beta
+        inputs["beta"] = parse_fraction(args.beta)
+    # looked up at call time, where the benchmark's tracer patches it
+    cases = getattr(verify_suites, checker)(**inputs)
     if not cases:
         raise ValueError("these sizes leave the %s suite no case to check"
                          % suite)
-
-    stream, close = _open_out(args.out)
-    try:
-        stream.write(_provenance(params) + "\r\n")
-        writer = csv.writer(stream, lineterminator="\r\n")
-        writer.writerow(["suite", "case", "ok"])
-        for label, ok in cases:
-            writer.writerow([suite, label, "pass" if ok else "fail"])
-    finally:
-        if close:
-            stream.close()
+    _write_csv(args.out, params, ["suite", "case", "ok"],
+               ([suite, label, "pass" if ok else "fail"]
+                for label, ok in cases))
     passed = sum(1 for _, ok in cases if ok)
     sys.stderr.write("%s: %d/%d pass\n" % (suite, passed, len(cases)))
     return 0 if passed == len(cases) else 1
@@ -280,20 +278,15 @@ def _limit_predictions(cfg, taus, ks, pairs_only_diagonal=True):
                 rows.append((tau, k, l, "covariance",
                              limit_covariance(k, l, u_series, v_kernel,
                                               theta)))
+    if cfg.initial:
+        sys.stderr.write("note: limit predictions assume a packed start\n")
     return rows
 
 
 def _write_predictions(path, params, rows):
-    stream, close = _open_out(path)
-    try:
-        stream.write(_provenance(params) + "\r\n")
-        writer = csv.writer(stream, lineterminator="\r\n")
-        writer.writerow(["tau", "k", "l", "statistic", "value", "exact"])
-        for tau, k, l, stat, value in rows:
-            writer.writerow([tau, k, l, stat, float(value), str(value)])
-    finally:
-        if close:
-            stream.close()
+    _write_csv(path, params, ["tau", "k", "l", "statistic", "value", "exact"],
+               ([tau, k, l, stat, float(value), str(value)]
+                for tau, k, l, stat, value in rows))
 
 
 def cmd_walk_sample(args):
@@ -340,11 +333,8 @@ def cmd_walk_sample(args):
     except (StabilityError, ValueError) as exc:
         sys.stderr.write("limit predictions unavailable: %s\n" % exc)
         return 0
-    if cfg.initial:
-        sys.stderr.write("note: limit predictions assume a packed start\n")
     if args.out not in (None, "-"):
-        pred_path = args.out + ".predictions.csv"
-        _write_predictions(pred_path, params, rows)
+        _write_predictions(args.out + ".predictions.csv", params, rows)
     return 0
 
 
@@ -355,8 +345,6 @@ def cmd_walk_predict(args):
     params = {"config": cfg.to_json(), "k": ks,
               "tau": [str(t) for t in taus]}
     rows = _limit_predictions(cfg, taus, ks, pairs_only_diagonal=False)
-    if cfg.initial:
-        sys.stderr.write("note: limit predictions assume a packed start\n")
     _write_predictions(args.out, params, rows)
     return 0
 
@@ -377,53 +365,39 @@ def _build_parser():
 
     jack = sub.add_parser("jack", help="dump basis data")
     jack_sub = jack.add_subparsers(dest="action", required=True)
-    expand = jack_sub.add_parser("expand", help="power-sum expansion")
-    expand.add_argument("--partition", required=True)
-    expand.add_argument("--theta", default="symbolic")
-    expand.add_argument("--out")
-    skew = jack_sub.add_parser("skew", help="skew expansion")
-    skew.add_argument("--partition", required=True)
-    skew.add_argument("--mu", required=True)
-    skew.add_argument("--theta", default="symbolic")
-    skew.add_argument("--out")
-    lr = jack_sub.add_parser("lr", help="structure constants")
-    lr.add_argument("--mu", required=True)
-    lr.add_argument("--eta", required=True)
-    lr.add_argument("--theta", default="symbolic")
-    lr.add_argument("--out")
+    for action, text, shape in (
+            ("expand", "power-sum expansion", ("--partition",)),
+            ("skew", "skew expansion", ("--partition", "--mu")),
+            ("lr", "structure constants", ("--mu", "--eta"))):
+        verb = jack_sub.add_parser(action, help=text)
+        for option in shape:
+            verb.add_argument(option, required=True)
+        verb.add_argument("--theta", default="symbolic")
+        verb.add_argument("--out")
 
     verify = sub.add_parser("verify", help="run identity suites")
     v_sub = verify.add_subparsers(dest="suite", required=True)
+    suites = [(v_sub.add_parser(name, help=entry[0]), name)
+              for name, entry in _SUITES.items()]
     ns_alias = sub.add_parser("ns", help="operator commands")
     ns_alias_sub = ns_alias.add_subparsers(dest="ns_action", required=True)
     # `ns verify` is `verify ns` under another name: one declaration
-    for ns in (v_sub.add_parser("ns", help="operator eigenrelations"),
-               ns_alias_sub.add_parser("verify",
-                                       help="alias for `verify ns`")):
-        ns.add_argument("--max-size", type=int, default=4)
-        ns.add_argument("--max-rows", type=int, default=4)
-        ns.add_argument("--max-order", type=int, default=4)
-        ns.add_argument("--theta", default="1")
-        ns.add_argument("--out")
-    cauchy = v_sub.add_parser("cauchy", help="kernel expansion")
-    cauchy.add_argument("--degree", type=int, default=6)
-    cauchy.add_argument("--theta", default="symbolic")
-    stoch = v_sub.add_parser("stochastic", help="row sums")
-    stoch.add_argument("--max-rows", type=int, default=3)
-    stoch.add_argument("--max-size", type=int, default=4)
-    stoch.add_argument("--theta", default="1")
-    stoch.add_argument("--beta", default="2/3")
-    # only the randomized suites read a seed
-    toep = v_sub.add_parser("toeplitz", help="resolvent factorization")
-    toep.add_argument("--symbols", type=int, default=20)
-    toep.add_argument("--order", type=int, default=6)
-    mom = v_sub.add_parser("moments", help="moment round trips")
-    mom.add_argument("--count", type=int, default=20)
-    mom.add_argument("--max-index", type=int, default=6)
-    for p in (toep, mom):
-        p.add_argument("--seed", type=int)
-        p.add_argument("--strict", action="store_true")
-    for p in (cauchy, stoch, toep, mom):
+    suites.append((ns_alias_sub.add_parser("verify",
+                                           help="alias for `verify ns`"),
+                   "ns"))
+    for p, name in suites:
+        _, _, sizes, theta = _SUITES[name]
+        p.set_defaults(suite=name)
+        for option, default in sizes.items():
+            p.add_argument("--" + option.replace("_", "-"), type=int,
+                           default=default)
+        if theta is None:  # only the randomized suites read a seed
+            p.add_argument("--seed", type=int)
+            p.add_argument("--strict", action="store_true")
+        else:
+            p.add_argument("--theta", default=theta)
+        if name == "stochastic":
+            p.add_argument("--beta", default="2/3")
         p.add_argument("--out")
 
     walk = sub.add_parser("walk", help="walk experiments")
@@ -452,17 +426,14 @@ def main(argv=None):
     try:
         if args.command == "jack":
             return cmd_jack(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "ns":
-            args.suite = "ns"
+        if args.command in ("verify", "ns"):
             return cmd_verify(args)
         if args.command == "walk":
             if args.action == "sample":
                 return cmd_walk_sample(args)
             return cmd_walk_predict(args)
         parser.error("unknown command %r" % args.command)
-    except (ValueError, ShapeError, DivergenceError) as exc:
+    except (ValueError, ShapeError, DivergenceError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
     except DeficitError as exc:

@@ -44,10 +44,10 @@ def eigenrelation_cases(max_size, max_rows, max_order, theta):
     return out
 
 
-def cauchy_cases(max_degree, theta):
+def cauchy_cases(degree, theta):
     """Degree-by-degree two-alphabet expansion of the reproducing kernel.
 
-    For each m <= max_degree, compares sum over |lam| = m of
+    For each m <= degree, compares sum over |lam| = m of
     (J_lam tensor J_lam)/norm against sum over |nu| = m of
     theta^len(nu)/z_nu * (p_nu tensor p_nu), both written in the
     power-sum tensor basis.  The left side is summed over one common
@@ -58,11 +58,11 @@ def cauchy_cases(max_degree, theta):
     off-diagonal L vanishes and z_nu Q^len(nu) L(nu, nu) = P^len(nu) C.
     """
     basis = basis_for(theta)
-    basis.ensure_size(max_degree)
+    basis.ensure_size(degree)
     ring = _Ring(basis.theta)
     add, mul, const = ring.add, ring.mul, ring.const
     out = []
-    for m in range(max_degree + 1):
+    for m in range(degree + 1):
         rows, weights = [], []
         for lam in enumerate_partitions(m):
             terms = basis.polynomial(lam).terms
@@ -115,13 +115,13 @@ def _random_symbol(rng):
             return symbol
 
 
-def toeplitz_cases(count, max_power, seed):
+def toeplitz_cases(symbols, order, seed):
     """Resolvent corner vs exp-log factorization for random finite symbols."""
     rng = random.Random(seed)
     out = []
-    for i in range(count):
+    for i in range(symbols):
         symbol = _random_symbol(rng)
-        ok, _report = toeplitz_wienerhopf_check(symbol, max_power)
+        ok, _report = toeplitz_wienerhopf_check(symbol, order)
         label = "symbol=%d reach=%d" % (i, max(abs(m) for m in symbol))
         out.append((label, ok))
     return out

@@ -109,6 +109,13 @@ def test_decimal_theta_rejected(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_jack_table_past_cutoff_exits_3(capsys):
+    # the table refuses size 25 itself, before psum enumerates its classes
+    assert cli.main(["jack", "expand", "--partition", "25"]) == 3
+    assert capsys.readouterr().err == \
+        "resource limit: Jack table refused at size 25 (cutoff 24)\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["jack", "expand", "--partition", "1", "--theta", "1/0"],
     ["verify", "ns", "--theta", "1/0"],
@@ -658,6 +665,19 @@ def test_kernel_past_decimal_range_exits_3(tmp_path, capsys):
     assert "exponent range" in capsys.readouterr().err
 
 
+def test_walk_too_large_for_float_statistics_exits_3(tmp_path, capsys):
+    # at N = 10^8 the k = 1 marginal's integers pass 2^53: the walk is
+    # refused before any draw, so no stats file is written
+    config = beta_config(tmp_path, n=10 ** 8)
+    out = tmp_path / "stats.csv"
+    rc = cli.main(["walk", "sample", "--config", config, "--steps", "1",
+                   "--samples", "1", "--k", "1", "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == \
+        "resource limit: walk too large for exact float statistics\n"
+    assert not out.exists()
+
+
 def test_walk_sample_resource_exit_code(tmp_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise ResourceLimitError("forced")
@@ -850,3 +870,64 @@ def test_walk_predict_half_time(tmp_path):
         if stat == "mean":
             means[tau] = Fraction(exact)
     assert means == {"1/2": Fraction(-1, 4), "1": Fraction(0)}
+
+
+def test_walk_predict_alpha_atom_of_one_exits_2(tmp_path, capsys):
+    # an alpha atom of 1 puts a pole at z = 1, where the limits expand
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_walk("1", {"alphas": ["1"]})))
+    out = tmp_path / "pred.csv"
+    rc = cli.main(["walk", "predict", "--config", str(path),
+                   "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: alpha parameters must stay "
+                                       "below 1 for expansions about 1\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("initial, notes", [((), 0), ((2, 1), 1)],
+                         ids=["packed", "start-2-1"])
+def test_packed_start_note_is_printed_once(tmp_path, capsys, initial, notes):
+    config = beta_config(tmp_path, n=4, initial=initial)
+    for argv in (["walk", "sample", "--steps", "2", "--samples", "5"],
+                 ["walk", "predict"]):
+        assert cli.main(argv + ["--config", config, "--k", "1,2",
+                                "--out", str(tmp_path / "out.csv")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err.count("note: limit predictions assume a packed start") \
+            == notes
+
+
+def test_walk_predict_moment_zero(tmp_path):
+    # the k = 0 statistic is the constant 1: mean 1, no fluctuation
+    out = tmp_path / "pred.csv"
+    assert cli.main(["walk", "predict", "--config", beta_config(tmp_path),
+                     "--k", "0,1", "--out", str(out)]) == 0
+    rows = {}
+    for line in out.read_text().splitlines()[2:]:
+        tau, k, l, stat, value, exact = line.split(",")
+        rows[(k, l, stat)] = Fraction(exact)
+    assert rows[("0", "", "mean")] == 1
+    assert rows[("0", "0", "covariance")] == 0
+    assert rows[("0", "1", "covariance")] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["walk", "sample", "--config", "missing.json", "--steps", "1",
+     "--samples", "1"],
+    ["walk", "predict", "--config", "missing.json"],
+    ["verify", "cauchy", "--degree", "2", "--out", "gone/cauchy.csv"],
+    ["walk", "predict", "--config", "config.json", "--out", "gone/pred.csv"],
+    ["walk", "sample", "--config", "config.json", "--steps", "1",
+     "--samples", "1", "--paths", "gone/paths.jsonl"],
+], ids=["sample-config", "predict-config", "verify-out", "predict-out",
+        "sample-paths"])
+def test_unopenable_path_exits_2(tmp_path, monkeypatch, capsys, argv):
+    # a config that cannot be read, or an output that cannot be written,
+    # is a bad argument: one error line, no traceback, no stats file
+    beta_config(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not (tmp_path / "stats.csv").exists()
