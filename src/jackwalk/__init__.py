@@ -26,7 +26,7 @@ from .measures import (AtomicMeasure, MeasureOnYoung, empirical_density,
                        jack_measure, lr_measure, pp_measure,
                        pp_moments_from_empirical)
 from .series import TruncSeries
-from .asymptotics import (build_U, build_V, limit_covariance,
+from .asymptotics import (build_V, limit_covariance,
                           limit_covariance_two_times, limit_moment,
                           packed_limit_moments, toeplitz_wienerhopf_check,
                           walk_limit_data)

@@ -13,13 +13,14 @@ Conventions used throughout:
   coefficient 1 at exponent 1.
 * The start enters only through P(x) = x H'(x), for H its profile
   integral, stored about 1 in ``"x-1"``.  `profile_series` builds it by
-  one series reversion; the route through H itself (a reversion, a
-  reciprocal, an integral, a composition with log x and a second log) is
-  the test oracle.
+  one series reversion, once per `walk_limit_data` call; the route through
+  H itself (a reversion, a reciprocal, an integral, a composition with
+  log x and a second log) is the test oracle.
 
-The limit data of a walk (`LimitData`) is the pair (U, V) itself: the
-paper's first- and second-order coefficients are their Taylor coefficients
-up to factorials, and the residue extractors read the series directly.
+The limit data of a walk (`LimitData`) is the pair (U, V) itself, with
+one drift U per requested time: the paper's first- and second-order
+coefficients are their Taylor coefficients up to factorials, and the
+residue extractors read the series directly.
 
 All residues are coefficient extractions on truncated Laurent series; an
 insufficient truncation surfaces as ``OrderError``.
@@ -47,20 +48,16 @@ def default_order(ks):
 class LimitData(namedtuple("LimitData", "U V")):
     """A walk's limit data: the series the residue extractors read.
 
-    `U` is the drift series about 1 and `V` the shifted covariance kernel,
-    in the conventions above.  The first-order coefficients c_k and the
+    `U` is a list of drift series about 1, one per requested time, and `V`
+    the shifted covariance kernel, which does not depend on time, in the
+    conventions above.  The first-order coefficients c_k and the
     second-order d_{k,l} are their Taylor coefficients up to factorials:
-    c_k = (k-1)! [(z-1)^(k-1)] U and
+    c_k = (k-1)! [(z-1)^(k-1)] U[i] and
     d_{k,l} = (k-1)! (l-1)! [(z-1)^(k-1) (w-1)^(l-1)] V.
     It is a tuple: iterable, and equal to the plain tuple (U, V).
     """
 
     __slots__ = ()
-
-
-def build_U(data):
-    """The drift series about 1 of `data`."""
-    return data.U
 
 
 def build_V(data):
@@ -286,48 +283,44 @@ def packed_limit_moments(order):
     return [Fraction((-1) ** k, k + 1) for k in range(1, order + 1)]
 
 
-def walk_drift_series(rho, theta, taus, initial_moments, order):
+def walk_drift_series(rho, theta, taus, profile, order):
     """Drift series about 1 of the evolved shape at each time tau in taus.
 
     U^(tau) = theta * (tau W'(z) + H'(z)) where H is the profile integral of
-    the initial shape, H'(z) = P(z)/z for P its `profile_series`, and both
-    factors are expanded about z = 1; they do not depend on tau, so they
-    are built once for all the times.  Right for any start; fewer than
-    `order` moments raise OrderError.
+    the initial shape, H'(z) = P(z)/z for P = `profile` (`profile_series`,
+    read below `order`), and both factors are expanded about z = 1; they
+    do not depend on tau, so they are built once for all the times.  Right
+    for any start.
     """
     _require_regular_at_one(rho)
     one_plus = TruncSeries.polynomial(SHIFT_VAR, [1, 1])
-    p_series = profile_series(initial_moments, order).retag(SHIFT_VAR)
+    p_series = profile.truncate(order).retag(SHIFT_VAR)
     h_prime = p_series * one_plus.reciprocal(order)
     w_prime = w_prime_of(rho, theta, one_plus, order)
     return [((w_prime * Fraction(tau) + h_prime) * theta).truncate(order)
             for tau in taus]
 
 
-def walk_covariance_kernel(initial_moments, order, theta=1):
+def walk_covariance_kernel(profile, order, theta=1):
     """Shifted covariance kernel of the evolved shape (time independent).
 
-    V(z,w) = theta d_z d_w log(1 + (z-1)(w-1) D(z,w)) where D is the divided
-    difference of P(x) = x H'(x) between z and w; in shifted coordinates the
+    V(z,w) = theta d_z d_w log(1 - (z-1)(w-1) D(z,w)) where D is the divided
+    difference of P(x) = x H'(x) = `profile` between z and w (Bufetov-Gorin,
+    "Fluctuations of particle systems determined by Schur generating
+    functions", Adv. Math. 338, 2018); in shifted coordinates the
     coefficient of (z-1)^i (w-1)^j in D is the (i+j+1)-st shifted Taylor
-    coefficient of P.  Fewer than 2*order + 1 moments raise OrderError.
-
-    Checked only at the packed start, where it is zero.  For other starts
-    it is known to be wrong: for the two-block start, uniform on
-    [-1, -1/2] and [0, 1/2], at theta = b = 1 and tau = 0, where a
-    deterministic start does not fluctuate, the limit variances it gives
-    are 3/8 for k = 1 and -3/16 for k = 2.  The drift
-    (`walk_drift_series`) is right for any start.
+    coefficient of P, so P is read up to (x-1)^(2*order - 1).  The packed
+    start has P = 0 and so V = 0; a deterministic start does not
+    fluctuate, so every covariance vanishes at tau = 0.
     """
-    p_series = profile_series(initial_moments, 2 * order + 1)
     outer = []
     for j in range(order):
-        inner = [p_series.coefficient(i + j + 1) for i in range(order)]
+        inner = [profile.coefficient(i + j + 1) for i in range(order)]
         outer.append(TruncSeries("z", 0, inner, order))
     dd = TruncSeries("w", 0, outer, order)
     zmon = TruncSeries.monomial("z", 1, 1)
     wmon = TruncSeries.monomial("w", 1, 1)
-    g = 1 + dd * zmon * wmon
+    g = 1 - dd * zmon * wmon
     lng = g.log()
 
     def inner_derivative(c):
@@ -336,14 +329,14 @@ def walk_covariance_kernel(initial_moments, order, theta=1):
     return lng.derivative().map_coefficients(inner_derivative) * theta
 
 
-def walk_limit_data(rho, theta, tau, initial_moments, order):
-    """Drift series at time tau and covariance kernel of the evolved shape.
+def walk_limit_data(rho, theta, taus, initial_moments, order):
+    """Drift series at each time in `taus` and covariance kernel of the
+    evolved shape, from one `profile_series` of the start.
 
-    It needs 2*order + 1 moments of the start, and raises OrderError on
-    fewer.  The drift is right for any start; the kernel is checked only
-    at the packed start and is known to be wrong for others (see
-    `walk_covariance_kernel`).
+    It builds P to order 2*order + 1, which the kernel needs, and so
+    raises OrderError on fewer than 2*order + 1 moments; the drifts read
+    P below `order`.
     """
-    u_series, = walk_drift_series(rho, theta, [tau], initial_moments, order)
-    return LimitData(u_series, walk_covariance_kernel(initial_moments, order,
-                                                      theta=theta))
+    profile = profile_series(initial_moments, 2 * order + 1)
+    return LimitData(walk_drift_series(rho, theta, taus, profile, order),
+                     walk_covariance_kernel(profile, order, theta))

@@ -29,8 +29,7 @@ from fractions import Fraction
 
 from . import __version__
 from .asymptotics import (build_V, default_order, limit_covariance,
-                          limit_moment, packed_limit_moments,
-                          walk_drift_series, walk_limit_data)
+                          limit_moment, packed_limit_moments, walk_limit_data)
 from .dynamics import WalkConfig, path_statistics
 from .errors import (DeficitError, DivergenceError, ResourceLimitError,
                      ShapeError, StabilityError)
@@ -46,7 +45,7 @@ def _parse_partition(text):
     if text in ("", "0", "-"):
         return ()
     try:
-        return make_partition(int(p) for p in text.split(","))
+        return make_partition(tuple(int(p) for p in text.split(",")))
     except (ValueError, TypeError) as exc:
         raise ValueError("bad partition %r: %s" % (text, exc))
 
@@ -262,12 +261,12 @@ def _limit_predictions(cfg, taus, ks, pairs_only_diagonal=True):
     theta = as_fraction(cfg.theta)
     order = default_order(ks)
     moments = packed_limit_moments(2 * order + 1)
-    # the covariance kernel does not depend on tau: build it once
-    v_kernel = build_V(walk_limit_data(cfg.rho, theta, taus[0], moments,
-                                       order))
+    # one profile of the start gives every tau's drift and the kernel,
+    # which does not depend on tau
+    data = walk_limit_data(cfg.rho, theta, taus, moments, order)
+    v_kernel = build_V(data)
     rows = []
-    drifts = walk_drift_series(cfg.rho, theta, taus, moments, order)
-    for tau, u_series in zip(taus, drifts):
+    for tau, u_series in zip(taus, data.U):
         for k in ks:
             rows.append((tau, k, "", "mean",
                          limit_moment(k, u_series, theta)))

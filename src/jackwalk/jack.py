@@ -37,7 +37,6 @@ a numeric theta: it evaluates one exp of a sum of logarithms in
 import decimal
 import itertools
 import math
-import threading
 from fractions import Fraction
 
 from .errors import DivergenceError, ResourceLimitError, ShapeError
@@ -63,14 +62,12 @@ def _is_symbolic(theta):
 class JackBasis:
     """Memoized expansion tables {partition: PSumPoly} for one theta.
 
-    Completed size classes are immutable; construction of a class holds a
-    lock so concurrent readers either see the finished table or build it
-    exactly once.
+    A size class is built whole, on its first read, and never changes
+    after; `basis_for` shares one basis per theta within a process.
     """
 
     def __init__(self, theta=THETA):
         self.theta = as_exact(theta)
-        self._lock = threading.Lock()
         self._table = {}                # partition -> PSumPoly
         self._norms = {}                # partition -> <J, J>
         self._done = set()              # completed sizes
@@ -93,15 +90,12 @@ class JackBasis:
     def ensure_size(self, size):
         if size in self._done:
             return
-        with self._lock:
-            if size in self._done:
-                return
-            if size > CONVERSION_SIZE_CUTOFF:
-                raise ResourceLimitError(
-                    "Jack table refused at size %d (cutoff %d)"
-                    % (size, CONVERSION_SIZE_CUTOFF))
-            self._build(size)
-            self._done.add(size)
+        if size > CONVERSION_SIZE_CUTOFF:
+            raise ResourceLimitError(
+                "Jack table refused at size %d (cutoff %d)"
+                % (size, CONVERSION_SIZE_CUTOFF))
+        self._build(size)
+        self._done.add(size)
 
     def _build(self, size):
         """One size class by the Laplace-Beltrami recursion, in integral
@@ -182,7 +176,6 @@ def _raisings(mu):
 
 
 _BASES = {}
-_BASES_LOCK = threading.Lock()
 
 
 def basis_for(theta=THETA):
@@ -190,10 +183,9 @@ def basis_for(theta=THETA):
     key = as_exact(theta)
     if isinstance(key, RationalFunction) and key.is_constant():
         key = key.as_fraction()
-    with _BASES_LOCK:
-        found = _BASES.get(key)
-        if found is None:
-            found = _BASES[key] = JackBasis(key)
+    found = _BASES.get(key)
+    if found is None:
+        found = _BASES[key] = JackBasis(key)
     return found
 
 

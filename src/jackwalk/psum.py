@@ -78,9 +78,6 @@ class PSumPoly:
         return PSumPoly({k: v for k, v in self.terms.items()
                          if sum(k) <= max_degree})
 
-    def coefficient(self, lam):
-        return self.terms.get(tuple(lam), Fraction(0))
-
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other):
@@ -114,9 +111,6 @@ class PSumPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, PSumPoly):
             out = {}
@@ -149,18 +143,6 @@ class PSumPoly:
         res = PSumPoly()
         res.terms = {k: v / scalar for k, v in self.terms.items()}
         return res
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = PSumPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, RationalFunction)):

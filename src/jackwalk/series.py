@@ -234,22 +234,11 @@ class TruncSeries:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if self.is_samevar(other):
-            return self * other.reciprocal()
-        if isinstance(other, _SCALARS):
-            return self * _coeff_inv(other)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        inv = self.reciprocal()
-        return inv * other
-
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
-            return self.reciprocal() ** (-k)
+            raise ValueError("only nonnegative integer powers")
         if k == 0:
             return TruncSeries.constant(self.var, 1)
         acc = self

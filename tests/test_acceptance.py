@@ -10,7 +10,6 @@ import random
 from fractions import Fraction
 
 from jackwalk.asymptotics import (
-    build_U,
     build_V,
     limit_covariance,
     limit_moment,
@@ -186,9 +185,9 @@ def test_criterion_08_packed_limit_moments():
 
 
 def test_criterion_09_variance_matches_limit_covariance():
-    data = walk_limit_data(Specialization.single_beta(1), one, one,
+    data = walk_limit_data(Specialization.single_beta(1), one, [one],
                            packed_limit_moments(17), 8)
-    limit = limit_covariance(1, 1, build_U(data), build_V(data), one)
+    limit = limit_covariance(1, 1, data.U[0], build_V(data), one)
     samples = 100000
     ok = True
     mc_gaps = []

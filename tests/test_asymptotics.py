@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from jackwalk.asymptotics import (
     LimitData,
     _drift_factor,
-    build_U,
     build_V,
     default_order,
     limit_covariance,
@@ -284,8 +283,8 @@ def test_covariance_raises_when_residue_undetermined():
 def bernoulli_walk_frame(tau, order=8):
     rho = Specialization.single_beta(one)
     moments = packed_limit_moments(2 * order + 1)
-    data = walk_limit_data(rho, one, Fraction(tau), moments, order)
-    return build_U(data), build_V(data)
+    data = walk_limit_data(rho, one, [Fraction(tau)], moments, order)
+    return data.U[0], build_V(data)
 
 
 def test_packed_limit_moments():
@@ -381,24 +380,40 @@ def test_profile_series_of_point_mass():
 
 
 def test_too_few_moments_are_refused():
-    # the off-center two-atom start; each builder needs its order's
-    # moments (the kernel 2*order + 1) and refuses fewer
+    # the off-center two-atom start; walk_limit_data builds its one
+    # profile to 2*order + 1 and refuses fewer moments, and the kernel
+    # reads the profile up to (x-1)^(2*order - 1)
     mu = AtomicMeasure([(half, Fraction(3, 4)), (-half, Fraction(1, 4))])
     rho = Specialization.single_beta(one)
-    with pytest.raises(OrderError, match=r"^need 8 moments, got 3$"):
-        walk_drift_series(rho, one, [one], mu.moments(3), 8)
-    with pytest.raises(OrderError, match=r"^need 3 moments, got 2$"):
-        walk_covariance_kernel(mu.moments(2), 1)
-    with pytest.raises(OrderError, match=r"^need 8 moments, got 3$"):
-        walk_limit_data(rho, one, one, mu.moments(3), 8)
+    with pytest.raises(OrderError, match=r"^need 17 moments, got 3$"):
+        walk_limit_data(rho, one, [one], mu.moments(3), 8)
     with pytest.raises(OrderError, match=r"^need 17 moments, got 16$"):
-        walk_limit_data(rho, one, one, mu.moments(16), 8)
+        walk_limit_data(rho, one, [one], mu.moments(16), 8)
     with pytest.raises(OrderError, match=r"^need 5 moments, got 4$"):
         profile_series(mu.moments(4), 5)
+    with pytest.raises(OrderError, match=r"x-1\^15 requested"):
+        walk_covariance_kernel(profile_series(mu.moments(15), 15), 8)
     # and exactly enough is accepted
-    walk_drift_series(rho, one, [one], mu.moments(8), 8)
-    walk_covariance_kernel(mu.moments(3), 1)
-    walk_limit_data(rho, one, one, mu.moments(17), 8)
+    walk_limit_data(rho, one, [one], mu.moments(17), 8)
+    walk_covariance_kernel(profile_series(mu.moments(16), 16), 8)
+
+
+def test_drifts_read_one_profile_below_their_order():
+    # the drifts of walk_limit_data read its 2*order + 1 profile below
+    # `order`: the same series, orders and coefficient types as from a
+    # profile built to `order` itself
+    rho = Specialization(half, [Fraction(1, 3)], [Fraction(2)])
+    taus = [Fraction(0), half, one]
+    for blocks in (TWO_BLOCK, THREE_BLOCK):
+        for order in (1, 4, 8):
+            moments = block_moments(blocks, 2 * order + 1)
+            short = profile_series(moments, order)
+            assert _dump(profile_series(moments, 2 * order + 1)
+                         .truncate(order)) == _dump(short)
+            for theta in (half, Fraction(3, 7)):
+                drifts, _ = walk_limit_data(rho, theta, taus, moments, order)
+                assert list(map(_dump, drifts)) == list(map(_dump,
+                    walk_drift_series(rho, theta, taus, short, order)))
 
 
 #: sha256 of _packed_limit_data_dump(), recorded while the profile was
@@ -426,7 +441,8 @@ def _packed_limit_data_dump():
             moments = packed_limit_moments(2 * order + 1)
             for theta in (half, one, Fraction(2)):
                 for tau in (Fraction(0), half, one):
-                    U, V = walk_limit_data(rho, theta, tau, moments, order)
+                    (U,), V = walk_limit_data(rho, theta, [tau], moments,
+                                              order)
                     lines += [_dump(U), _dump(V)]
                     for k in range(1, order // 3 + 1):
                         lines.append(_dump(limit_moment(k, U, theta)))
@@ -497,23 +513,80 @@ def test_two_time_covariance_independent_increments():
 
 def test_walk_covariance_kernel_symmetric():
     # the packed start produces the zero kernel; an off-center start does not
-    packedV = walk_covariance_kernel(packed_limit_moments(17), 8)
+    packedV = walk_covariance_kernel(profile_series(packed_limit_moments(17),
+                                                    17), 8)
     for j in range(6):
         row = packedV.coefficient(j)
         assert not isinstance(row, TruncSeries) or not any(v for _, v in row.items())
 
     mu = AtomicMeasure([(half, Fraction(3, 4)), (-half, Fraction(1, 4))])
-    V = walk_covariance_kernel(mu.moments(17), 8)
+    V = walk_covariance_kernel(profile_series(mu.moments(17), 17), 8)
 
     def entry(i, j):
         row = V.coefficient(i)
         return row.coefficient(j) if isinstance(row, TruncSeries) else 0
 
-    assert entry(0, 0) == Fraction(5, 48)
+    # -P'(1) = -5/48 for this start, from the d_z d_w log(1 - (z-1)(w-1) D)
+    # kernel (Bufetov-Gorin 2018), which the block starts below check
+    assert entry(0, 0) == Fraction(-5, 48)
     assert any(entry(i, j) for i in range(6) for j in range(6))
     for i in range(6):
         for j in range(6):
             assert entry(i, j) == entry(j, i)
+
+
+#: deterministic starts that are not packed: density 1 on a union of
+#: intervals of total length 1
+TWO_BLOCK = ((Fraction(-1), -half), (Fraction(0), half))
+THREE_BLOCK = ((Fraction(-1), Fraction(-7, 10)), (-half, Fraction(-1, 5)),
+               (Fraction(0), Fraction(2, 5)))
+
+
+def block_moments(blocks, count):
+    """Moments 1..count of density 1 on the union of `blocks`."""
+    return [sum((b ** (k + 1) - a ** (k + 1)) / (k + 1) for a, b in blocks)
+            for k in range(1, count + 1)]
+
+
+def block_covariances(blocks, rho, theta, taus, ks):
+    """{(tau, k, l): limit covariance} for k <= l in ks, from a start."""
+    order = default_order(ks)
+    drifts, V = walk_limit_data(rho, theta, taus,
+                                block_moments(blocks, 2 * order + 1), order)
+    return {(tau, k, l): limit_covariance(k, l, U, V, theta)
+            for tau, U in zip(taus, drifts) for k in ks for l in ks if k <= l}
+
+
+def test_two_block_start_variances():
+    # beta = theta = 1.  The k = 1 variance is the mass law's tau/4, as
+    # from the packed start.  The k = 2 variance at tau = 1 is the limit
+    # of the exact finite-N values 0.40125, 0.38781, 0.38133, 0.37815 at
+    # N = 10, 20, 40, 80, whose distance to 3/8 halves as N doubles.  With
+    # log(1 + ...) in place of log(1 - ...) the kernel gave 3/8, 1/2, 5/8
+    # for k = 1 and 3/16 for k = 2.
+    got = block_covariances(TWO_BLOCK, Specialization.single_beta(one), one,
+                            [Fraction(0), half, one], [1, 2])
+    assert [got[tau, 1, 1] for tau in (0, half, one)] == \
+        [0, Fraction(1, 8), Fraction(1, 4)]
+    assert got[one, 2, 2] == Fraction(3, 8)
+
+
+@pytest.mark.parametrize("blocks, beta", [(TWO_BLOCK, one),
+                                          (THREE_BLOCK, Fraction(2, 3))])
+@pytest.mark.parametrize("theta", [half, one, Fraction(2), Fraction(3, 7)])
+def test_deterministic_start_does_not_fluctuate_at_time_zero(blocks, beta,
+                                                            theta):
+    # every covariance vanishes at tau = 0, and the k = 1 variance is the
+    # packed start's at every time: the mass added is independent of the
+    # start
+    rho = Specialization.single_beta(beta)
+    taus = [Fraction(0), half, one]
+    got = block_covariances(blocks, rho, theta, taus, [1, 2, 3, 4])
+    assert not any(v for (tau, _, _), v in got.items() if tau == 0)
+    packed = block_covariances(((Fraction(-1), Fraction(0)),), rho, theta,
+                               taus, [1])
+    assert [got[tau, 1, 1] for tau in taus] == \
+        [packed[tau, 1, 1] for tau in taus]
 
 
 def test_burgers_cross_pipeline():
@@ -522,8 +595,7 @@ def test_burgers_cross_pipeline():
     m0 = moments_to_stieltjes(moments)
     for tau in (half, one, Fraction(2)):
         evolved = burgers_evolve(m0, rho, tau, one, 8)
-        data = walk_limit_data(rho, one, tau, moments, 8)
-        U = build_U(data)
+        (U,), _ = walk_limit_data(rho, one, [tau], moments, 8)
         assert stieltjes_moments(evolved, 4) == \
             [limit_moment(k, U, one) for k in range(1, 5)]
     # tau = 1/2 evolved moments, pinned
@@ -548,11 +620,12 @@ def test_burgers_time_zero():
 
 
 def test_limit_data_is_the_pair_of_series():
-    data = walk_limit_data(Specialization.single_beta(one), one, one,
+    data = walk_limit_data(Specialization.single_beta(one), one, [half, one],
                            packed_limit_moments(9), 4)
-    u_series, v_kernel = data
-    assert (build_U(data), build_V(data)) == (u_series, v_kernel)
-    assert data == LimitData(u_series, v_kernel) == (u_series, v_kernel)
+    drifts, v_kernel = data
+    assert len(drifts) == 2
+    assert (data.U, build_V(data)) == (drifts, v_kernel)
+    assert data == LimitData(drifts, v_kernel) == (drifts, v_kernel)
     with pytest.raises(AttributeError):
         data.U = v_kernel
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from jackwalk import __version__, cli, dynamics, jack
+from jackwalk import __version__, asymptotics, cli, dynamics, jack
 from jackwalk.dynamics import WalkConfig, step_mass_law
 from jackwalk.errors import ResourceLimitError
 from jackwalk.scalars import as_fraction, scalar_from_json
@@ -101,6 +101,32 @@ def test_jack_symbolic_golden_bytes(capsys, case):
 def test_bad_partition_is_usage_error(capsys):
     assert cli.main(["jack", "expand", "--partition", "1,2"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["jack", "expand", "--partition", "1,2"],
+    ["jack", "skew", "--partition", "2,1", "--mu", "1,2"],
+])
+def test_bad_partition_message_names_the_parts(capsys, argv):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == \
+        "error: bad partition '1,2': parts not weakly decreasing: (1, 2)\n"
+
+
+def test_jack_skew_by_the_empty_diagram_is_the_jack_polynomial(capsys):
+    # "0" is the empty diagram, and J_{lam/()} = J_lam
+    assert cli.main(["jack", "skew", "--partition", "2,1", "--mu", "0",
+                     "--theta", "1/2"]) == 0
+    skew = capsys.readouterr().out
+    assert cli.main(["jack", "expand", "--partition", "2,1",
+                     "--theta", "1/2"]) == 0
+    expand = capsys.readouterr().out
+    table, _, blob = skew.partition("{")
+    assert table == expand.partition("{")[0]
+    payload = json.loads("{" + blob)
+    assert payload["mu"] == []
+    assert payload["terms"] == json.loads("{" + expand.partition("{")[2])[
+        "terms"]
 
 
 def test_decimal_theta_rejected(capsys):
@@ -780,6 +806,23 @@ def test_walk_predict_calls_limit_layer_through_cli(tmp_path, monkeypatch):
                    "--out", str(tmp_path / "pred.csv")])
     assert rc == 0
     assert all(calls.values()), calls
+
+
+def test_walk_predict_builds_the_start_profile_once(tmp_path, monkeypatch):
+    # the drift at every tau and the kernel come from one profile series
+    calls = []
+    real = asymptotics.profile_series
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(asymptotics, "profile_series", counted)
+    rc = cli.main(["walk", "predict", "--config", beta_config(tmp_path),
+                   "--k", "1,2", "--tau", "1/2,1",
+                   "--out", str(tmp_path / "pred.csv")])
+    assert rc == 0
+    assert calls == [17]    # once, to 2 * default_order([1, 2]) + 1
 
 
 def _modules_cli_import_adds(names):

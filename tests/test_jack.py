@@ -31,7 +31,7 @@ from jackwalk.partitions import (
     z_lambda,
 )
 from jackwalk.psum import PSumPoly, monomial_to_psum, scalar_product
-from jackwalk.scalars import THETA
+from jackwalk.scalars import THETA, RationalFunction
 from jackwalk.specializations import (
     Specialization,
     SpecializationUnion,
@@ -453,6 +453,11 @@ def test_basis_cache():
     b1.ensure_size(4)
     assert 4 in b1._done
     assert b1.polynomial((2, 1)) is basis_for(one).polynomial((2, 1))
+    # a constant of Q(theta) shares the basis of the equal Fraction
+    assert basis_for(RationalFunction.from_value(1)) is b1
+    seven = basis_for(RationalFunction.from_value(Fraction(3, 7)))
+    assert basis_for(Fraction(3, 7)) is seven
+    assert seven.theta == Fraction(3, 7)
 
 
 @pytest.mark.parametrize("th", [half, one, two, Fraction(3, 7)])

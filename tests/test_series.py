@@ -73,6 +73,9 @@ def test_reciprocal():
     # Laurent valuation shifts through the reciprocal
     t = TruncSeries("z", 1, [1, 1], 5).reciprocal()
     assert t.low == -1 and t.coefficient(-1) == 1
+    # a negative power is refused: the reciprocal is the one inverse
+    with pytest.raises(ValueError):
+        s ** -1
     rng = random.Random(23)
     for _ in range(20):
         f = random_series(rng)
