@@ -333,10 +333,10 @@ def walk_limit_data(rho, theta, taus, initial_moments, order):
     """Drift series at each time in `taus` and covariance kernel of the
     evolved shape, from one `profile_series` of the start.
 
-    It builds P to order 2*order + 1, which the kernel needs, and so
-    raises OrderError on fewer than 2*order + 1 moments; the drifts read
-    P below `order`.
+    It builds P to order 2*order, as the kernel reads it up to
+    (x-1)^(2*order - 1), and so raises OrderError on fewer than 2*order
+    moments; the drifts read P below `order`.
     """
-    profile = profile_series(initial_moments, 2 * order + 1)
+    profile = profile_series(initial_moments, 2 * order)
     return LimitData(walk_drift_series(rho, theta, taus, profile, order),
                      walk_covariance_kernel(profile, order, theta))

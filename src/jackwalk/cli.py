@@ -260,7 +260,7 @@ def _limit_predictions(cfg, taus, ks, pairs_only_diagonal=True):
         raise ValueError("moment indices k and times tau must not repeat")
     theta = as_fraction(cfg.theta)
     order = default_order(ks)
-    moments = packed_limit_moments(2 * order + 1)
+    moments = packed_limit_moments(2 * order)
     # one profile of the start gives every tau's drift and the kernel,
     # which does not depend on tau
     data = walk_limit_data(cfg.rho, theta, taus, moments, order)
@@ -326,8 +326,7 @@ def cmd_walk_sample(args):
     try:
         if cfg.n <= 0:
             raise ValueError("positive N needed for limit predictions")
-        taus = sorted({Fraction(t, cfg.n)
-                       for t in (times or range(args.steps + 1))})
+        taus = sorted({Fraction(t, cfg.n) for t, _ in stats.keys})
         rows = _limit_predictions(cfg, taus, ks)
     except (StabilityError, ValueError) as exc:
         sys.stderr.write("limit predictions unavailable: %s\n" % exc)

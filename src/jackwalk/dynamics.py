@@ -46,7 +46,9 @@ the tree of its strips, one row of the diagram at a time, weighing each
 branch by an integer determinant whose bordered leading minors it
 carries from row to row, and picks the strip that the same bits pick
 from the kernel's row.  That costs O(N^3) integer products where the
-row has up to 2^N strips.
+row has up to 2^N strips.  One generator, `_sample_paths`, draws every
+path: it decodes the step once, holds the walk's one row cache, and
+draws path i of `path_statistics` from path_seed(seed, i).
 
 In a single-beta row the strips of size d together weigh
 C(N, d) q^d (1-q)^(N-d), q = theta*b/(1+theta*b), at every theta (Pieri,
@@ -64,7 +66,8 @@ draws nothing, so when every time is requested the random stream, and
 every byte, is that of one draw per step.  Each statistic is one
 correctly rounded division of integers below 2^53, and the blocks are
 accumulated in sample order, so its output matches a per-sample exact
-loop bit for bit, whatever the block size.
+loop bit for bit, whatever the block size.  PathStats takes a sample
+as a row of floats in key order, one per path or a block of them.
 """
 
 import hashlib
@@ -309,8 +312,6 @@ def transition_row(lam, cfg):
             continue
         w = (norm_lam / basis.norm(mu)) \
             * (principal_value(mu, cfg.n, theta) / pv_lam) * value / kernel
-        if is_zero(w):
-            continue
         weights[mu] = w
         total = total + w
     return MeasureOnYoung(cfg.n, weights, tail_deficit=1 - total)
@@ -363,10 +364,9 @@ class _RowCache:
     Each row comes from transition_row, its weights as integer numerators
     over the lcm of their denominators.  Rows keep a tail of at most
     DEFAULT_DEFICIT_BOUND (see _step_cap); a row past it would raise
-    DeficitError, and so does a draw into the tail (sample_path).
+    DeficitError, and so does a draw into the tail (_sample_paths).
     ResourceLimitError is raised once more than _MAX_CACHED_ENTRIES cells
-    are held.  Single-beta steps draw from the step kernel and hold no
-    rows (sample_path)."""
+    are held.  Single-beta steps draw from the step kernel, not rows."""
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -408,38 +408,34 @@ def _draw_index(rng, cums, denom):
     return i if i < len(cums) else None
 
 
-def sample_path(cfg, steps, _cache=None, _rng=None):
-    """One trajectory [lam^(0), ..., lam^(steps)], reproducible from
-    cfg.seed.  A single-beta step is drawn by the step kernel's
-    bernoulli_draw, which picks what _draw_index would pick from the
-    kernel's row with the same random bits, without building the row;
-    any other step draws from the row cache (``_cache``, a _RowCache of
-    cfg, or a fresh one).  Raises DeficitError if a row's truncated tail
-    exceeds DEFAULT_DEFICIT_BOUND (or if a draw lands inside the tail),
-    and ValueError for a symbolic theta."""
+def _sample_paths(cfg, steps, seeds):
+    """Trajectories [lam^(0), ..., lam^(steps)], one per seed, drawn with
+    random.Random(seed) by bernoulli_draw or from one _RowCache.  Raises
+    DeficitError if a row's truncated tail exceeds DEFAULT_DEFICIT_BOUND
+    (or a draw lands in it), and ValueError for a symbolic theta."""
     if isinstance(as_exact(cfg.theta), RationalFunction):
         raise ValueError("sampling needs a numeric theta, not a symbolic one")
-    rng = _rng if _rng is not None else random.Random(cfg.seed)
     args = _kernel_args(cfg)
-    if args is not None:
-        def step(lam):
-            return _stepimpl.bernoulli_draw(rng, lam, *args)
-    else:
-        cache = _cache if _cache is not None else _RowCache(cfg)
-
-        def step(lam):
-            mus, cums, denom = cache.cumulative(lam)
+    cache = None if args is not None else _RowCache(cfg)
+    for seed in seeds:
+        rng = random.Random(seed)
+        path = [cfg.initial]
+        for _ in range(steps):
+            if cache is None:
+                path.append(_stepimpl.bernoulli_draw(rng, path[-1], *args))
+                continue
+            mus, cums, denom = cache.cumulative(path[-1])
             idx = _draw_index(rng, cums, denom)
             if idx is None:
                 raise DeficitError(
                     "draw landed in the truncated tail of a row")
-            return mus[idx]
-    state = cfg.initial
-    path = [state]
-    for _ in range(steps):
-        state = step(state)
-        path.append(state)
-    return path
+            path.append(mus[idx])
+        yield path
+
+
+def sample_path(cfg, steps):
+    """One path [lam^(0), ..., lam^(steps)], drawn from cfg.seed."""
+    return next(_sample_paths(cfg, steps, [cfg.seed]))
 
 
 def exact_evolve(measure, cfg, steps):
@@ -493,10 +489,11 @@ class PathStats:
         self.sums = {key: [0.0, 0.0, 0.0, 0.0] for key in self.keys}
 
     def add_sample(self, values):
-        """Record one path's statistics; `values` maps key -> float."""
+        """Record one path's row of floats, in self.keys order."""
+        if len(values) != len(self.keys):
+            raise ValueError("need a row of %d values" % len(self.keys))
         self.count += 1
-        for key in self.keys:
-            x = values[key]
+        for key, x in zip(self.keys, values):
             x2 = x * x
             s = self.sums[key]
             s[0] += x
@@ -585,19 +582,19 @@ def scaled_moment(lam, n, theta, k):
     return Fraction(sum(a ** k for a in nums), den ** k)
 
 
-def _marginal_statistic(cfg):
-    """(base, step, den): at theta = p/r the k = 1 statistic of a state
-    with |lam0| + d boxes is (base + step d) / den, exactly, where
-    base = 2r|lam0| - p n(n-1), step = 2r and den = 2pn."""
-    theta = Fraction(cfg.theta)
-    p, r, n = theta.numerator, theta.denominator, cfg.n
-    return 2 * r * weight(cfg.initial) - p * n * (n - 1), 2 * r, 2 * p * n
+def _marginal_statistic(args, initial):
+    """(base, step, den): at theta = p/r (args, as _kernel_args) the k = 1
+    statistic of a state with |initial| + d boxes is (base + step d) / den,
+    exactly, where base = 2r|initial| - p n(n-1), step = 2r, den = 2pn."""
+    n, _, _, p, r = args
+    return 2 * r * weight(initial) - p * n * (n - 1), 2 * r, 2 * p * n
 
 
-def _mass_marginal_stats(cfg, steps, samples, times):
+def _mass_marginal_stats(cfg, args, steps, samples, times):
     """Sample k = 1 statistics of a single-beta walk through the exact
     Binomial step-mass marginal (state-independent), instead of per-row
-    enumeration.  Law-equal to the rows; see step_mass_law.
+    enumeration.  Law-equal to the rows; see step_mass_law.  `args` is
+    the step as _kernel_args decodes it; cfg gives the start and seed.
 
     Each sample draws one Binomial(n * dt, q) per interval between
     consecutive requested times, the first interval starting at t = 0,
@@ -611,11 +608,9 @@ def _mass_marginal_stats(cfg, steps, samples, times):
     rounded value of the exact quotient."""
     import numpy
 
-    n = cfg.n
-    b = cfg.rho.components[0].betas[0]
-    tb = Fraction(cfg.theta) * b
-    q = float(tb / (1 + tb))
-    base, step, den = _marginal_statistic(cfg)
+    n, b_num, b_den, p, r = args
+    q = float(Fraction(p * b_num, r * b_den + p * b_num))  # step_mass_law's
+    base, step, den = _marginal_statistic(args, cfg.initial)
     if max(abs(base) + step * n * steps, step, den) >= 2 ** 53:
         raise ResourceLimitError("walk too large for exact float statistics")
     stats = PathStats([(t, 1) for t in times], method="mass-marginal")
@@ -665,20 +660,15 @@ def path_statistics(cfg, steps, samples, ks, times=None, on_path=None):
     if len(set(ks)) < len(ks):
         raise ValueError("moment indices k must not repeat")
 
-    kernel = _kernel_args(cfg) is not None
-    if kernel and ks == [1] and cfg.n > 0 and on_path is None:
-        return _mass_marginal_stats(cfg, steps, samples, times)
+    args = _kernel_args(cfg)
+    if args is not None and ks == [1] and cfg.n > 0 and on_path is None:
+        return _mass_marginal_stats(cfg, args, steps, samples, times)
 
-    keys = [(t, k) for t in times for k in ks]
-    stats = PathStats(keys)
-    # kernel steps are drawn without rows (sample_path)
-    cache = None if kernel else _RowCache(cfg)
-    for index in range(samples):
-        rng = random.Random(path_seed(cfg.seed, index))
-        path = sample_path(cfg, steps, _cache=cache, _rng=rng)
+    stats = PathStats((t, k) for t in times for k in ks)
+    seeds = (path_seed(cfg.seed, index) for index in range(samples))
+    for path in _sample_paths(cfg, steps, seeds):
         if on_path is not None:
             on_path(path)
-        stats.add_sample({(t, k): float(scaled_moment(path[t], cfg.n,
-                                                      cfg.theta, k))
-                          for t, k in keys})
+        stats.add_sample([float(scaled_moment(path[t], cfg.n, cfg.theta, k))
+                          for t, k in stats.keys])
     return stats

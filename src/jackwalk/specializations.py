@@ -18,6 +18,15 @@ from fractions import Fraction
 from .scalars import as_exact, parse_fraction, refuse_unknown_keys
 
 
+def _json_fraction(value, field):
+    """A "p/q" string or a JSON integer.  A float (not read as its shortest
+    decimal), a bool or any other value raises ValueError naming field."""
+    if type(value) is not int and not isinstance(value, str):
+        raise ValueError("%s takes \"p/q\" strings or integers, got %r"
+                         % (field, value))
+    return parse_fraction(str(value))
+
+
 def _sorted_nonneg(values, label):
     out = tuple(sorted((Fraction(v) for v in values), reverse=True))
     if any(v < 0 for v in out):
@@ -96,22 +105,23 @@ class Specialization(namedtuple("Specialization",
     @staticmethod
     def from_json(obj):
         """Inverse of to_json; omitted fields take their defaults.  A
-        non-object, a key other than gamma, alphas, betas and scale, or
-        alphas or betas that are not lists, raise ValueError."""
+        non-object, a key other than gamma, alphas, betas and scale,
+        alphas or betas that are not lists, or a field or atom that is
+        neither a "p/q" string nor a JSON integer, raise ValueError."""
         if not isinstance(obj, dict):
             raise ValueError("a specialization is a JSON object, got %r"
                              % (obj,))
         refuse_unknown_keys(obj, ("gamma", "alphas", "betas", "scale"),
                             "specialization")
+        atoms = {}
         for key in ("alphas", "betas"):
             if not isinstance(obj.get(key, []), list):
                 raise ValueError("%s must be a list, got %r"
                                  % (key, obj[key]))
+            atoms[key] = [_json_fraction(v, key) for v in obj.get(key, [])]
         return Specialization(
-            gamma=parse_fraction(str(obj.get("gamma", 0))),
-            alphas=[parse_fraction(str(a)) for a in obj.get("alphas", [])],
-            betas=[parse_fraction(str(b)) for b in obj.get("betas", [])],
-            scale=parse_fraction(str(obj.get("scale", 1))))
+            gamma=_json_fraction(obj.get("gamma", 0), "gamma"),
+            scale=_json_fraction(obj.get("scale", 1), "scale"), **atoms)
 
 
 class SpecializationUnion:

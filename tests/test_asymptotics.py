@@ -282,7 +282,7 @@ def test_covariance_raises_when_residue_undetermined():
 
 def bernoulli_walk_frame(tau, order=8):
     rho = Specialization.single_beta(one)
-    moments = packed_limit_moments(2 * order + 1)
+    moments = packed_limit_moments(2 * order)
     data = walk_limit_data(rho, one, [Fraction(tau)], moments, order)
     return data.U[0], build_V(data)
 
@@ -381,39 +381,43 @@ def test_profile_series_of_point_mass():
 
 def test_too_few_moments_are_refused():
     # the off-center two-atom start; walk_limit_data builds its one
-    # profile to 2*order + 1 and refuses fewer moments, and the kernel
-    # reads the profile up to (x-1)^(2*order - 1)
+    # profile to 2*order and refuses fewer moments, and the kernel reads
+    # the profile up to (x-1)^(2*order - 1)
     mu = AtomicMeasure([(half, Fraction(3, 4)), (-half, Fraction(1, 4))])
     rho = Specialization.single_beta(one)
-    with pytest.raises(OrderError, match=r"^need 17 moments, got 3$"):
+    with pytest.raises(OrderError, match=r"^need 16 moments, got 3$"):
         walk_limit_data(rho, one, [one], mu.moments(3), 8)
-    with pytest.raises(OrderError, match=r"^need 17 moments, got 16$"):
-        walk_limit_data(rho, one, [one], mu.moments(16), 8)
+    with pytest.raises(OrderError, match=r"^need 16 moments, got 15$"):
+        walk_limit_data(rho, one, [one], mu.moments(15), 8)
     with pytest.raises(OrderError, match=r"^need 5 moments, got 4$"):
         profile_series(mu.moments(4), 5)
     with pytest.raises(OrderError, match=r"x-1\^15 requested"):
         walk_covariance_kernel(profile_series(mu.moments(15), 15), 8)
     # and exactly enough is accepted
-    walk_limit_data(rho, one, [one], mu.moments(17), 8)
+    walk_limit_data(rho, one, [one], mu.moments(16), 8)
     walk_covariance_kernel(profile_series(mu.moments(16), 16), 8)
 
 
 def test_drifts_read_one_profile_below_their_order():
-    # the drifts of walk_limit_data read its 2*order + 1 profile below
+    # the drifts of walk_limit_data read its 2*order profile below
     # `order`: the same series, orders and coefficient types as from a
-    # profile built to `order` itself
+    # profile built to `order` itself; and the kernel, which reads it up
+    # to (x-1)^(2*order - 1), is the one a 2*order + 1 profile gives
     rho = Specialization(half, [Fraction(1, 3)], [Fraction(2)])
     taus = [Fraction(0), half, one]
     for blocks in (TWO_BLOCK, THREE_BLOCK):
         for order in (1, 4, 8):
             moments = block_moments(blocks, 2 * order + 1)
             short = profile_series(moments, order)
-            assert _dump(profile_series(moments, 2 * order + 1)
-                         .truncate(order)) == _dump(short)
+            longer = profile_series(moments, 2 * order + 1)
+            assert _dump(longer.truncate(order)) == _dump(short)
             for theta in (half, Fraction(3, 7)):
-                drifts, _ = walk_limit_data(rho, theta, taus, moments, order)
+                drifts, kernel = walk_limit_data(rho, theta, taus, moments,
+                                                 order)
                 assert list(map(_dump, drifts)) == list(map(_dump,
                     walk_drift_series(rho, theta, taus, short, order)))
+                assert _dump(kernel) == _dump(
+                    walk_covariance_kernel(longer, order, theta))
 
 
 #: sha256 of _packed_limit_data_dump(), recorded while the profile was
@@ -552,7 +556,7 @@ def block_covariances(blocks, rho, theta, taus, ks):
     """{(tau, k, l): limit covariance} for k <= l in ks, from a start."""
     order = default_order(ks)
     drifts, V = walk_limit_data(rho, theta, taus,
-                                block_moments(blocks, 2 * order + 1), order)
+                                block_moments(blocks, 2 * order), order)
     return {(tau, k, l): limit_covariance(k, l, U, V, theta)
             for tau, U in zip(taus, drifts) for k in ks for l in ks if k <= l}
 

@@ -567,6 +567,12 @@ BAD_SHAPES = {
     "list-seed": _walk("1", BETA_ONE, seed=[1]),
     "float-initial-part": _walk("1", BETA_ONE, initial=[2.5]),
     "bool-initial-part": _walk("1", BETA_ONE, initial=[True]),
+    # a rho field is a "p/q" string or a JSON integer: a float is not read
+    # as its shortest decimal, and a bool is not taken for an integer
+    "float-beta": _walk("1", {"betas": [0.1]}),
+    "float-gamma": _walk("1", {"gamma": 1e-3}),
+    "float-scale": _walk("1", {"betas": ["1"], "scale": 2.0}),
+    "bool-alpha": _walk("1", {"betas": ["1"], "alphas": [True]}),
     # a misspelt key is refused, not ignored in favour of its default
     "typo-config-key": _walk("1", BETA_ONE, inital=[2, 1]),
     "typo-rho-key": _walk("1", {"beta": ["1"]}),
@@ -822,7 +828,7 @@ def test_walk_predict_builds_the_start_profile_once(tmp_path, monkeypatch):
                    "--k", "1,2", "--tau", "1/2,1",
                    "--out", str(tmp_path / "pred.csv")])
     assert rc == 0
-    assert calls == [17]    # once, to 2 * default_order([1, 2]) + 1
+    assert calls == [16]    # once, to 2 * default_order([1, 2])
 
 
 def _modules_cli_import_adds(names):

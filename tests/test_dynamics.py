@@ -9,6 +9,7 @@ import math
 import random
 import sys
 import tracemalloc
+import types
 from fractions import Fraction
 
 import numpy
@@ -419,7 +420,8 @@ def test_marginal_statistic_is_the_scaled_first_moment(case, cut):
             parts.pop()
     cfg = WalkConfig(n, theta, Specialization.single_beta(one),
                      initial=tuple(parts))
-    base, step, den = dynamics._marginal_statistic(cfg)
+    base, step, den = dynamics._marginal_statistic(
+        dynamics._kernel_args(cfg), cfg.initial)
     assert Fraction(base + step * d, den) == scaled_moment(lam, n, theta, 1)
 
 
@@ -604,14 +606,16 @@ class LastCell:
         return (1 << bits) - 1
 
 
-def test_deficit_error_on_truncated_rows():
+def test_deficit_error_on_truncated_rows(monkeypatch):
     # a gamma row keeps a tail of at most 2^-32; a draw inside it raises
     cfg = WalkConfig(2, one, Specialization.plancherel(Fraction(1, 10)),
                      seed=1)
     deficit = transition_row((), cfg).tail_deficit
     assert 0 < deficit <= dynamics.DEFAULT_DEFICIT_BOUND
+    monkeypatch.setattr(dynamics, "random", types.SimpleNamespace(
+        Random=LastCell))
     with pytest.raises(DeficitError):
-        sample_path(cfg, 3, _rng=LastCell())
+        sample_path(cfg, 3)
 
 
 def _series_coefficients(factors, order):
@@ -708,22 +712,27 @@ def test_scaled_moment_sums_the_particle_locations(case):
 
 def test_path_stats():
     s = PathStats([(1, 1), (1, 2)])
-    s.add_sample({(1, 1): 1.0, (1, 2): 2.0})
-    s.add_sample({(1, 1): 3.0, (1, 2): 2.0})
+    s.add_sample([1.0, 2.0])
+    s.add_sample([3.0, 2.0])
     assert s.count == 2
     assert s.mean((1, 1)) == 2.0
     assert s.variance((1, 1)) == 2.0
     assert s.variance((1, 2)) == 0.0
     t = PathStats([(1, 1), (1, 2)])
-    t.add_sample({(1, 1): 5.0, (1, 2): 0.0})
+    t.add_sample([5.0, 0.0])
     s.merge(t)
     assert s.count == 3
     assert s.mean((1, 1)) == 3.0
     with pytest.raises(ValueError):
         s.merge(PathStats([(2, 1)]))
+    # a row holds one value per key, in key order
+    for row in ([1.0], [1.0, 2.0, 3.0]):
+        with pytest.raises(ValueError):
+            s.add_sample(row)
+    assert s.count == 3
     # one sample: no spread to estimate, so every second moment is 0
     one_sample = PathStats([(1, 1), (1, 2)])
-    one_sample.add_sample({(1, 1): 1.0, (1, 2): 2.0})
+    one_sample.add_sample([1.0, 2.0])
     assert one_sample.variance((1, 1)) == 0.0
     buf = io.StringIO()
     s.write_csv(buf)
@@ -776,6 +785,47 @@ def test_on_path_follows_seed_derivation(n, steps, samples, seed):
     assert seen == [sample_path(WalkConfig(n, one, b1,
                                            seed=path_seed(seed, i)), steps)
                     for i in range(samples)]
+
+
+_ANY_OR_NEAR = st.integers(0, 3) | st.integers(0, 2 ** 64 - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_ANY_OR_NEAR, _ANY_OR_NEAR), min_size=1,
+                max_size=30, unique=True))
+def test_path_seed_is_a_deterministic_64_bit_map(pairs):
+    seeds = [path_seed(seed, index) for seed, index in pairs]
+    assert seeds == [path_seed(seed, index) for seed, index in pairs]
+    assert all(0 <= s < 2 ** 64 for s in seeds)
+    assert len(set(seeds)) == len(pairs)
+
+
+def test_path_statistics_decodes_the_step_once_for_all_paths(monkeypatch):
+    # the route and the path generator each decode the step once, however
+    # many paths are drawn, and a table walk holds one row cache
+    decodes, caches = [], []
+    kernel_args = dynamics._kernel_args
+
+    def counted_decode(cfg):
+        decodes.append(cfg)
+        return kernel_args(cfg)
+
+    class CountedCache(dynamics._RowCache):
+        def __init__(self, cfg):
+            caches.append(cfg)
+            super().__init__(cfg)
+
+    monkeypatch.setattr(dynamics, "_kernel_args", counted_decode)
+    monkeypatch.setattr(dynamics, "_RowCache", CountedCache)
+    single = WalkConfig(3, one, Specialization.single_beta(one), seed=2)
+    for samples in (1, 6):
+        decodes.clear()
+        path_statistics(single, 3, samples, [1, 2])
+        assert len(decodes) == 2
+    assert not caches
+    doubled = WalkConfig(2, one, SpecializationUnion([b23, b23]), seed=2)
+    assert path_statistics(doubled, 2, 6, [1, 2]).count == 6
+    assert caches == [doubled]
 
 
 def test_path_statistics_validation():
@@ -1188,7 +1238,7 @@ def test_add_batch_matches_add_sample(blocks, width, layout, pool,
             with numpy.errstate(over="ignore", invalid="ignore"):
                 batched.add_batch(_laid_out(values, layout))
             for row in values.tolist():
-                single.add_sample(dict(zip(keys, row)))
+                single.add_sample(row)
         assert _bits(batched) == _bits(single)
 
 
@@ -1263,11 +1313,11 @@ def _per_sample_marginal_stats(cfg, samples, times):
     stats = PathStats([(t, 1) for t in times], method="mass-marginal")
     rng = numpy.random.Generator(numpy.random.PCG64(cfg.seed))
     for _ in range(samples):
-        added, prev, values = 0, 0, {}
+        added, prev, values = 0, 0, []
         for t in times:
             added += int(rng.binomial(cfg.n * (t - prev), q))
             prev = t
-            values[(t, 1)] = float(offset + Fraction(added, cfg.n))
+            values.append(float(offset + Fraction(added, cfg.n)))
         stats.add_sample(values)
     return stats
 

@@ -4,7 +4,9 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from jackwalk.jack import horizontal_strip_predecessors
 from jackwalk.partitions import (
     arm,
     boxes,
@@ -18,6 +20,10 @@ from jackwalk.partitions import (
     weight,
     z_lambda,
 )
+
+
+partitions = st.lists(st.integers(1, 6), max_size=5).map(
+    lambda parts: tuple(sorted(parts, reverse=True)))
 
 
 def dominance_leq(lam, mu):
@@ -114,3 +120,69 @@ def test_z_lambda():
     for n in range(1, 8):
         assert sum(Fraction(math.factorial(n), z_lambda(lam))
                    for lam in enumerate_partitions(n)) == math.factorial(n)
+
+
+def euler_partition_counts(top):
+    """p(0..top) by Euler's pentagonal number recurrence."""
+    p = [1]
+    for n in range(1, top + 1):
+        total, k = 0, 1
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 else -1
+            total += sign * p[n - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= n:
+                total += sign * p[n - k * (3 * k + 1) // 2]
+            k += 1
+        p.append(total)
+    return p
+
+
+@settings(max_examples=200, deadline=None)
+@given(partitions)
+def test_conjugate_is_an_involution_swapping_length_and_first_part(lam):
+    conj = conjugate(lam)
+    assert make_partition(conj) == conj
+    assert conjugate(conj) == lam
+    assert weight(conj) == weight(lam)
+    assert length(conj) == (lam[0] if lam else 0)
+    assert (conj[0] if conj else 0) == length(lam)
+
+
+@settings(max_examples=200, deadline=None)
+@given(partitions, partitions)
+def test_containment_is_preserved_by_conjugation(lam, mu):
+    assert contains(lam, mu) == contains(conjugate(lam), conjugate(mu))
+
+
+@settings(max_examples=31, deadline=None)
+@given(st.integers(0, 30))
+def test_enumerate_partitions_lists_each_partition_once(n):
+    # strictly decreasing lexicographic order: no partition twice, and
+    # p(n) of them, so every partition of n once
+    parts = list(enumerate_partitions(n))
+    assert all(make_partition(lam) == lam and weight(lam) == n
+               for lam in parts)
+    assert all(a > b for a, b in zip(parts, parts[1:]))
+    assert len(parts) == euler_partition_counts(30)[n]
+
+
+@settings(max_examples=200, deadline=None)
+@given(partitions)
+def test_horizontal_strip_predecessors_are_the_interlacing_shapes(lam):
+    # lam_(i+1) <= mu_i <= lam_i, or: lam/mu has at most one box a column
+    def interlaces(mu):
+        padded = lam + (0,)
+        mu = mu + (0,) * (len(lam) - len(mu))
+        return all(padded[i + 1] <= mu[i] <= lam[i] for i in range(len(lam)))
+
+    def one_box_a_column(mu):
+        conj = conjugate(lam)
+        mu_conj = conjugate(mu) + (0,) * len(conj)
+        return all(a - b <= 1 for a, b in zip(conj, mu_conj))
+
+    found = list(horizontal_strip_predecessors(lam))
+    assert len(found) == len(set(found))
+    inside = [mu for mu in enumerate_all_partitions(weight(lam), length(lam))
+              if contains(lam, mu)]
+    assert set(found) == {mu for mu in inside if interlaces(mu)} \
+        == {mu for mu in inside if one_box_a_column(mu)}

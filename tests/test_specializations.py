@@ -112,6 +112,21 @@ def test_json_round_trip():
                        betas=(Fraction(2, 5), Fraction(1, 5)),
                        scale=Fraction(7, 2))
     assert Specialization.from_json(b.to_json()) == b
+    # "p/q" strings, decimal strings and JSON integers are read exactly
+    exact = Specialization.from_json({"gamma": "1/3", "betas": ["0.25", 2],
+                                      "scale": 3})
+    assert exact == Specialization(Fraction(1, 3), (), (2, Fraction(1, 4)), 3)
     u = SpecializationUnion([b, Specialization.ones(2)])
     blob = u.to_json()
     assert "union" in blob and len(blob["union"]) == 2
+
+
+@pytest.mark.parametrize("obj, field", [
+    ({"betas": [0.1]}, "betas"), ({"alphas": [True]}, "alphas"),
+    ({"gamma": 1e-3}, "gamma"), ({"scale": 2.0}, "scale"),
+    ({"scale": None}, "scale"), ({"betas": [[1]]}, "betas"),
+])
+def test_json_fields_are_strings_or_integers(obj, field):
+    # a float is refused, not read as its shortest decimal (0.1 as 1/10)
+    with pytest.raises(ValueError, match=field):
+        Specialization.from_json(obj)
