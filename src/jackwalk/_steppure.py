@@ -17,12 +17,22 @@ VI (6.24); Stanley 1989).
 row at a time.  It carries the bordered leading minors of one integer
 matrix from node to node, starting from a closed form in complete
 homogeneous symmetric polynomials, at O(n^2) products per decided row
-and O(n^3) per draw, where the row holds up to 2^n strips.  `exact_draw`
-is the walk's one exact dyadic draw: the strip-tree descent here and the
-row cache's bisection in `dynamics` both go through it.
+and O(n^3) per draw, where the row holds up to 2^n strips.
+
+At theta = 1 from the empty diagram, `push_block_step` draws the same
+walk another way: it moves a Gelfand-Tsetlin pattern whose top level is
+the diagram, by Bernoulli push-block dynamics, at O(n^2) small-integer
+work and one 64-bit word per free part a step.  It draws the same law
+as the strip tree, not the same strips from the same bits.
+
+`exact_draw` is the walk's one exact dyadic draw: the strip-tree
+descent and the row cache's bisection in `dynamics` go through it.  A
+push-block coin is that draw over two cells, read off one comparison of
+the word with the least word that grows, and settled by the same loop
+(`_settle`) on a tie.
 """
 
-__all__ = ["bernoulli_draw", "bernoulli_row", "exact_draw"]
+__all__ = ["bernoulli_draw", "bernoulli_row", "exact_draw", "push_block_step"]
 
 
 def bernoulli_row(lam, n, b_num, b_den, p=1, q=1):
@@ -146,8 +156,13 @@ def exact_draw(rng, den, cell):
     64 more bits are appended to r and the draw is redone, so the choice
     is the one an exact uniform variate picks.  Scaling den and the cells
     alike moves no comparison."""
+    return _settle(rng, den, cell, rng.getrandbits(64))
+
+
+def _settle(rng, den, cell, word):
+    """`exact_draw` whose first 64 bits, word, are already drawn."""
     bits = 64
-    scaled = rng.getrandbits(bits) * den  # u * den * 2^bits
+    scaled = word * den  # u * den * 2^bits
     while True:
         floor = scaled >> bits
         choice, low = cell(floor)
@@ -155,6 +170,56 @@ def exact_draw(rng, den, cell):
             return choice
         scaled = (scaled << 64) + rng.getrandbits(64) * den
         bits += 64
+
+
+def push_block_step(rng, levels, b_num, b_den):
+    """One step of Bernoulli push-block dynamics at theta = 1, in place.
+
+    ``levels`` is a Gelfand-Tsetlin pattern: levels[k - 1] holds the k
+    parts x^k_1 >= ... >= x^k_k of level k, for k = 1..N, and adjacent
+    levels interlace, x^k_i >= x^(k-1)_i >= x^k_(i+1).  The levels are
+    updated from the bottom, each part in row order against the level
+    below it, already updated:
+
+    * pushed (+1) when part i below is x^k_i + 1, which x^k_i must not
+      fall behind;
+    * blocked (+0) when part i - 1 below is x^k_i, which x^k_i must not
+      pass;
+    * free otherwise: it grows by the `exact_draw` over the cells keep
+      [0, b_den) and grow [b_den, b_den + b_num), kept before grown as in
+      the strip tree, so with probability b / (1 + b).
+
+    A free part takes one 64-bit word, and more only when the word puts
+    u * den exactly on the boundary b_den (a tie), as `exact_draw` does;
+    pushed and blocked parts take none.  The levels keep interlacing and
+    every part grows by at most 1, so the top level takes a vertical
+    strip.  From the packed pattern (every part 0), the top level's path
+    has the law of the single-beta walk of bernoulli_row at theta = 1
+    (Borodin and Ferrari 2008, "Anisotropic growth of random surfaces in
+    2+1 dimensions"; Warren and Windridge 2009, "Some examples of
+    dynamics for Gelfand-Tsetlin patterns"), at O(N^2) small-integer
+    work a step."""
+    den = b_num + b_den
+    cut = -(-(b_den << 64) // den)  # the least word that grows
+    tie = cut if not (b_den << 64) % den else -1  # it lands on b_den
+
+    def cell(floor):
+        return (True, b_den) if floor >= b_den else (False, 0)
+
+    getrandbits = rng.getrandbits
+    below = [-1]  # nothing pushes or blocks the bottom part
+    for level in levels:
+        blocker = -1  # part i - 1 below, updated
+        for i, (x, pusher) in enumerate(zip(level, below)):
+            if pusher > x:
+                level[i] = pusher
+            elif blocker != x:
+                word = getrandbits(64)
+                if word >= cut and (word != tie
+                                    or _settle(rng, den, cell, word)):
+                    level[i] = x + 1
+            blocker = pusher
+        below = level + [-1]  # the last part has no part i below
 
 
 def _descend(floor, ys, grow_weight, keep_weight, p):

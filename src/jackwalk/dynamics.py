@@ -46,9 +46,15 @@ the tree of its strips, one row of the diagram at a time, weighing each
 branch by an integer determinant whose bordered leading minors it
 carries from row to row, and picks the strip that the same bits pick
 from the kernel's row.  That costs O(N^3) integer products where the
-row has up to 2^N strips.  One generator, `_sample_paths`, draws every
-path: it decodes the step once, holds the walk's one row cache, and
-draws path i of `path_statistics` from path_seed(seed, i).
+row has up to 2^N strips.  At theta = 1 from the empty diagram the walk
+is instead the top level of a Gelfand-Tsetlin pattern, packed at the
+start and moved by the kernel's `push_block_step`: Bernoulli push-block
+dynamics, O(N^2) small-integer work and one coin per free part a step.
+Its paths have the law of the rows, not their bytes; every other
+single-beta walk descends the strip tree.  One generator,
+`_sample_paths`, draws every path: it decodes the step once, holds the
+walk's one row cache, and draws path i of `path_statistics` from
+path_seed(seed, i).
 
 In a single-beta row the strips of size d together weigh
 C(N, d) q^d (1-q)^(N-d), q = theta*b/(1+theta*b), at every theta (Pieri,
@@ -410,12 +416,28 @@ def _draw_index(rng, cums, denom):
 
 def _sample_paths(cfg, steps, seeds):
     """Trajectories [lam^(0), ..., lam^(steps)], one per seed, drawn with
-    random.Random(seed) by bernoulli_draw or from one _RowCache.  Raises
-    DeficitError if a row's truncated tail exceeds DEFAULT_DEFICIT_BOUND
-    (or a draw lands in it), and ValueError for a symbolic theta."""
+    random.Random(seed): by push-block on a Gelfand-Tsetlin pattern for a
+    single-beta step at theta = 1 from the empty diagram, by
+    bernoulli_draw for any other single-beta step, and from one _RowCache
+    otherwise.  Raises DeficitError if a row's truncated tail exceeds
+    DEFAULT_DEFICIT_BOUND (or a draw lands in it), and ValueError for a
+    symbolic theta."""
     if isinstance(as_exact(cfg.theta), RationalFunction):
         raise ValueError("sampling needs a numeric theta, not a symbolic one")
     args = _kernel_args(cfg)
+    if args is not None and args[3:] == (1, 1) and not cfg.initial:
+        # theta = p/q = 1 from the empty diagram: the top level of a
+        # Gelfand-Tsetlin pattern, packed (every part 0) at the start
+        for seed in seeds:
+            rng = random.Random(seed)
+            levels = [[0] * k for k in range(1, cfg.n + 1)]
+            top = levels[-1] if levels else []
+            path = [()]
+            for _ in range(steps):
+                _stepimpl.push_block_step(rng, levels, *args[1:3])
+                path.append(tuple(x for x in top if x))
+            yield path
+        return
     cache = None if args is not None else _RowCache(cfg)
     for seed in seeds:
         rng = random.Random(seed)

@@ -411,13 +411,15 @@ def test_refused_walk_sample_leaves_paths_file_alone(tmp_path, capsys,
         assert paths.read_text() == existing
 
 
-#: sha256 of `walk sample` outputs below the provenance line: the samplers
-#: promise identical bytes for identical invocations, so a faster sampler
-#: must reproduce these exactly.  Cases: (config overrides, argv, digest
-#: of the stats CSV, digest of the --paths file or None, digest of the
-#: exact limit predictions written next to the stats).
+#: sha256 of `walk sample` outputs below the provenance line: identical
+#: invocations give identical bytes.  A sampler that draws the same law
+#: another way moves the stats and paths digests, which are re-recorded
+#: only with exact evidence of the law; the predictions are exact, so
+#: their digests never move.  Cases: (config overrides, argv, digest of
+#: the stats CSV, digest of the --paths file or None, digest of the exact
+#: limit predictions written next to the stats).
 _ROWS_STATS = \
-    "6d7e39c31efe8df2b9fd02d63f49b6db37c7a810f5441b4173cc108915e065d5"
+    "6f7238e7add8197c8dc0badd397a733ae64967b0c5de7b684f7d14201140220f"
 _ROWS_PREDICTIONS = \
     "03e4122db3da050a980d50057512e17946120d5342c01aec98f91fc634f8ea19"
 GOLDEN_WALKS = {
@@ -436,14 +438,21 @@ GOLDEN_WALKS = {
         {"n": 4}, ["--steps", "4", "--k", "1,2", "--samples", "40",
                    "--paths", "paths.jsonl"],
         _ROWS_STATS,
-        "2bfa841efa0cc7dd635a3190178389507a72c4c13175768ddd3f001d3ce6f027",
+        "d0df315bc326822da61f06c91fa47febbb66b5999034e4cc6dcfe44734c75777",
         _ROWS_PREDICTIONS),
-    # a deeper rows walk: rows of up to 2^8 strips, cached and revisited
+    # a deeper theta = 1 walk from the packed start: 8 push-block levels
     "rows-deep": (
         {"n": 8}, ["--steps", "8", "--k", "1,2", "--samples", "40"],
-        "8377e72a1b1cdd02d8fb28c3228704c2ffb3db02d946fd85185d3b9543304934",
+        "1a9bc893ef9138dd341ec95fd260414feaafd45123d6c2357ab2f5519be1a61b",
         None,
         "39387aa34b09ad651d743734b57a366b9b68053bd4a89d9e871ae1f9595bbc25"),
+    # N = 64, out of reach of the strip tree: push-block for k = 1, 2, 3
+    "push-block-n64": (
+        {"n": 64}, ["--steps", "64", "--k", "1,2,3", "--times", "0,32,64",
+                    "--samples", "20"],
+        "ee7b86e69bbea6a96e5c6748a9a8aa953e630ed0e34bdca3e4871c21cd3f773f",
+        None,
+        "903d815fcbd832741b3813dd4643c5eb8977d72e5bccbb3bd5fc6fdea99ccffb"),
     "theta-half": (
         {"n": 2, "theta": Fraction(1, 2)},
         ["--steps", "2", "--k", "1,2", "--samples", "30"],

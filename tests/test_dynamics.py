@@ -884,16 +884,18 @@ def _fraction_draw_index(rng, cums):
 
 
 class StubRandom:
-    """Hands out the given words (then 1s) and counts the bits taken."""
+    """Hands out the given words (then ``rest``) and counts the bits
+    taken."""
 
-    def __init__(self, words):
+    def __init__(self, words, rest=1):
         self.words = list(words)
+        self.rest = rest
         self.bits = 0
 
     def getrandbits(self, k):
         assert k == 64
         self.bits += k
-        return self.words.pop(0) if self.words else 1
+        return self.words.pop(0) if self.words else self.rest
 
 
 def _integer_cums(cums):
@@ -1116,6 +1118,173 @@ def test_start_minors_match_elimination(theta, b, n, parts, shift):
         _bordered_minors(matrix)
 
 
+# -- push-block at theta = 1 -----------------------------------------------------
+
+KEEP, GROW = 0, 2 ** 64 - 1  # the least and the greatest word
+PUSH_BLOCK_BETAS = [Fraction(1, 3), Fraction(2, 3), one, Fraction(5, 2)]
+
+
+def _packed(n):
+    return [[0] * k for k in range(1, n + 1)]
+
+
+def _top(levels):
+    return tuple(x for x in levels[-1] if x) if levels else ()
+
+
+def _push_block_outcomes(pattern, b_num, b_den):
+    """[(pattern after one step, keeps, grows)] over every keep/grow word
+    sequence of the real step from ``pattern`` (levels as tuples): word 0
+    keeps a free part and word 2^64 - 1 grows it.  Each run keeps every
+    free part past the given words; a run is then made for each of them
+    grown instead, so every sequence is run once."""
+    out = []
+    pending = [[]]
+    while pending:
+        words = pending.pop()
+        levels = [list(level) for level in pattern]
+        rng = StubRandom(words, rest=KEEP)
+        _steppure.push_block_step(rng, levels, b_num, b_den)
+        used = words + [KEEP] * (rng.bits // 64 - len(words))
+        pending += [used[:j] + [GROW] for j in range(len(words), len(used))]
+        grows = used.count(GROW)
+        out.append((tuple(map(tuple, levels)), len(used) - grows, grows))
+    return out
+
+
+def _push_block_path_law(n, steps, b):
+    """{top-level path: probability} of push-block from the packed pattern,
+    over all times jointly.  A step's word sequence with a keeps and g
+    grows weighs b_den^a b_num^g / den^(a + g), den = b_num + b_den.  The
+    masses are integers over den^parts a step, parts = n(n+1)/2 >= a + g,
+    so each weight is scaled by den^(parts - a - g)."""
+    b_num, b_den = b.numerator, b.denominator
+    den, parts = b_num + b_den, n * (n + 1) // 2
+    outcomes = {}
+    law = {(tuple(map(tuple, _packed(n))), ((),)): 1}
+    for _ in range(steps):
+        after = {}
+        for (pattern, path), mass in law.items():
+            if pattern not in outcomes:
+                outcomes[pattern] = [
+                    (levels, (_top(levels),), b_den ** keeps * b_num ** grows
+                     * den ** (parts - keeps - grows))
+                    for levels, keeps, grows in _push_block_outcomes(
+                        pattern, b_num, b_den)]
+            for levels, top, weight in outcomes[pattern]:
+                key = (levels, path + top)
+                after[key] = after.get(key, 0) + mass * weight
+        law = after
+    paths = {}
+    for (_, path), mass in law.items():
+        paths[path] = paths.get(path, 0) + mass
+    return {path: Fraction(mass, den ** (parts * steps))
+            for path, mass in paths.items()}
+
+
+@pytest.mark.parametrize("b", PUSH_BLOCK_BETAS, ids=str)
+@pytest.mark.parametrize("n, steps", [(n, 3) for n in range(6)] + [(3, 5)],
+                         ids=str)
+def test_push_block_path_law_is_the_rows_path_law(n, steps, b):
+    # the top level's path, all times jointly, has the law of the product
+    # of transition rows, with no tolerance
+    cfg = WalkConfig(n, one, Specialization.single_beta(b))
+    rows = {}
+    law = _push_block_path_law(n, steps, b)
+    assert sum(law.values()) == 1
+    for path, mass in law.items():
+        expected = one
+        for lam, mu in zip(path, path[1:]):
+            if lam not in rows:
+                rows[lam] = transition_row(lam, cfg).support
+            expected *= rows[lam].get(mu, 0)
+        assert mass == expected, path
+
+
+@pytest.mark.parametrize("b", [one, Fraction(1, 3)], ids=str)
+def test_push_block_tie_draws_more_words_as_exact_draw_does(b):
+    # the word that puts u * den exactly on the boundary b_den (2^63 at
+    # b = 1, 3 * 2^62 at b = 1/3) grows the part and takes one more word,
+    # or more while they are 0; one word less keeps it with one word
+    den = b.numerator + b.denominator
+    boundary = (b.denominator << 64) // den
+
+    def cell(floor):
+        return (True, b.denominator) if floor >= b.denominator else (False, 0)
+
+    for words, bits in (([boundary, 5], 128), ([boundary, 0, 7], 192),
+                        ([boundary - 1, 5], 64)):
+        levels, rng, oracle = [[0]], StubRandom(words), StubRandom(words)
+        _steppure.push_block_step(rng, levels, b.numerator, b.denominator)
+        grew = _steppure.exact_draw(oracle, den, cell)
+        assert levels == [[1 if grew else 0]]
+        assert rng.bits == oracle.bits == bits
+        assert grew == (words[0] == boundary)
+
+
+def _interlace(levels):
+    return all(above[i] >= below[i] >= above[i + 1]
+               for below, above in zip(levels, levels[1:])
+               for i in range(len(below)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 9), st.integers(0, 8),
+       st.sampled_from([Fraction(0)] + PUSH_BLOCK_BETAS), WORD)
+def test_push_block_keeps_the_pattern_a_pattern(n, steps, b, seed):
+    # after every step the levels interlace, every part grows by at most
+    # 1, and the top level is the diagram of the sampled path
+    path = sample_path(WalkConfig(n, one, Specialization.single_beta(b),
+                                  seed=seed), steps)
+    levels, rng = _packed(n), random.Random(seed)
+    for t in range(1, steps + 1):
+        before = [list(level) for level in levels]
+        _steppure.push_block_step(rng, levels, b.numerator, b.denominator)
+        assert _interlace(levels)
+        assert all(x - y in (0, 1) for level, old in zip(levels, before)
+                   for x, y in zip(level, old))
+        assert _top(levels) == path[t]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([half, one, two]), st.sampled_from(BETAS),
+       st.integers(1, 6), st.lists(st.integers(1, 4), max_size=6),
+       st.integers(0, 5), WORD)
+def test_other_single_beta_walks_descend_the_strip_tree(theta, b, n, parts,
+                                                        steps, seed):
+    # theta = 1 from a start that is not packed, and theta = 1/2 or 2 from
+    # any start, are the chain of bernoulli_draws from one random stream
+    initial = tuple(sorted(parts, reverse=True))[:n]
+    if theta == 1 and not initial:
+        initial = (1,)
+    args = _kernel_args(n, b, theta)
+    rng = random.Random(seed)
+    expected = [initial]
+    for _ in range(steps):
+        expected.append(bernoulli_draw(rng, expected[-1], *args))
+    cfg = WalkConfig(n, theta, Specialization.single_beta(b), initial=initial,
+                     seed=seed)
+    assert sample_path(cfg, steps) == expected
+
+
+def test_push_block_moments_within_4_se():
+    # N = 12: k = 2 and k = 3 means and variances of 4000 push-block paths
+    # against the exact law of exact_evolve
+    cfg = WalkConfig(12, one, Specialization.single_beta(one), seed=29)
+    m, steps = 4000, 3
+    stats = path_statistics(cfg, steps, m, [2, 3])
+    assert stats.method == "rows"
+    for k in (2, 3):
+        for t, (mean, var, mu4) in _exact_laws(cfg, steps, k).items():
+            se_mean = math.sqrt(var / m)
+            se_var = math.sqrt(max(0, mu4 / m - var * var * (m - 3)
+                                   / (m * (m - 1))))
+            assert abs(stats.mean((t, k)) - mean) <= 4 * se_mean + 1e-9, \
+                (t, k)
+            assert abs(stats.variance((t, k)) - var) <= 4 * se_var + 1e-9, \
+                (t, k)
+
+
 def _assert_cache_matches_row(lam, cfg):
     """The cached row of lam is transition_row's measure: its support in
     increasing order, with the running sums of its weights over denom."""
@@ -1151,8 +1320,11 @@ def test_table_route_row_cache_integer_cumulative_sums(monkeypatch):
 def test_kernel_and_table_caches_draw_alike(monkeypatch, theta):
     # the kernel draws by descending its strips over an unreduced
     # denominator, the table route bisects a cached row over reduced ones:
-    # a draw is scale-invariant, so both give the same bits
-    cfg = WalkConfig(3, theta, Specialization.single_beta(one), seed=6)
+    # a draw is scale-invariant, so both give the same bits.  The start is
+    # not packed, so that theta = 1 descends the strip tree too, not the
+    # push-block pattern
+    cfg = WalkConfig(3, theta, Specialization.single_beta(one),
+                     initial=(1,), seed=6)
     kernel = path_statistics(cfg, 2, 30, [1, 2])
     with _table_route(monkeypatch) as calls:
         table = path_statistics(cfg, 2, 30, [1, 2])
