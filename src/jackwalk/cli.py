@@ -29,11 +29,12 @@ from fractions import Fraction
 
 from . import __version__
 from .asymptotics import (build_V, default_order, limit_covariance,
-                          limit_moment, packed_limit_moments, walk_limit_data)
+                          limit_moment, walk_limit_data)
 from .dynamics import WalkConfig, path_statistics
 from .errors import (DeficitError, DivergenceError, ResourceLimitError,
                      ShapeError, StabilityError)
 from .jack import jack_polynomial, lr_expand, skew_jack
+from .measures import interval_moments
 from .partitions import make_partition
 from .scalars import (RationalFunction, as_fraction, parse_fraction,
                       parse_theta, scalar_to_json)
@@ -246,8 +247,12 @@ def _load_walk_config(args):
 
 
 def _limit_predictions(cfg, taus, ks, pairs_only_diagonal=True):
-    """Rows (tau, k, l, statistic, value) of the limiting mean/covariance.
-    No k, no tau, or a negative or repeated k or tau raises ValueError."""
+    """Rows (tau, k, l, statistic, value) of the limiting mean/covariance,
+    from the profile of the start's own limit shape (`interval_moments`).
+    N = 0, no k, no tau, or a negative or repeated k or tau raises
+    ValueError."""
+    if cfg.n <= 0:
+        raise ValueError("positive N needed for limit predictions")
     if not ks:
         raise ValueError("need at least one moment index k")
     if not taus:
@@ -260,7 +265,7 @@ def _limit_predictions(cfg, taus, ks, pairs_only_diagonal=True):
         raise ValueError("moment indices k and times tau must not repeat")
     theta = as_fraction(cfg.theta)
     order = default_order(ks)
-    moments = packed_limit_moments(2 * order)
+    moments = interval_moments(cfg.initial, cfg.n, theta, 2 * order)
     # one profile of the start gives every tau's drift and the kernel,
     # which does not depend on tau
     data = walk_limit_data(cfg.rho, theta, taus, moments, order)
@@ -277,8 +282,6 @@ def _limit_predictions(cfg, taus, ks, pairs_only_diagonal=True):
                 rows.append((tau, k, l, "covariance",
                              limit_covariance(k, l, u_series, v_kernel,
                                               theta)))
-    if cfg.initial:
-        sys.stderr.write("note: limit predictions assume a packed start\n")
     return rows
 
 
@@ -324,9 +327,9 @@ def cmd_walk_sample(args):
 
     # limit predictions next to the estimates, when the step data admits them
     try:
-        if cfg.n <= 0:
-            raise ValueError("positive N needed for limit predictions")
-        taus = sorted({Fraction(t, cfg.n) for t, _ in stats.keys})
+        # no tau at N = 0, which _limit_predictions refuses first
+        taus = sorted({Fraction(t, cfg.n) for t, _ in stats.keys}) \
+            if cfg.n else []
         rows = _limit_predictions(cfg, taus, ks)
     except (StabilityError, ValueError) as exc:
         sys.stderr.write("limit predictions unavailable: %s\n" % exc)

@@ -26,9 +26,13 @@ with F_ij = 1 when both rows or neither grow, (d_ij + theta)/d_ij when
 only i grows and (d_ij - theta)/d_ij when only j grows.  The kernel lists
 each vertical strip once, as a canonical partition within N rows, with a
 positive numerator over one common denominator.  Every other step (a
-symbolic theta, alpha atoms, gamma, several atoms or a larger scale) is
-built from skew Jack functions over a Jack table.  `_kernel_args` decides
-the route.
+symbolic theta, alpha atoms, gamma, several atoms or a larger scale)
+takes its row from a Jack table and the step's Cauchy kernel
+H(rho; x) = exp(theta sum_j p_j(x) p_j(rho) / j) (Macdonald VI.10): for
+H_d its degree-d part, J_{mu/lam}(rho) = <J_mu, J_lam H_d> / j_lam,
+d = |mu| - |lam|, so one product g = J_lam H_d per added size and one
+pairing <J_mu, g> per candidate mu give the row, with no skew function
+built.  `_kernel_args` decides the route.
 
 Sampling draws a uniform dyadic rational u = r / 2^64 and picks the cell
 of a row's cumulative numerators that holds u times their common
@@ -86,10 +90,12 @@ from itertools import accumulate
 
 from . import _steppure as _stepimpl
 from .errors import DeficitError, ResourceLimitError, ShapeError
+# nothing here calls skew_jack or specialize: perfbench/child.py traces them
 from .jack import basis_for, principal_value, reproducing_kernel, skew_jack
 from .measures import MeasureOnYoung, particle_locations, particle_numerators
-from .partitions import length, make_partition, weight
-from .psum import CONVERSION_SIZE_CUTOFF
+from .partitions import contains, enumerate_partitions, length, \
+    make_partition, weight
+from .psum import CONVERSION_SIZE_CUTOFF, PSumPoly, scalar_product
 from .scalars import (RationalFunction, _numerators, as_exact, as_fraction,
                       is_zero, refuse_unknown_keys)
 from .series import TruncSeries
@@ -97,9 +103,8 @@ from .specializations import Specialization, SpecializationUnion, specialize
 
 DEFAULT_DEFICIT_BOUND = Fraction(1, 2 ** 32)
 
-_MAX_ROW_STATES = 200000
 _MAX_EVOLVE_STATES = 20000
-_MAX_CACHED_ENTRIES = 10 * _MAX_ROW_STATES
+_MAX_CACHED_ENTRIES = 2000000
 _BLOCK_BUDGET = 2 ** 14  # values per mass-marginal block; bounds its memory
 
 
@@ -246,32 +251,6 @@ def _step_cap(cfg):
         "cutoff" % (DEFAULT_DEFICIT_BOUND, CONVERSION_SIZE_CUTOFF))
 
 
-def _superpartitions(lam, n, cap):
-    """All mu containing lam with length <= n and |mu| <= |lam| + cap."""
-    lam = make_partition(lam)
-    padded = list(lam) + [0] * (n - len(lam))
-    out = []
-    row = [0] * n
-
-    def rec(i, budget):
-        if i == n:
-            mu = tuple(row)
-            while mu and mu[-1] == 0:
-                mu = mu[:-1]
-            out.append(mu)
-            return
-        upper = padded[i] + budget if i == 0 else min(padded[i] + budget, row[i - 1])
-        for v in range(padded[i], upper + 1):
-            row[i] = v
-            rec(i + 1, budget - (v - padded[i]))
-            if len(out) > _MAX_ROW_STATES:
-                raise ResourceLimitError("transition row support too large")
-        row[i] = 0
-
-    rec(0, cap)
-    return out
-
-
 def _kernel_args(cfg):
     """(n, b_num, b_den, p, q), the step kernel's arguments after the
     diagram, when the kernel builds the rows: a single unit-scale beta
@@ -305,21 +284,28 @@ def transition_row(lam, cfg):
     kernel = _step_kernel(cfg)
     cap = _step_cap(cfg)
     basis = basis_for(theta)
-    basis.ensure_size(weight(lam) + cap)
-
+    size = weight(lam)
+    basis.ensure_size(size + cap)
+    # H_0, ..., H_cap over power sums: _step_cap's recurrence, at x not 1^N
+    cauchy = TruncSeries("t", 1, [
+        PSumPoly.p(j) * (theta * cfg.rho.p_value(j, theta) / j)
+        for j in range(1, cap + 1)], cap + 1).exp()
+    j_lam = basis.polynomial(lam)
     pv_lam = principal_value(lam, cfg.n, theta)
-    norm_lam = basis.norm(lam)
     weights = {}
     total = Fraction(0)
-    for mu in _superpartitions(lam, cfg.n, cap):
-        skew = skew_jack(mu, lam, theta)
-        value = specialize(skew, cfg.rho, theta)
-        if is_zero(value):
-            continue
-        w = (norm_lam / basis.norm(mu)) \
-            * (principal_value(mu, cfg.n, theta) / pv_lam) * value / kernel
-        weights[mu] = w
-        total = total + w
+    for d in range(cap + 1):
+        g = j_lam * cauchy.coefficient(d)
+        for mu in enumerate_partitions(size + d, cfg.n):
+            if not contains(mu, lam):
+                continue
+            pairing = scalar_product(basis.polynomial(mu), g, theta)
+            if is_zero(pairing):
+                continue
+            w = (principal_value(mu, cfg.n, theta) / pv_lam) * pairing \
+                / (basis.norm(mu) * kernel)
+            weights[mu] = w
+            total = total + w
     return MeasureOnYoung(cfg.n, weights, tail_deficit=1 - total)
 
 
@@ -420,11 +406,18 @@ def _sample_paths(cfg, steps, seeds):
     single-beta step at theta = 1 from the empty diagram, by
     bernoulli_draw for any other single-beta step, and from one _RowCache
     otherwise.  Raises DeficitError if a row's truncated tail exceeds
-    DEFAULT_DEFICIT_BOUND (or a draw lands in it), and ValueError for a
-    symbolic theta."""
+    DEFAULT_DEFICIT_BOUND (or a draw lands in it), ValueError for a
+    symbolic theta, and ResourceLimitError, before it allocates, for a
+    single-beta walk whose N(N+1)/2 pattern parts exceed
+    _MAX_CACHED_ENTRIES."""
     if isinstance(as_exact(cfg.theta), RationalFunction):
         raise ValueError("sampling needs a numeric theta, not a symbolic one")
     args = _kernel_args(cfg)
+    if args is not None and cfg.n * (cfg.n + 1) // 2 > _MAX_CACHED_ENTRIES:
+        # the pattern's parts, or the strip tree's minors, would not fit
+        raise ResourceLimitError(
+            "a single-beta walk at N = %d would hold more than %d entries"
+            % (cfg.n, _MAX_CACHED_ENTRIES))
     if args is not None and args[3:] == (1, 1) and not cfg.initial:
         # theta = p/q = 1 from the empty diagram: the top level of a
         # Gelfand-Tsetlin pattern, packed (every part 0) at the start
@@ -691,6 +684,12 @@ def path_statistics(cfg, steps, samples, ks, times=None, on_path=None):
     for path in _sample_paths(cfg, steps, seeds):
         if on_path is not None:
             on_path(path)
-        stats.add_sample([float(scaled_moment(path[t], cfg.n, cfg.theta, k))
-                          for t, k in stats.keys])
+        row = []
+        for t in times:
+            # scaled_moment for every k at once: each quotient is the
+            # correctly rounded float of the same rational
+            nums, den = particle_numerators(path[t], cfg.n, cfg.theta)
+            row.extend(sum(a ** k for a in nums) / den ** k if nums else 0.0
+                       for k in ks)
+        stats.add_sample(row)
     return stats

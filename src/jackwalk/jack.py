@@ -244,7 +244,7 @@ def skew_jack(lam, mu, theta=THETA):
     size |lam/mu| is needed.
 
     Returns the zero polynomial for incompatible shapes (mu not contained in
-    lam), so transition-matrix code may sum over candidate mu uniformly.
+    lam).
     """
     lam = make_partition(lam)
     mu = make_partition(mu)

@@ -97,6 +97,20 @@ def particle_locations(lam, n, theta):
     return [Fraction(a, den) for a in nums]
 
 
+def interval_moments(lam, n, theta, count):
+    """[m_1, ..., m_count] of the law that spreads mass 1/n uniformly on
+    [y_i - 1/n, y_i] for each particle location y_i, a start's limit
+    shape.  Adjacent locations lie at least 1/n apart, so the intervals
+    never overlap, and the packed diagram gives the uniform law on
+    [-1, 0].  In integers, with y_i = a_i/den, den = p n and theta = p/q:
+    m_k = sum (a^(k+1) - (a - p)^(k+1)) / ((k+1) den^(k+1))."""
+    nums, den = particle_numerators(lam, n, theta)
+    p = as_fraction(theta).numerator
+    return [Fraction(sum(a ** (k + 1) - (a - p) ** (k + 1) for a in nums),
+                     (k + 1) * den ** (k + 1))
+            for k in range(1, count + 1)]
+
+
 def empirical_density(lam, n, theta=1):
     """Uniform weights 1/n on the particle locations of the diagram."""
     ys = particle_locations(lam, n, theta)

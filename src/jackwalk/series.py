@@ -7,8 +7,9 @@ above ``order`` are unknown.  ``order`` may be ``ORDER_INF`` for exact
 are first-class.
 
 Coefficients are deliberately generic: ints, ``Fraction``, rational
-functions of the deformation parameter, or nested ``TruncSeries`` in a
-*different* variable all work, which is how two-variable series are
+functions of the deformation parameter, power-sum polynomials
+(``PSumPoly``: a Cauchy kernel's degree parts), or nested ``TruncSeries``
+in a *different* variable all work, which is how two-variable series are
 represented (a series in ``w`` whose coefficients are series in ``z``).
 Multiplying by a series in another variable therefore scales coefficients
 instead of convolving, and falls out of the same code path as scalars.

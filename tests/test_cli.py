@@ -719,6 +719,19 @@ def test_walk_too_large_for_float_statistics_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_single_beta_walk_too_large_to_hold_exits_3(tmp_path, capsys):
+    # at N = 2000 the push-block pattern would hold 2,001,000 parts: the
+    # walk is refused before it allocates, so no stats file is written
+    config = beta_config(tmp_path, n=2000)
+    out = tmp_path / "stats.csv"
+    rc = cli.main(["walk", "sample", "--config", config, "--steps", "1",
+                   "--samples", "1", "--k", "1,2", "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("resource limit:")]
+    assert not out.exists()
+
+
 def test_walk_sample_resource_exit_code(tmp_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise ResourceLimitError("forced")
@@ -943,17 +956,59 @@ def test_walk_predict_alpha_atom_of_one_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("initial, notes", [((), 0), ((2, 1), 1)],
+@pytest.mark.parametrize("initial, means",
+                         [((), [Fraction(-1, 2), Fraction(1, 3)]),
+                          ((2, 1), [Fraction(-5, 16), Fraction(1, 3)])],
                          ids=["packed", "start-2-1"])
-def test_packed_start_note_is_printed_once(tmp_path, capsys, initial, notes):
+def test_packed_start_note_is_printed_once(tmp_path, capsys, initial, means):
+    # no start needs the old packed-start note any more: at tau = 0 the
+    # predicted means are the start's own interval-law moments, uniform on
+    # [-1, 0] when packed, and [1/4, 1/2], [-1/4, 0], [-3/4, -1/2],
+    # [-1, -3/4] for (2, 1) at N = 4
     config = beta_config(tmp_path, n=4, initial=initial)
+    out = tmp_path / "out.csv"
     for argv in (["walk", "sample", "--steps", "2", "--samples", "5"],
-                 ["walk", "predict"]):
+                 ["walk", "predict", "--tau", "0"]):
         assert cli.main(argv + ["--config", config, "--k", "1,2",
-                                "--out", str(tmp_path / "out.csv")]) == 0
+                                "--out", str(out)]) == 0
         err = capsys.readouterr().err.splitlines()
-        assert err.count("note: limit predictions assume a packed start") \
-            == notes
+        assert not [line for line in err if line.startswith("note:")]
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert [Fraction(exact) for tau, k, l, stat, value, exact in rows
+            if stat == "mean"] == means
+
+
+def test_predictions_start_from_the_start_itself(tmp_path, capsys):
+    # (2, 2) at N = 4 is uniform on [-1, -1/2] and [0, 1/2]: at theta = 1
+    # the k = 1 variance is tau/4, as for any start, and the k = 2
+    # variance at tau = 1 is 3/8; no note is printed for any start
+    config = beta_config(tmp_path, n=4, initial=(2, 2))
+    out = tmp_path / "pred.csv"
+    assert cli.main(["walk", "predict", "--config", config, "--k", "1,2",
+                     "--tau", "0,1/2,1", "--out", str(out)]) == 0
+    rows = {}
+    for line in out.read_text().splitlines()[2:]:
+        tau, k, l, stat, value, exact = line.split(",")
+        rows[(tau, k, l, stat)] = Fraction(exact)
+    assert [rows[(tau, "1", "1", "covariance")] for tau in ("0", "1/2", "1")] \
+        == [0, Fraction(1, 8), Fraction(1, 4)]
+    assert rows[("1", "2", "2", "covariance")] == Fraction(3, 8)
+    assert rows[("0", "1", "", "mean")] == Fraction(-1, 4)
+    assert capsys.readouterr().err == ""
+    assert cli.main(["walk", "sample", "--config", config, "--steps", "2",
+                     "--samples", "5", "--k", "1,2",
+                     "--out", str(tmp_path / "out.csv")]) == 0
+    assert "note" not in capsys.readouterr().err
+    assert (tmp_path / "out.csv.predictions.csv").exists()
+
+
+def test_walk_predict_without_particles_exits_2(tmp_path, capsys):
+    out = tmp_path / "pred.csv"
+    assert cli.main(["walk", "predict", "--config",
+                     beta_config(tmp_path, n=0), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "error: positive N needed for limit predictions\n"
+    assert not out.exists()
 
 
 def test_walk_predict_moment_zero(tmp_path):

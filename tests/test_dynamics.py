@@ -31,11 +31,14 @@ from jackwalk.dynamics import (
     transition_row,
 )
 from jackwalk.errors import DeficitError, ResourceLimitError, ShapeError
-from jackwalk.jack import skew_jack
+from jackwalk.jack import principal_value, skew_jack
 from jackwalk.measures import MeasureOnYoung, particle_locations
-from jackwalk.partitions import contains, length, make_partition
-from jackwalk.scalars import THETA
-from jackwalk.specializations import Specialization, SpecializationUnion
+from jackwalk.partitions import (contains, enumerate_all_partitions, length,
+                                 make_partition)
+from jackwalk.psum import scalar_product
+from jackwalk.scalars import THETA, is_zero
+from jackwalk.specializations import (Specialization, SpecializationUnion,
+                                      specialize)
 from jackwalk.verify import stochasticity_cases
 
 half = Fraction(1, 2)
@@ -147,17 +150,81 @@ def test_steps_add_vertical_strips():
 
 @contextlib.contextmanager
 def _table_route(monkeypatch):
-    """Send every row through the table route; yields its skew_jack calls."""
+    """Send every row through the table route; yields the pairings
+    <J_mu, J_lam H_d> it takes."""
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return skew_jack(*args)
+        return scalar_product(*args)
 
     with monkeypatch.context() as patch:
         patch.setattr(dynamics, "_kernel_args", lambda cfg: None)
-        patch.setattr(dynamics, "skew_jack", counted)
+        patch.setattr(dynamics, "scalar_product", counted)
         yield calls
+
+
+def _skew_row(lam, cfg):
+    """The table row built skew function by skew function: each weight
+    is (j_lam/j_mu) (PV(mu)/PV(lam)) J_{mu/lam}(rho) / H(rho; 1^N), the
+    skew Jack function specialized at rho."""
+    theta = cfg.theta
+    kernel = dynamics._step_kernel(cfg)
+    cap = dynamics._step_cap(cfg)
+    basis = jack.basis_for(theta)
+    norm_lam = basis.norm(lam)
+    pv_lam = principal_value(lam, cfg.n, theta)
+    weights = {}
+    total = Fraction(0)
+    for mu in enumerate_all_partitions(sum(lam) + cap, cfg.n):
+        value = specialize(skew_jack(mu, lam, theta), cfg.rho, theta)
+        if is_zero(value):
+            continue
+        w = (norm_lam / basis.norm(mu)) \
+            * (principal_value(mu, cfg.n, theta) / pv_lam) * value / kernel
+        weights[mu] = w
+        total = total + w
+    return MeasureOnYoung(cfg.n, weights, tail_deficit=1 - total)
+
+
+#: (step, cap or None, diagrams): a step of unbounded reach is cut at the
+#: given cap, which keeps its tables small; both routes read the same cap
+TABLE_STEPS = {
+    "alpha": (WalkConfig(3, half, Specialization.single_alpha(
+        Fraction(1, 10))), 4, [(), (1,), (2, 1)]),
+    "gamma": (WalkConfig(2, one, Specialization.plancherel(
+        Fraction(1, 4))), 5, [(), (1,), (2, 1), (3, 1)]),
+    "union": (WalkConfig(3, one, SpecializationUnion(
+        [Specialization.single_beta(half),
+         Specialization.single_beta(Fraction(1, 3))])), None,
+        [(), (1,), (2, 1), (6, 3)]),
+    "scale-2": (WalkConfig(3, half, Specialization.single_beta(half)
+                           .scaled(2)), None, [(), (2, 1), (4, 1)]),
+    "mixed": (WalkConfig(2, two, Specialization(
+        gamma=Fraction(1, 3), alphas=[Fraction(1, 5)], betas=[half])), 4,
+        [(), (1,), (2, 1)]),
+    "symbolic": (WalkConfig(3, THETA, Specialization.single_beta(half)
+                            .scaled(2)), None, [(), (1,), (2, 1)]),
+    "zero": (WalkConfig(3, half, Specialization.zero()), None, [(), (2, 1)]),
+}
+
+
+@pytest.mark.parametrize("step", TABLE_STEPS)
+def test_table_rows_equal_the_skew_rows(monkeypatch, step):
+    # one Cauchy product J_lam H_d per added size d gives every skew value
+    cfg, cap, lams = TABLE_STEPS[step]
+    if cap is not None:
+        assert dynamics._step_cap(cfg) > cap
+        monkeypatch.setattr(dynamics, "_step_cap", lambda cfg: cap)
+    for lam in lams:
+        row = transition_row(lam, cfg)
+        oracle = _skew_row(lam, cfg)
+        assert row.support == oracle.support, lam
+        assert row.tail_deficit == oracle.tail_deficit, lam
+    if cap is not None:
+        assert row.tail_deficit > 0
+    else:
+        assert row.tail_deficit == 0
 
 
 @pytest.mark.parametrize("b", [Fraction(2, 3), one, Fraction(5, 2)],
@@ -556,10 +623,24 @@ def test_row_cache_resource_guard(monkeypatch):
     monkeypatch.setattr(dynamics, "_MAX_CACHED_ENTRIES", 5)
     with pytest.raises(ResourceLimitError):
         path_statistics(doubled, 2, 3, [1, 2])
-    # single-beta draws hold no rows, so the bound does not stop them
-    single = WalkConfig(3, one, Specialization.single_beta(one), seed=2)
+    # single-beta draws hold no rows, only the N(N+1)/2 = 3 parts of their
+    # pattern at N = 2, so the bound does not stop them
+    single = WalkConfig(2, one, Specialization.single_beta(one), seed=2)
     monkeypatch.setattr(dynamics, "transition_row", _no_measure_rows)
     assert path_statistics(single, 4, 3, [1, 2]).count == 3
+
+
+@pytest.mark.parametrize("initial", [(), (1,)], ids=["push-block", "strips"])
+def test_single_beta_walk_too_large_to_hold_is_refused(initial):
+    # N = 2000 holds N(N+1)/2 = 2,001,000 pattern parts or minors, past
+    # the bound: refused before anything is allocated
+    cfg = WalkConfig(2000, one, Specialization.single_beta(one),
+                     initial=initial)
+    assert 2000 * 2001 // 2 > dynamics._MAX_CACHED_ENTRIES
+    with pytest.raises(ResourceLimitError):
+        path_statistics(cfg, 1, 1, [1, 2])
+    # the k = 1 marginal holds no pattern
+    assert path_statistics(cfg, 1, 1, [1]).method == "mass-marginal"
 
 
 @pytest.mark.parametrize("theta", [one, half], ids=str)

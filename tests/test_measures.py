@@ -16,6 +16,7 @@ from jackwalk.measures import (
     empirical_density,
     empirical_moments_from_pp,
     generating_function,
+    interval_moments,
     jack_measure,
     lr_measure,
     particle_locations,
@@ -63,6 +64,27 @@ def test_particle_locations():
         th = Fraction(rng.randint(1, 4), rng.randint(1, 3))
         ys = particle_locations(lam, n, th)
         assert all(a > b for a, b in zip(ys, ys[1:]))
+
+
+def _uniform_moments(blocks, count):
+    """Moments of the uniform law on disjoint intervals of one length."""
+    width = sum(Fraction(hi - lo) for lo, hi in blocks)
+    return [sum(hi ** (k + 1) - lo ** (k + 1) for lo, hi in blocks)
+            / ((k + 1) * width) for k in range(1, count + 1)]
+
+
+@pytest.mark.parametrize("theta", [half, one, Fraction(2), Fraction(3, 7)],
+                         ids=str)
+def test_interval_moments(theta):
+    # the packed diagram is uniform on [-1, 0] at every theta and N
+    for n in (1, 4, 7):
+        assert interval_moments((), n, theta, 8) == \
+            _uniform_moments([(-1, 0)], 8)
+    # each location y carries [y - 1/n, y]: (2, 2) at n = 4 lies at
+    # 2/(4 theta), 2/(4 theta) - 1/4, -1/2 and -3/4
+    lo = 1 / (2 * theta) - Fraction(1, 2)
+    assert interval_moments((2, 2), 4, theta, 6) == _uniform_moments(
+        [(-1, Fraction(-1, 2)), (lo, lo + Fraction(1, 2))], 6)
 
 
 def test_empirical_density():
