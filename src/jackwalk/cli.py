@@ -324,6 +324,8 @@ def cmd_walk_sample(args):
     finally:
         if close:
             stream.close()
+    if not close:  # no file to write the predictions next to
+        return 0
 
     # limit predictions next to the estimates, when the step data admits them
     try:
@@ -334,8 +336,7 @@ def cmd_walk_sample(args):
     except (StabilityError, ValueError) as exc:
         sys.stderr.write("limit predictions unavailable: %s\n" % exc)
         return 0
-    if args.out not in (None, "-"):
-        _write_predictions(args.out + ".predictions.csv", params, rows)
+    _write_predictions(args.out + ".predictions.csv", params, rows)
     return 0
 
 
@@ -371,6 +372,7 @@ def _build_parser():
             ("skew", "skew expansion", ("--partition", "--mu")),
             ("lr", "structure constants", ("--mu", "--eta"))):
         verb = jack_sub.add_parser(action, help=text)
+        verb.set_defaults(run=cmd_jack)
         for option in shape:
             verb.add_argument(option, required=True)
         verb.add_argument("--theta", default="symbolic")
@@ -388,7 +390,7 @@ def _build_parser():
                    "ns"))
     for p, name in suites:
         _, _, sizes, theta = _SUITES[name]
-        p.set_defaults(suite=name)
+        p.set_defaults(suite=name, run=cmd_verify)
         for option, default in sizes.items():
             p.add_argument("--" + option.replace("_", "-"), type=int,
                            default=default)
@@ -404,6 +406,7 @@ def _build_parser():
     walk = sub.add_parser("walk", help="walk experiments")
     walk_sub = walk.add_subparsers(dest="action", required=True)
     sample = walk_sub.add_parser("sample", help="Monte Carlo statistics")
+    sample.set_defaults(run=cmd_walk_sample)
     sample.add_argument("--config", required=True)
     sample.add_argument("--steps", type=int, required=True)
     sample.add_argument("--samples", type=int, required=True)
@@ -414,6 +417,7 @@ def _build_parser():
     sample.add_argument("--seed", type=int)
     sample.add_argument("--strict", action="store_true")
     predict = walk_sub.add_parser("predict", help="limiting moments")
+    predict.set_defaults(run=cmd_walk_predict)
     predict.add_argument("--config", required=True)
     predict.add_argument("--k", default="1")
     predict.add_argument("--tau", default="1")
@@ -422,18 +426,9 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "jack":
-            return cmd_jack(args)
-        if args.command in ("verify", "ns"):
-            return cmd_verify(args)
-        if args.command == "walk":
-            if args.action == "sample":
-                return cmd_walk_sample(args)
-            return cmd_walk_predict(args)
-        parser.error("unknown command %r" % args.command)
+        return args.run(args)
     except (ValueError, ShapeError, DivergenceError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2

@@ -32,7 +32,9 @@ H(rho; x) = exp(theta sum_j p_j(x) p_j(rho) / j) (Macdonald VI.10): for
 H_d its degree-d part, J_{mu/lam}(rho) = <J_mu, J_lam H_d> / j_lam,
 d = |mu| - |lam|, so one product g = J_lam H_d per added size and one
 pairing <J_mu, g> per candidate mu give the row, with no skew function
-built.  `_kernel_args` decides the route.
+built.  H(rho; 1^N), the cap and H_0..H_cap depend on the step alone:
+`_table_step` builds them once, one record that every row of the step
+reads.  `_kernel_args` decides the route.
 
 Sampling draws a uniform dyadic rational u = r / 2^64 and picks the cell
 of a row's cumulative numerators that holds u times their common
@@ -106,6 +108,7 @@ DEFAULT_DEFICIT_BOUND = Fraction(1, 2 ** 32)
 _MAX_EVOLVE_STATES = 20000
 _MAX_CACHED_ENTRIES = 2000000
 _BLOCK_BUDGET = 2 ** 14  # values per mass-marginal block; bounds its memory
+_TABLE_STEPS = {}  # (n, theta, rho) -> (H, cap, cauchy), see _table_step
 
 
 class WalkConfig(namedtuple("WalkConfig", "n theta rho initial seed")):
@@ -196,46 +199,50 @@ def _json_int(value, name):
     return value
 
 
-def _finite_reach(rho, n):
-    """Max step mass for pure-beta data (None when unbounded).
+def _table_step(cfg):
+    """(H, cap, cauchy) for the step, built once per (n, theta, rho) and
+    kept in _TABLE_STEPS: H = H(rho; 1^N), the product of
+    reproducing_kernel(component, 1^N) over the step's components; the
+    cap (_step_cap); and H_0..H_cap, the degree parts of the Cauchy kernel
+    H(rho; x) over power sums.  None of them depends on the diagram."""
+    key = cfg[:3]
+    found = _TABLE_STEPS.get(key)
+    if found is None:
+        theta, ones = cfg.theta, Specialization.ones(cfg.n)
+        kernel = Fraction(1)
+        for comp in cfg.rho.components:
+            kernel = kernel * reproducing_kernel(comp, ones, theta)
+        cap = _step_cap(cfg, kernel)
+        # _step_cap's recurrence, at x rather than 1^N
+        cauchy = TruncSeries("t", 1, [
+            PSumPoly.p(j) * (theta * cfg.rho.p_value(j, theta) / j)
+            for j in range(1, cap + 1)], cap + 1).exp()
+        found = _TABLE_STEPS[key] = (kernel, cap, tuple(
+            cauchy.coefficient(d) for d in range(cap + 1)))
+    return found
 
-    Each beta atom contributes a vertical strip of at most n boxes; the
-    (integer, see WalkConfig) scale repeats the atom list that many times.
-    """
-    total = 0
-    for comp in rho.components:
-        if comp.gamma != 0 or comp.alphas:
-            return None
-        total += n * len(comp.betas) * int(comp.scale)
-    return total
 
+def _step_cap(cfg, kernel):
+    """The most mass one row may add, given H = kernel = H(rho; 1^N): the
+    exact reach of a pure-beta step (n boxes per beta atom and per copy,
+    WalkConfig's integer scale), whose rows are then whole, and otherwise
+    the smallest d whose tail 1 - (b_0 + ... + b_d) / H is at most
+    DEFAULT_DEFICIT_BOUND.
 
-def _step_kernel(cfg):
-    """H(rho; 1^N), the product over the step's components of
-    reproducing_kernel(component, 1^N): every row divides by it."""
-    ones = Specialization.ones(cfg.n)
-    kernel = Fraction(1)
-    for comp in cfg.rho.components:
-        kernel = kernel * reproducing_kernel(comp, ones, cfg.theta)
-    return kernel
-
-
-def _step_cap(cfg):
-    """The most mass one row may add: the exact reach of a pure-beta step,
-    whose rows are then whole, and otherwise the smallest d whose tail
-    1 - (b_0 + ... + b_d) / H(rho; 1^N) is at most DEFAULT_DEFICIT_BOUND.
-
-    By the Cauchy identity the strips of size d together weigh
-    b_d / H(rho; 1^N) whatever the current diagram, where
+    By the Cauchy identity the strips of size d together weigh b_d / H
+    whatever the current diagram, where
     b_d = [t^d] H(t rho; 1^N) = [t^d] exp(sum_j theta N p_j(rho) t^j / j),
     read off TruncSeries.exp up to the Jack table cutoff.  Dividing by
     the same H as transition_row makes the tail equal the row's deficit.
     A tail still above the bound at the cutoff raises ResourceLimitError,
     as no row that long can be built."""
-    reach = _finite_reach(cfg.rho, cfg.n)
-    if reach is not None:
+    reach = 0
+    for comp in cfg.rho.components:
+        if comp.gamma != 0 or comp.alphas:
+            break
+        reach += cfg.n * len(comp.betas) * int(comp.scale)
+    else:
         return reach
-    kernel = _step_kernel(cfg)
     theta = as_fraction(cfg.theta)
     size = CONVERSION_SIZE_CUTOFF + 1
     law = TruncSeries("t", 1, [theta * cfg.n * cfg.rho.p_value(j, theta) / j
@@ -281,21 +288,16 @@ def transition_row(lam, cfg):
             cfg.n, {mu: Fraction(num, den) for mu, num in entries})
 
     theta = cfg.theta
-    kernel = _step_kernel(cfg)
-    cap = _step_cap(cfg)
+    kernel, cap, cauchy = _table_step(cfg)
     basis = basis_for(theta)
     size = weight(lam)
     basis.ensure_size(size + cap)
-    # H_0, ..., H_cap over power sums: _step_cap's recurrence, at x not 1^N
-    cauchy = TruncSeries("t", 1, [
-        PSumPoly.p(j) * (theta * cfg.rho.p_value(j, theta) / j)
-        for j in range(1, cap + 1)], cap + 1).exp()
     j_lam = basis.polynomial(lam)
     pv_lam = principal_value(lam, cfg.n, theta)
     weights = {}
     total = Fraction(0)
-    for d in range(cap + 1):
-        g = j_lam * cauchy.coefficient(d)
+    for d, h_d in enumerate(cauchy):
+        g = j_lam * h_d
         for mu in enumerate_partitions(size + d, cfg.n):
             if not contains(mu, lam):
                 continue
@@ -354,11 +356,13 @@ class _RowCache:
     denom).
 
     Each row comes from transition_row, its weights as integer numerators
-    over the lcm of their denominators.  Rows keep a tail of at most
-    DEFAULT_DEFICIT_BOUND (see _step_cap); a row past it would raise
-    DeficitError, and so does a draw into the tail (_sample_paths).
-    ResourceLimitError is raised once more than _MAX_CACHED_ENTRIES cells
-    are held.  Single-beta steps draw from the step kernel, not rows."""
+    over the lcm of their denominators; the rows of one step share one
+    record of H(rho; 1^N), the cap and H_0..H_cap (_table_step).  Rows
+    keep a tail of at most DEFAULT_DEFICIT_BOUND (see _step_cap); a row
+    past it would raise DeficitError, and so does a draw into the tail
+    (_sample_paths).  ResourceLimitError is raised once more than
+    _MAX_CACHED_ENTRIES cells are held.  Single-beta steps draw from the
+    step kernel, not rows."""
 
     def __init__(self, cfg):
         self.cfg = cfg

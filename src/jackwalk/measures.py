@@ -16,7 +16,6 @@ values.  Truncations always carry an explicit ``tail_deficit`` instead of
 renormalizing silently.
 """
 
-import csv
 import math
 import warnings
 from fractions import Fraction
@@ -61,12 +60,6 @@ class AtomicMeasure:
         """Sum w/(z - x) expanded in 1/z through z^-order."""
         coeffs = [self.moment(k) for k in range(order)]
         return TruncSeries(ZVAR, 1, coeffs, order + 1)
-
-    def write_csv(self, stream):
-        writer = csv.writer(stream)
-        writer.writerow(["location", "weight"])
-        for x, w in self.atoms:
-            writer.writerow([str(x), str(w)])
 
     def __eq__(self, other):
         return isinstance(other, AtomicMeasure) and self.atoms == other.atoms

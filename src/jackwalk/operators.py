@@ -202,14 +202,13 @@ def moment_factor(k, f, n, theta=THETA):
 def joint_moment_via_operators(f, n, theta, ks):
     """Joint moment of the particle measure read off a generating function.
 
-    Applies the factors I^(k)/n^k + I^(k+1)/n^(k+1) for each requested
-    exponent (rightmost first) and evaluates at p = 1^n.  When f is the
-    exact generating function of a measure on diagrams with at most n rows,
-    this equals E prod_j integral x^{k_j} d(particle measure).
+    Applies the factors I^(k)/n^k + I^(k+1)/n^(k+1) for the requested
+    exponents, which commute, and evaluates at p = 1^n: the time-0 case
+    of joint_moment_multitime.  When f is the exact generating function
+    of a measure on diagrams with at most n rows, this equals
+    E prod_j integral x^{k_j} d(particle measure).
     """
-    for k in reversed(list(ks)):
-        f = moment_factor(k, f, n, theta)
-    return specialize_ones(f, n)
+    return joint_moment_multitime(f, [], n, theta, [(0, k) for k in ks])
 
 
 def joint_moment_multitime(f, gs, n, theta, schedule):

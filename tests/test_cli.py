@@ -377,6 +377,19 @@ def test_walk_sample_without_predictions(tmp_path, capsys):
     assert not (tmp_path / "stats.csv.predictions.csv").exists()
 
 
+def test_walk_sample_to_stdout_predicts_nothing(tmp_path, capsys):
+    # predictions go next to an output file; with none there is nothing
+    # to predict for, so an N = 0 walk says nothing about them
+    config = beta_config(tmp_path, n=0)
+    rc = cli.main(["walk", "sample", "--config", config, "--steps", "2",
+                   "--samples", "3", "--k", "1", "--out", "-"])
+    assert rc == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[1] == "time,k,mean,var,stderr" and len(lines) == 5
+    assert "limit predictions unavailable" not in captured.err
+
+
 def test_walk_sample_paths_file(tmp_path):
     config = beta_config(tmp_path)
     paths = tmp_path / "paths.jsonl"

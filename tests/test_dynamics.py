@@ -169,8 +169,7 @@ def _skew_row(lam, cfg):
     is (j_lam/j_mu) (PV(mu)/PV(lam)) J_{mu/lam}(rho) / H(rho; 1^N), the
     skew Jack function specialized at rho."""
     theta = cfg.theta
-    kernel = dynamics._step_kernel(cfg)
-    cap = dynamics._step_cap(cfg)
+    kernel, cap, _ = dynamics._table_step(cfg)
     basis = jack.basis_for(theta)
     norm_lam = basis.norm(lam)
     pv_lam = principal_value(lam, cfg.n, theta)
@@ -214,8 +213,9 @@ def test_table_rows_equal_the_skew_rows(monkeypatch, step):
     # one Cauchy product J_lam H_d per added size d gives every skew value
     cfg, cap, lams = TABLE_STEPS[step]
     if cap is not None:
-        assert dynamics._step_cap(cfg) > cap
-        monkeypatch.setattr(dynamics, "_step_cap", lambda cfg: cap)
+        assert dynamics._table_step(cfg)[1] > cap
+        monkeypatch.setattr(dynamics, "_TABLE_STEPS", {})
+        monkeypatch.setattr(dynamics, "_step_cap", lambda cfg, kernel: cap)
     for lam in lams:
         row = transition_row(lam, cfg)
         oracle = _skew_row(lam, cfg)
@@ -225,6 +225,39 @@ def test_table_rows_equal_the_skew_rows(monkeypatch, step):
         assert row.tail_deficit > 0
     else:
         assert row.tail_deficit == 0
+
+
+def test_table_step_is_built_once(monkeypatch):
+    # H(rho; 1^N), the cap and H_0..H_cap belong to the step, not to the
+    # diagram: rows at several diagrams, or every row of a two-step
+    # exact_evolve, build one kernel per component and two series exps,
+    # the mass law's (_step_cap) and the Cauchy kernel's
+    kernels, exps = [], []
+
+    def spy(calls, fn):
+        def counted(*args):
+            calls.append(args)
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(dynamics, "reproducing_kernel",
+                        spy(kernels, dynamics.reproducing_kernel))
+    monkeypatch.setattr(dynamics.TruncSeries, "exp",
+                        spy(exps, dynamics.TruncSeries.exp))
+    alpha = WalkConfig(2, half, Specialization.single_alpha(Fraction(1, 64)))
+    union = WalkConfig(2, half, SpecializationUnion(
+        [Specialization.plancherel(Fraction(1, 64)),
+         Specialization.single_beta(Fraction(1, 3))]))
+    start = MeasureOnYoung(2, {(): one})
+    for cfg, components, rows in (
+            (alpha, 1, lambda: [transition_row(lam, alpha)
+                                for lam in [(), (1,), (2, 1), (3, 1)]]),
+            (union, 2, lambda: exact_evolve(start, union, 2))):
+        monkeypatch.setattr(dynamics, "_TABLE_STEPS", {})
+        del kernels[:], exps[:]
+        assert len(rows()[-1].support) > 1
+        assert len(kernels) == components and len(exps) == 2, cfg.rho
+        assert list(dynamics._TABLE_STEPS) == [cfg[:3]]
 
 
 @pytest.mark.parametrize("b", [Fraction(2, 3), one, Fraction(5, 2)],
@@ -664,7 +697,7 @@ def test_step_truncation_leaves_pure_beta_rows_whole(monkeypatch):
     # exact reach on either route, so sampling never hits a deficit
     cfg = WalkConfig(3, half, b23, seed=1)
     full = transition_row((2, 1), cfg)
-    assert dynamics._step_cap(cfg) == 3
+    assert dynamics._table_step(cfg)[1] == 3
     assert full.tail_deficit == 0 and sum(full.support.values()) == 1
     assert len(sample_path(cfg, 4)) == 5
     with _table_route(monkeypatch) as calls:
@@ -736,15 +769,15 @@ def test_step_cap_is_where_the_mass_law_tail_meets_the_bound(case):
     for a in comp.alphas:
         factors.append(lambda d, a=a: a ** d * math.prod(
             s + i for i in range(d)) / math.factorial(d))
-    cap = dynamics._step_cap(cfg)
+    kernel, cap, _ = dynamics._table_step(cfg)
     law = _series_coefficients(factors, cap)
-    kernel = dynamics._step_kernel(cfg)
     bound = dynamics.DEFAULT_DEFICIT_BOUND
     row = transition_row(lam, cfg)
     assert max(sum(mu) for mu in row.support) == sum(lam) + cap
     assert row.tail_deficit == 1 - sum(law) / kernel <= bound
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dynamics, "_step_cap", lambda cfg: cap - 1)
+        patch.setattr(dynamics, "_TABLE_STEPS", {})
+        patch.setattr(dynamics, "_step_cap", lambda cfg, kernel: cap - 1)
         short = transition_row(lam, cfg)
     assert short.tail_deficit == 1 - sum(law[:-1]) / kernel > bound
 

@@ -1,6 +1,5 @@
 """Particle measures on the line and probability measures on diagrams."""
 
-import io
 import random
 from fractions import Fraction
 
@@ -43,12 +42,6 @@ def test_atomic_measure_basics():
     assert s.var == "1/z" and s.coefficient(1) == 1
     assert s.coefficient(2) == m.moment(1)
     assert s.coefficient(3) == m.moment(2)
-
-
-def test_atomic_measure_csv():
-    buf = io.StringIO()
-    empirical_density((1,), 2, one).write_csv(buf)
-    assert buf.getvalue() == "location,weight\r\n1/2,1/2\r\n-1/2,1/2\r\n"
 
 
 def test_particle_locations():
