@@ -79,7 +79,9 @@ every byte, is that of one draw per step.  Each statistic is one
 correctly rounded division of integers below 2^53, and the blocks are
 accumulated in sample order, so its output matches a per-sample exact
 loop bit for bit, whatever the block size.  PathStats takes a sample
-as a row of floats in key order, one per path or a block of them.
+as a row of floats in key order, one per path or a block of them, and
+keeps sum x and sum x^2 per key: what the CSV's mean, variance and
+standard error read.
 """
 
 import hashlib
@@ -492,20 +494,20 @@ def height_function(path_state, n, theta, x):
 
 
 class PathStats:
-    """Mergeable Monte Carlo accumulators for walk functionals.
+    """Monte Carlo accumulators for walk functionals.
 
     Keys are (time, k) pairs; each sample contributes the scaled moment
     n * integral of x^k against the state's empirical law at that time.
-    Per key it keeps four raw power sums: sum x and sum x^2 feed the CSV,
-    sum x^3 and sum x^4 feed variance_stderr.  Nothing is kept per pair
-    of keys, so a sample costs O(keys) and merging is plain addition.
+    Per key it keeps two raw power sums, sum x and sum x^2: all that the
+    CSV's mean, variance and standard error read.  Nothing is kept per
+    pair of keys, so a sample costs O(keys).
     """
 
     def __init__(self, keys, method="rows"):
         self.keys = [tuple(key) for key in keys]
         self.method = method
         self.count = 0
-        self.sums = {key: [0.0, 0.0, 0.0, 0.0] for key in self.keys}
+        self.sums = {key: [0.0, 0.0] for key in self.keys}
 
     def add_sample(self, values):
         """Record one path's row of floats, in self.keys order."""
@@ -513,45 +515,30 @@ class PathStats:
             raise ValueError("need a row of %d values" % len(self.keys))
         self.count += 1
         for key, x in zip(self.keys, values):
-            x2 = x * x
             s = self.sums[key]
             s[0] += x
-            s[1] += x2
-            s[2] += x2 * x
-            s[3] += x2 * x2
+            s[1] += x * x
 
     def add_batch(self, values):
         """Record a block of paths: a float64 numpy array of shape (paths,
-        len(keys)), one column per key in self.keys order.  Each power
-        add_sample takes fills a plane below a row of running totals, and
-        one add.accumulate down the path axis adds them in path order, so
-        a few numpy calls give every key add_sample's sums, bit for bit."""
+        len(keys)), one column per key in self.keys order.  x and x * x
+        fill two planes below a row of running totals, and one
+        add.accumulate down the path axis adds them in path order, so a
+        few numpy calls give every key add_sample's sums, bit for bit."""
         import numpy
 
         if values.shape[1:] != (len(self.keys),):
             raise ValueError("need a (paths, %d) block" % len(self.keys))
-        acc = numpy.empty((4, len(values) + 1, len(self.keys)))
+        acc = numpy.empty((2, len(values) + 1, len(self.keys)))
         acc[:, 0] = numpy.array([self.sums[key] for key in self.keys]).T
-        x, x2 = acc[0, 1:], acc[1, 1:]
+        x = acc[0, 1:]
         x[...] = values
-        numpy.multiply(x, x, out=x2)
-        numpy.multiply(x2, x, out=acc[2, 1:])
-        numpy.multiply(x2, x2, out=acc[3, 1:])
+        numpy.multiply(x, x, out=acc[1, 1:])
         # add.accumulate adds in order; add.reduce and sum add pairwise
         numpy.add.accumulate(acc, axis=1, out=acc)
         for key, totals in zip(self.keys, acc[:, -1].T.tolist()):
             self.sums[key] = totals
         self.count += len(values)
-
-    def merge(self, other):
-        if self.keys != other.keys:
-            raise ValueError("cannot merge statistics with different keys")
-        self.count += other.count
-        for key in self.keys:
-            mine, theirs = self.sums[key], other.sums[key]
-            for i in range(4):
-                mine[i] += theirs[i]
-        return self
 
     # -- estimates -----------------------------------------------------------
 
@@ -568,21 +555,6 @@ class PathStats:
 
     def mean_stderr(self, key):
         return math.sqrt(self.variance(key) / self.count)
-
-    def variance_stderr(self, key):
-        """Standard error of the variance estimate, from the sample's own
-        fourth central moment (normal-theory value when kurtosis is 3)."""
-        key = tuple(key)
-        m = self.count
-        if m < 2:
-            return 0.0
-        s = self.sums[key]
-        mean = s[0] / m
-        m2 = s[1] / m - mean ** 2
-        m4 = (s[3] - 4 * mean * s[2] + 6 * mean ** 2 * s[1]) / m \
-            - 3 * mean ** 4
-        var_of_var = (m4 - (m - 3) / (m - 1) * m2 * m2) / m
-        return math.sqrt(max(0.0, var_of_var))
 
     def write_csv(self, stream):
         stream.write("time,k,mean,var,stderr\r\n")

@@ -96,10 +96,20 @@ def interval_moments(lam, n, theta, count):
     shape.  Adjacent locations lie at least 1/n apart, so the intervals
     never overlap, and the packed diagram gives the uniform law on
     [-1, 0].  In integers, with y_i = a_i/den, den = p n and theta = p/q:
-    m_k = sum (a^(k+1) - (a - p)^(k+1)) / ((k+1) den^(k+1))."""
+    m_k = sum (a^(k+1) - (a - p)^(k+1)) / ((k+1) den^(k+1)).  Rows of
+    equal length put their particles exactly p apart, so the terms of such
+    a run telescope to its two ends: [top, bottom] below holds the run's
+    first a and its last a - p, and the packed diagram is one run."""
     nums, den = particle_numerators(lam, n, theta)
     p = as_fraction(theta).numerator
-    return [Fraction(sum(a ** (k + 1) - (a - p) ** (k + 1) for a in nums),
+    runs = []
+    for a in nums:
+        if runs and runs[-1][1] == a:
+            runs[-1][1] = a - p
+        else:
+            runs.append([a, a - p])
+    return [Fraction(sum(top ** (k + 1) - bottom ** (k + 1)
+                         for top, bottom in runs),
                      (k + 1) * den ** (k + 1))
             for k in range(1, count + 1)]
 

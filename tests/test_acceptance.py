@@ -6,6 +6,7 @@ exact arithmetic with no tolerance at all.
 """
 
 import functools
+import math
 import random
 from fractions import Fraction
 
@@ -197,15 +198,24 @@ def test_criterion_09_variance_matches_limit_covariance():
                          seed=SEED + n)
         stats = path_statistics(cfg, n, samples, [1], times=[n])
         assert stats.method == "mass-marginal"
-        var = stats.variance((n, 1))
-        se = stats.variance_stderr((n, 1))
-        ok = ok and abs(var - float(limit)) < 4 * se
-        mc_gaps.append((n, abs(var - float(limit))))
+        # the statistic at t = n is the mass of n independent steps over
+        # n: with kappa the step law's cumulants, its variance is
+        # n kappa_2 / n^2 and its fourth central moment is
+        # (n kappa_4 + 3 (n kappa_2)^2) / n^4, which give the exact
+        # standard error of the sample variance of m paths
         law = step_mass_law(n, 1)
         mean = sum((Fraction(d) * p for d, p in law), Fraction(0))
-        var_step = sum((Fraction(d * d) * p for d, p in law),
-                       Fraction(0)) - mean * mean
-        exact_gaps.append(abs(Fraction(n) * var_step / n ** 2 - limit))
+        mu2, mu4 = (sum(((d - mean) ** j * p for d, p in law), Fraction(0))
+                    for j in (2, 4))
+        kappa2, kappa4 = mu2, mu4 - 3 * mu2 ** 2
+        sigma2 = n * kappa2 / n ** 2
+        fourth = (n * kappa4 + 3 * (n * kappa2) ** 2) / n ** 4
+        m = samples
+        se = math.sqrt(fourth / m - sigma2 ** 2 * (m - 3) / (m * (m - 1)))
+        var = stats.variance((n, 1))
+        ok = ok and abs(var - float(limit)) < 4 * se
+        mc_gaps.append((n, abs(var - float(limit))))
+        exact_gaps.append(abs(sigma2 - limit))
     ok = ok and all(exact_gaps[i] >= exact_gaps[i + 1] for i in range(2))
     report(9, ok, "limit %s; 10^5-path gaps within 4 SE: %s; exact-law "
            "gaps %s nonincreasing" % (

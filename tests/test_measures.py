@@ -80,6 +80,24 @@ def test_interval_moments(theta):
         [(-1, Fraction(-1, 2)), (lo, lo + Fraction(1, 2))], 6)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.integers(0, 6), max_size=n).map(
+        lambda parts: tuple(sorted(parts, reverse=True))),
+    st.sampled_from([half, one, Fraction(2), Fraction(3, 7)]),
+    st.integers(0, 12))))
+def test_interval_moments_is_the_per_particle_sum(case):
+    # each location y carries mass 1/n uniformly on [y - 1/n, y]; the runs
+    # of equal rows (many here, with parts at most 6) telescope
+    n, lam, theta, count = case
+    ys = particle_locations(lam, n, theta)
+    assert interval_moments(lam, n, theta, count) == [
+        sum((y ** (k + 1) - (y - Fraction(1, n)) ** (k + 1) for y in ys),
+            Fraction(0)) / (k + 1)
+        for k in range(1, count + 1)]
+
+
 def test_empirical_density():
     m = empirical_density((2, 1), 2, half)
     assert m.atoms == ((Fraction(2), half), (half, half))
